@@ -419,9 +419,9 @@ let x86_report ~budget (kernels : x86_kernel list) =
         let plt = t_of pl in
         let tv = Baselines.tvm ~budget ~label:k.xlabel target_x86 p in
         let tvt = t_of tv in
-        let heur = Perfdojo.optimize Heuristic target_x86 p in
+        let heur = optimize_ctx ~ctx:Ctx.default Heuristic target_x86 p in
         let search =
-          Perfdojo.optimize
+          optimize_ctx ~ctx:Ctx.default
             (Annealing { budget; space = Stoch.Heuristic })
             target_x86 p
         in
@@ -616,13 +616,8 @@ let fig14 () =
     }
   in
   let rl, _ = Rl.Perfllm.optimize ~cfg ~seed:23 caps (time target) p in
-  let best =
-    if
-      rl.best_time
-      <= (Perfdojo.optimize Heuristic target p).time_s
-    then rl.best
-    else (Perfdojo.optimize Heuristic target p).schedule
-  in
+  let heur = optimize_ctx ~ctx:Ctx.default Heuristic target p in
+  let best = if rl.best_time <= heur.time_s then rl.best else heur.schedule in
   print_endline (Ir.Printer.body best);
   let pt = Baselines.time target (Baselines.pytorch target p) in
   Printf.printf "\nruntime %s vs PyTorch %s -> %s (paper: 1.71x via 128-bit loads)\n"
@@ -680,7 +675,7 @@ let arm () =
         let p = e.build () in
         let pt = Baselines.time target (Baselines.pytorch target p) in
         let tvm = Baselines.tvm ~budget ~label:e.label target p in
-        let ours = Perfdojo.optimize_best ~budget target p in
+        let ours = optimize_best ~ctx:Ctx.default ~budget target p in
         (e.label, pt, Baselines.time target tvm, ours.time_s))
       Kernels.table3
   in
@@ -958,7 +953,7 @@ let parallel () =
     Parallel.Pool.with_pool ~jobs (fun pool ->
         let t0 = Unix.gettimeofday () in
         let r =
-          Stoch.simulated_annealing_parallel ~seed:1 ~obs ~batch ~pool
+          Stoch.simulated_annealing ~seed:1 ~obs ~batch ~pool
             ~space:Stoch.Heuristic ~budget caps_x86 objective p
         in
         (r, Unix.gettimeofday () -. t0, obs))
@@ -1685,8 +1680,9 @@ let exhaustive () =
           failwith (label ^ ": canonical dedup found no duplicates");
         let stoch visited_dedup =
           Parallel.Pool.with_pool ~jobs:2 (fun pool ->
-              Stoch.simulated_annealing_parallel ~seed:5 ~visited_dedup
-                ~pool ~space:Stoch.Heuristic ~budget caps (time target) p)
+              Stoch.simulated_annealing ~seed:5 ~visited_dedup
+                ~batch:Stoch.default_batch ~pool ~space:Stoch.Heuristic
+                ~budget caps (time target) p)
         in
         let plain = stoch false and dd = stoch true in
         (* the stochastic engines are calibrated against the
@@ -2056,11 +2052,13 @@ let crash () =
     Parallel.Pool.with_pool ~jobs (fun pool ->
         match meth with
         | `Sampling ->
-            Stoch.random_sampling_parallel ~seed:9 ~obs ~checkpoint ~pool
-              ~space:Stoch.Heuristic ~budget caps_x86 objective root
+            Stoch.random_sampling ~seed:9 ~obs ~checkpoint
+              ~batch:Stoch.default_batch ~pool ~space:Stoch.Heuristic ~budget
+              caps_x86 objective root
         | `Annealing ->
-            Stoch.simulated_annealing_parallel ~seed:9 ~obs ~checkpoint
-              ~pool ~space:Stoch.Heuristic ~budget caps_x86 objective root)
+            Stoch.simulated_annealing ~seed:9 ~obs ~checkpoint
+              ~batch:Stoch.default_batch ~pool ~space:Stoch.Heuristic ~budget
+              caps_x86 objective root)
   in
   let stoch_json ?sim_calls (r : Stoch.result) =
     let base =

@@ -5,11 +5,12 @@
      perfdojo kernel list | show | moves
      perfdojo lib generate
      perfdojo db list | best | export
+     perfdojo model train | show
+     perfdojo script run | export | list
      perfdojo serve | client
 
-   plus the established spellings, kept as aliases of the same terms:
-   list, targets, show, moves, optimize, verify, game, replay, analyze
-   and generate (= lib generate).
+   plus the top-level verbs targets, optimize, verify, game, replay and
+   analyze.
 
    The cross-cutting run options — --db --jobs --trace --stats
    --max-retries --fault-rate --seed — are one shared Cmdliner term,
@@ -39,7 +40,9 @@ let find_kernel name : (Kernels.entry, bool * string) result =
   | e -> Ok e
   | exception Invalid_argument _ ->
       Error
-        (true, Printf.sprintf "unknown kernel %S; try `perfdojo list`" name)
+        ( true,
+          Printf.sprintf "unknown kernel %S; try `perfdojo kernel list`" name
+        )
 
 let known_target_names = List.map fst Machine.Desc.known_targets
 
@@ -103,9 +106,16 @@ let target_arg =
 let kernel_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL")
 
+(* A negative budget is a usage error here, before any search starts. *)
 let budget_arg =
-  let doc = "Search evaluation budget." in
-  Arg.(value & opt int 300 & info [ "budget"; "b" ] ~docv:"N" ~doc)
+  let doc = "Search evaluation budget (non-negative)." in
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 0 -> Error (`Msg "must be non-negative")
+    | r -> r
+  in
+  let budget = Arg.conv (parse, Arg.conv_printer Arg.int) in
+  Arg.(value & opt budget 300 & info [ "budget"; "b" ] ~docv:"N" ~doc)
 
 let strategy_arg =
   let doc =
@@ -531,8 +541,7 @@ let moves_cmd =
        ~doc:"List the applicable transformations at the kernel's root state.")
     Term.(ret (const run $ kernel_arg $ target_arg $ script_arg))
 
-(* The kernel noun groups the per-kernel inspection verbs; the bare
-   list/show/moves spellings stay as aliases of the same commands. *)
+(* The kernel noun groups the per-kernel inspection verbs. *)
 let kernel_cmd =
   Cmd.group
     (Cmd.info "kernel" ~doc:"Inspect the built-in kernels.")
@@ -732,7 +741,7 @@ let db_best_cmd =
                  db_file )
        | Some r ->
            (* metadata on stderr so stdout is a pure move trace, directly
-              consumable by `perfdojo replay` / Engine.replay *)
+              consumable by `perfdojo replay` *)
            Printf.eprintf "# %s on %s: %.3e s (%d evals, fingerprint %s)\n"
              r.kernel r.target r.best_time r.evals r.fingerprint;
            List.iter print_endline r.moves;
@@ -1935,10 +1944,8 @@ let () =
       (Cmd.group info
          [
            kernel_cmd; lib_cmd; db_cmd; model_cmd; script_cmd; serve_cmd;
-           client_cmd;
-           (* the established flat spellings, aliasing the same terms *)
-           list_cmd; targets_cmd; show_cmd; moves_cmd; optimize_cmd;
-           verify_cmd; game_cmd; replay_cmd; lib_generate_cmd; analyze_cmd;
+           client_cmd; targets_cmd; optimize_cmd; verify_cmd; game_cmd;
+           replay_cmd; analyze_cmd;
          ])
   in
   (* SIGINT/SIGTERM land here after the engine's final checkpoint:

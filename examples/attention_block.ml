@@ -104,7 +104,9 @@ let () =
     (fun target ->
       let lib = Baselines.pytorch target attention in
       let lib_time = Baselines.time target lib in
-      let ours = Perfdojo.optimize_best ~budget:250 target attention in
+      let ours =
+        Perfdojo.(optimize_best ~ctx:Ctx.default ~budget:250 target attention)
+      in
       Printf.printf "%-22s library(per-op) %.3e s   whole-block %.3e s   (%.2fx)\n"
         (Machine.Desc.target_name target)
         lib_time ours.time_s (lib_time /. ours.time_s))
@@ -116,6 +118,8 @@ let () =
 
   (* show where the whole-block win comes from on the CPU *)
   let target = Machine.Desc.Cpu Machine.Desc.xeon_e5_2695v4 in
-  let ours = Perfdojo.optimize_best ~budget:250 target attention in
+  let ours =
+    Perfdojo.(optimize_best ~ctx:Ctx.default ~budget:250 target attention)
+  in
   print_endline "\nwhole-block x86 schedule:";
   print_endline (Ir.Printer.body ours.schedule)

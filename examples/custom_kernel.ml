@@ -60,7 +60,9 @@ let () =
   (* optimize for two very different targets from the same definition *)
   List.iter
     (fun target ->
-      let o = Perfdojo.optimize_best ~budget:150 target prog in
+      let o =
+        Perfdojo.(optimize_best ~ctx:Ctx.default ~budget:150 target prog)
+      in
       Printf.printf "\n%s: %.3e s -> %.3e s (%.1fx)\n"
         (Machine.Desc.target_name target)
         (Machine.time target prog)

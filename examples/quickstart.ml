@@ -43,7 +43,7 @@ let () =
   | Error e -> failwith e);
 
   (* 5. Or let the machine play: a one-call automatic optimization. *)
-  let outcome = Perfdojo.optimize_best ~budget:150 target prog in
+  let outcome = optimize_best ~ctx:Ctx.default ~budget:150 target prog in
   Printf.printf "\nautomatic optimization: %.3e s (%.1fx speedup)\n"
     outcome.time_s
     (Machine.time target prog /. outcome.time_s);

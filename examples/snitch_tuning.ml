@@ -7,6 +7,8 @@
 
 open Perfdojo
 
+let optimize = optimize_ctx ~ctx:Ctx.default
+
 let () =
   let sn = Machine.Desc.snitch_cluster in
   let target = Machine.Desc.Snitch sn in
@@ -20,11 +22,11 @@ let () =
     (fun (e : Kernels.entry) ->
       let p = e.build () in
       let frac q = Machine.Snitch_sim.peak_fraction sn q in
-      let n = Perfdojo.optimize Naive target p in
-      let g = Perfdojo.optimize Greedy target p in
-      let h = Perfdojo.optimize Heuristic target p in
+      let n = optimize Naive target p in
+      let g = optimize Greedy target p in
+      let h = optimize Heuristic target p in
       let s =
-        Perfdojo.optimize
+        optimize
           (Annealing { budget = 120; space = Search.Stochastic.Heuristic })
           target p
       in
@@ -36,7 +38,7 @@ let () =
   (* Show what the pipeline produced for one kernel, down to the
      SSR/FREP-annotated C. *)
   let p = Kernels.gemv ~m:64 ~n:64 in
-  let h = Perfdojo.optimize Heuristic target p in
+  let h = optimize Heuristic target p in
   print_endline "\ngemv schedule found by the heuristic pass:";
   print_endline (Ir.Printer.body h.schedule);
   print_endline "\ngenerated Snitch C:";
@@ -44,7 +46,7 @@ let () =
 
   (* The latency-hiding story in one picture: the same kernel with and
      without the tile-by-4 trick. *)
-  let g = Perfdojo.optimize Greedy target p in
+  let g = optimize Greedy target p in
   Printf.printf
     "\ngreedy (SSR+FREP only):      %.3f of peak\n\
      heuristic (+ tile-4 unroll): %.3f of peak\n"

@@ -9,7 +9,7 @@
      and the score is the modelled runtime.  This is the environment
      PerfLLM trains in, and equally the interface for manual
      transformation-centric optimization (Figure 2).
-   - {!optimize}: one-call automatic optimization under a chosen
+   - {!optimize_ctx}: one-call automatic optimization under a chosen
      strategy (the §4.1 passes, §4.2 stochastic searches, or §3 RL). *)
 
 module Ir = Ir
@@ -177,10 +177,9 @@ let default_portfolio ?(seed = 1) ~budget () : portfolio_member list =
 (* The run context                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Every cross-cutting knob of a run in one record.  The optional-
-   argument entry points below are thin wrappers over [of_options]; all
-   internal call sites (portfolio members, optimize_best, libgen, the
-   CLI, the bench harness) thread a [Ctx.t]. *)
+(* Every cross-cutting knob of a run in one record; every entry point
+   (portfolio members, optimize_best, libgen, the CLI, the bench
+   harness) threads a [Ctx.t]. *)
 module Ctx = struct
   type t = {
     seed : int;
@@ -249,36 +248,6 @@ module Ctx = struct
 
   let with_resume resume t = { t with resume }
   let with_composites composites t = { t with composites }
-
-  let of_options ?seed ?cache ?warm_start ?jobs ?obs ?metrics ?guard
-      ?faults ?surrogate ?filter_ratio ?dedup ?visited_dedup
-      ?exhaustive_depth ?checkpoint ?checkpoint_every ?resume ?composites
-      () =
-    {
-      seed = Option.value seed ~default:default.seed;
-      cache = (match cache with None -> default.cache | some -> some);
-      warm_start = Option.value warm_start ~default:default.warm_start;
-      jobs = Option.value jobs ~default:default.jobs;
-      obs = Option.value obs ~default:default.obs;
-      metrics = (match metrics with None -> default.metrics | some -> some);
-      guard = Option.value guard ~default:default.guard;
-      faults = Option.value faults ~default:default.faults;
-      surrogate =
-        (match surrogate with None -> default.surrogate | some -> some);
-      filter_ratio =
-        Option.value filter_ratio ~default:default.filter_ratio;
-      dedup = Option.value dedup ~default:default.dedup;
-      visited_dedup =
-        Option.value visited_dedup ~default:default.visited_dedup;
-      exhaustive_depth =
-        Option.value exhaustive_depth ~default:default.exhaustive_depth;
-      checkpoint =
-        (match checkpoint with None -> default.checkpoint | some -> some);
-      checkpoint_every =
-        Option.value checkpoint_every ~default:default.checkpoint_every;
-      resume = Option.value resume ~default:default.resume;
-      composites = Option.value composites ~default:default.composites;
-    }
 end
 
 (* The action set of a run: the target's capabilities enriched with the
@@ -381,25 +350,18 @@ let rec optimize_ctx ~(ctx : Ctx.t) (strategy : strategy) (target : target)
     | None -> (0, 0)
     | Some c -> (Tuning.Cache.hits c, Tuning.Cache.misses c)
   in
-  (* An instrumented pool keeps per-worker busy time for [--stats]; the
-     default stays clock-free.  Exports happen inside [with_pool] —
-     the pool must still be alive to be read. *)
-  let instrument = metrics <> None in
-  let export_pool pool =
-    match metrics with
-    | Some m -> Parallel.Pool.export pool m
-    | None -> ()
-  in
-  (* jobs = 0 (the default) is the sequential path, bit-identical to the
-     pre-parallel code; jobs >= 1 runs the batched-synchronous-parallel
-     search variants, whose trajectory depends on the batch size but not
-     on jobs (jobs = 1 and jobs = N give identical results). *)
+  (* jobs = 0 (the default) runs each stochastic method at batch 1 on
+     the caller — the sequential algorithm, with no pool; jobs >= 1 runs
+     rounds of [default_batch] on a pool of [jobs] domains, whose
+     trajectory depends on the batch size but not on jobs (jobs = 1 and
+     jobs = N give identical results). *)
   (* Surrogate wiring: candidates are only batched — hence rankable and
-     dedupable — on the parallel path, so enabling either knob promotes
-     a sequential run to a jobs = 1 pool (the caller-participating pool:
-     no nested domains, safe inside portfolio/libgen workers).  The
-     training group tag scopes ranking pairs to this (target, root):
-     runtimes are only comparable within one such group. *)
+     dedupable — in rounds larger than one, so enabling either knob
+     promotes a sequential run to a jobs = 1 pool (the
+     caller-participating pool: no nested domains, safe inside
+     portfolio/libgen workers).  The training group tag scopes ranking
+     pairs to this (target, root): runtimes are only comparable within
+     one such group. *)
   let prerank =
     match surrogate with
     | None -> None
@@ -411,17 +373,32 @@ let rec optimize_ctx ~(ctx : Ctx.t) (strategy : strategy) (target : target)
         in
         Some (Surrogate.Model.prerank ~filter_ratio ~group m)
   in
-  (* the visited set needs the batched engine too, and it subsumes
-     intra-batch dedup (a state must never be measured twice, whether
-     its duplicate sits in the same round or an earlier one) *)
+  (* the visited set needs rounds too, and it subsumes intra-batch
+     dedup (a state must never be measured twice, whether its duplicate
+     sits in the same round or an earlier one) *)
   let dedup = dedup || visited_dedup in
-  (* checkpointing lives in the batched engines (rounds are their unit
-     of determinism), so it promotes a sequential run to jobs = 1 *)
+  (* checkpoints are written at round boundaries, so checkpointing
+     promotes a sequential run to jobs = 1 as well *)
   let batched =
     jobs >= 1 || Option.is_some prerank || dedup || visited_dedup
     || Option.is_some checkpoint_cfg
   in
-  let pool_jobs = max jobs 1 in
+  (* An instrumented pool keeps per-worker busy time for [--stats]; the
+     default stays clock-free.  The export happens inside [with_pool] —
+     the pool must still be alive to be read. *)
+  let stochastic run =
+    let r =
+      if batched then
+        Parallel.Pool.with_pool ~instrument:(metrics <> None)
+          ~jobs:(max jobs 1) (fun pool ->
+            let r = run (Some pool) Search.Stochastic.default_batch in
+            Option.iter (Parallel.Pool.export pool) metrics;
+            r)
+      else run None 1
+    in
+    failures := !failures + r.Search.Stochastic.failures;
+    (r.best, r.best_time, r.best_moves, r.evals)
+  in
   let base =
     Obs.Span.run ?metrics ~trace:obs "search" (fun () ->
         match strategy with
@@ -435,46 +412,17 @@ let rec optimize_ctx ~(ctx : Ctx.t) (strategy : strategy) (target : target)
             let s = heuristic_pass_for target caps prog in
             (s, guarded_time s, [], 1)
         | Sampling { budget; space } ->
-            let r =
-              if batched then
-                Parallel.Pool.with_pool ~instrument ~jobs:pool_jobs
-                  (fun pool ->
-                    let r =
-                      Search.Stochastic.random_sampling_parallel ~seed
-                        ~init:warm_start ~obs ?metrics ~guard ?prerank
-                        ~dedup ~visited_dedup ?checkpoint:checkpoint_cfg
-                        ?snapshot_extra ?restore_extra ~pool ~space
-                        ~budget caps objective prog
-                    in
-                    export_pool pool;
-                    r)
-              else
-                Search.Stochastic.random_sampling ~seed ~init:warm_start
-                  ~obs ?metrics ~guard ~space ~budget caps objective prog
-            in
-            failures := !failures + r.failures;
-            (r.best, r.best_time, r.best_moves, r.evals)
+            stochastic (fun pool batch ->
+                Search.Stochastic.random_sampling ~seed ~init:warm_start ~obs
+                  ?metrics ~guard ~batch ?prerank ~dedup ~visited_dedup
+                  ?checkpoint:checkpoint_cfg ?snapshot_extra ?restore_extra
+                  ?pool ~space ~budget caps objective prog)
         | Annealing { budget; space } ->
-            let r =
-              if batched then
-                Parallel.Pool.with_pool ~instrument ~jobs:pool_jobs
-                  (fun pool ->
-                    let r =
-                      Search.Stochastic.simulated_annealing_parallel ~seed
-                        ~init:warm_start ~obs ?metrics ~guard ?prerank
-                        ~dedup ~visited_dedup ?checkpoint:checkpoint_cfg
-                        ?snapshot_extra ?restore_extra ~pool ~space
-                        ~budget caps objective prog
-                    in
-                    export_pool pool;
-                    r)
-              else
-                Search.Stochastic.simulated_annealing ~seed
-                  ~init:warm_start ~obs ?metrics ~guard ~space ~budget caps
-                  objective prog
-            in
-            failures := !failures + r.failures;
-            (r.best, r.best_time, r.best_moves, r.evals)
+            stochastic (fun pool batch ->
+                Search.Stochastic.simulated_annealing ~seed ~init:warm_start
+                  ~obs ?metrics ~guard ~batch ?prerank ~dedup ~visited_dedup
+                  ?checkpoint:checkpoint_cfg ?snapshot_extra ?restore_extra
+                  ?pool ~space ~budget caps objective prog)
         | Rl_search cfg ->
             (* The RL loop evaluates through the same guard: a failed
                episode step scores +inf instead of killing training. *)
@@ -562,11 +510,11 @@ and optimize_portfolio_ctx ~(ctx : Ctx.t)
   let { Ctx.jobs; obs; metrics; _ } = ctx in
   let members = Array.of_list members in
   let n = Array.length members in
-  if n = 0 then invalid_arg "optimize_portfolio: empty portfolio";
+  if n = 0 then invalid_arg "optimize_portfolio_ctx: empty portfolio";
   Array.iter
     (fun m ->
       match m.pstrategy with
-      | Portfolio _ -> invalid_arg "optimize_portfolio: nested portfolio"
+      | Portfolio _ -> invalid_arg "optimize_portfolio_ctx: nested portfolio"
       | _ -> ())
     members;
   (* Each member traces into its own buffer sink; the buffers are
@@ -707,38 +655,10 @@ let optimize_recorded ~(ctx : Ctx.t) ~kernel ~target_name strategy
   in
   (o, record)
 
-(* ------------------------------------------------------------------ *)
-(* Legacy optional-argument wrappers                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Kept for source compatibility (deprecated in the docs): each is
-   exactly its _ctx counterpart over [Ctx.of_options]. *)
-
-let optimize ?seed ?cache ?warm_start ?jobs ?obs ?metrics ?guard ?faults
-    strategy target prog =
-  optimize_ctx
-    ~ctx:
-      (Ctx.of_options ?seed ?cache ?warm_start ?jobs ?obs ?metrics ?guard
-         ?faults ())
-    strategy target prog
-
-let optimize_portfolio ?cache ?warm_start ?jobs ?obs ?metrics ?guard
-    ?faults ~members target prog =
-  optimize_portfolio_ctx
-    ~ctx:
-      (Ctx.of_options ?cache ?warm_start ?jobs ?obs ?metrics ?guard ?faults
-         ())
-    ~members target prog
-
 (* Best-of: run a heuristic pass and a search, keep the winner — the
    usual production setting.  The pass runs sequentially (it is a
-   single construction); only the search uses [jobs]. *)
-let optimize_best ?seed ?cache ?warm_start ?jobs ?obs ?metrics ?guard
-    ?faults ?(budget = 300) target prog =
-  let ctx =
-    Ctx.of_options ?seed ?cache ?warm_start ?jobs ?obs ?metrics ?guard
-      ?faults ()
-  in
+   single construction); only the search uses [ctx.jobs]. *)
+let optimize_best ~(ctx : Ctx.t) ?(budget = 300) target prog =
   let h = optimize_ctx ~ctx:{ ctx with Ctx.jobs = 0 } Heuristic target prog in
   let s =
     optimize_ctx ~ctx

@@ -3,7 +3,7 @@
     Ties the IR, the transformation engine, the performance models and
     the search/RL machinery into the two interfaces the paper describes:
     the interactive performance {!Game} (§2, Figure 2) and one-call
-    automatic {!optimize} (§3, §4). *)
+    automatic {!optimize_ctx} (§3, §4). *)
 
 module Ir = Ir
 module Interp = Interp
@@ -26,9 +26,9 @@ module Transfo = Transfo
 type target = Machine.Desc.target
 
 exception Portfolio_failed of (string * string) list
-(** Raised by {!optimize_portfolio} only when {e every} member crashed:
-    one [(label, error)] pair per member, in member order.  A partial
-    crash is survived (see {!optimize_portfolio}). *)
+(** Raised by {!optimize_portfolio_ctx} only when {e every} member
+    crashed: one [(label, error)] pair per member, in member order.  A
+    partial crash is survived (see {!optimize_portfolio_ctx}). *)
 
 (** The performance game (§2): a session over a program where each move
     is a semantics-preserving transformation and the score is the
@@ -116,7 +116,7 @@ val heuristic_pass_for :
 
 val default_portfolio :
   ?seed:int -> budget:int -> unit -> portfolio_member list
-(** The member set {!optimize} races for [Portfolio]: the expert pass,
+(** The member set {!optimize_ctx} races for [Portfolio]: the expert pass,
     heuristic-space annealing under two seeds, edges-space annealing and
     heuristic-space sampling. *)
 
@@ -134,9 +134,7 @@ val default_portfolio :
       Perfdojo.optimize_ctx ~ctx strategy target prog
     ]}
 
-    The per-field semantics are documented on {!optimize}, which is now
-    a thin wrapper over {!optimize_ctx} (as are {!optimize_portfolio}
-    and {!optimize_best}); new code should pass a [Ctx.t]. *)
+    {!optimize_ctx} documents how a run uses each field. *)
 module Ctx : sig
   type t = {
     seed : int;  (** search determinism; default [1] *)
@@ -169,8 +167,8 @@ module Ctx : sig
         (** crash-safe checkpoint file ({!Recover.Store}): search state
             is snapshotted there at round/level boundaries, atomically
             and durably, so a killed run can resume (default [None]).
-            Enabling it promotes a sequential run to the batched
-            [jobs = 1] engine (rounds are the checkpoint unit).
+            Enabling it promotes a sequential run to [jobs = 1] rounds
+            (rounds are the checkpoint unit).
             Disabled inside portfolio members. *)
     checkpoint_every : int;
         (** minimum budget slots between snapshots (default [64]; the
@@ -193,8 +191,7 @@ module Ctx : sig
   (** [seed = 1], no cache, cold start, sequential, untraced, unmetered,
       {!Robust.Guard.default}, {!Robust.Faults.none}, no surrogate,
       [filter_ratio = 1.0], no dedup, no visited-set,
-      [exhaustive_depth = 3] — exactly the defaults the
-      optional-argument entry points always used. *)
+      [exhaustive_depth = 3], no checkpoint, atomic moves only. *)
 
   val with_seed : int -> t -> t
   val with_cache : Tuning.Cache.t -> t -> t
@@ -217,29 +214,6 @@ module Ctx : sig
 
   val with_resume : bool -> t -> t
   val with_composites : string list -> t -> t
-
-  val of_options :
-    ?seed:int ->
-    ?cache:Tuning.Cache.t ->
-    ?warm_start:string list ->
-    ?jobs:int ->
-    ?obs:Obs.Trace.sink ->
-    ?metrics:Obs.Metrics.t ->
-    ?guard:Robust.Guard.config ->
-    ?faults:Robust.Faults.config ->
-    ?surrogate:Surrogate.Model.t ->
-    ?filter_ratio:float ->
-    ?dedup:bool ->
-    ?visited_dedup:bool ->
-    ?exhaustive_depth:int ->
-    ?checkpoint:string ->
-    ?checkpoint_every:int ->
-    ?resume:bool ->
-    ?composites:string list ->
-    unit ->
-    t
-  (** {!default} overridden by whichever arguments are given — the
-      bridge the legacy optional-argument wrappers are built on. *)
 end
 
 val caps_of : ctx:Ctx.t -> target -> Transform.Xforms.caps
@@ -249,10 +223,42 @@ val caps_of : ctx:Ctx.t -> target -> Transform.Xforms.caps
     ones. *)
 
 val optimize_ctx : ctx:Ctx.t -> strategy -> target -> Ir.Prog.t -> outcome
-(** One-call optimization of a kernel for a target under a run context.
-    This is the primary entry point; see {!optimize} for the semantics
-    of each context field (that wrapper is [optimize_ctx] over
-    {!Ctx.of_options}). *)
+(** One-call optimization of a kernel for a target under a run context —
+    the primary entry point.  Deterministic given [ctx.seed].  [cache]
+    memoizes the performance model by program fingerprint (repeated
+    candidates cost zero evaluations; counters in the outcome).
+    [warm_start] seeds search strategies with a recorded move sequence —
+    typically {!Tuning.Warmstart.moves_for} — so tuning resumes from a
+    database's best instead of restarting.
+
+    [jobs] selects how the stochastic strategies run their rounds: [0]
+    (the default) is the sequential algorithm — batch 1 on the caller,
+    no pool; [jobs >= 1] evaluates candidates in rounds of
+    {!Search.Stochastic.default_batch} on a {!Parallel.Pool} of [jobs]
+    domains — results depend on the batch size but not on [jobs], so
+    [jobs = 1] and [jobs = N] agree exactly.  A surrogate, dedup, the
+    visited set or a checkpoint needs rounds, so each promotes a
+    sequential run to [jobs = 1].  [Portfolio] races its members across
+    [jobs] domains.
+
+    [obs] receives the run's trace: a ["search"] span around the whole
+    strategy, a ["warm-start"] span around the replay fallback, and the
+    search layer's per-step events.  [metrics] additionally collects
+    the search counters, the per-phase span histograms, pool
+    utilization ([Parallel.Pool.export]) and — when [cache] is given —
+    the cache counters ([Tuning.Cache.export]).  Both default to off
+    and then cost nothing.
+
+    Fault tolerance: every evaluation runs through {!Robust.Guard.run}
+    under [guard] (default {!Robust.Guard.default}) — a raising, NaN or
+    fuel-exhausted evaluation is quarantined at +∞ instead of aborting
+    the run, traced as a [search.eval_error] event, counted in
+    [robust.*] metrics and in the outcome's [failures].  Which
+    candidates fail is deterministic, so jobs-invariance extends to the
+    failures themselves.  [faults] (default {!Robust.Faults.none}, the
+    identity) injects deterministic faults into the objective — a
+    test/bench knob for proving the degradation story, never for
+    production use. *)
 
 val optimize_recorded :
   ctx:Ctx.t ->
@@ -279,77 +285,13 @@ val optimize_portfolio_ctx :
   target ->
   Ir.Prog.t ->
   outcome * string
-(** {!optimize_portfolio} under a run context; the member seeds override
-    [ctx.seed] member-by-member. *)
-
-val optimize :
-  ?seed:int ->
-  ?cache:Tuning.Cache.t ->
-  ?warm_start:string list ->
-  ?jobs:int ->
-  ?obs:Obs.Trace.sink ->
-  ?metrics:Obs.Metrics.t ->
-  ?guard:Robust.Guard.config ->
-  ?faults:Robust.Faults.config ->
-  strategy ->
-  target ->
-  Ir.Prog.t ->
-  outcome
-(** One-call optimization of a kernel for a target.  Deterministic given
-    the seed.  [cache] memoizes the performance model by program
-    fingerprint (repeated candidates cost zero evaluations; counters in
-    the outcome).  [warm_start] seeds search strategies with a recorded
-    move sequence — typically {!Tuning.Warmstart.moves_for} — so tuning
-    resumes from a database's best instead of restarting.
-
-    [jobs] selects the evaluation backend for the stochastic strategies:
-    [0] (the default) is the sequential path, bit-identical to earlier
-    releases; [jobs >= 1] evaluates candidates in rounds of a fixed
-    batch on a {!Parallel.Pool} of [jobs] domains — results depend on
-    the batch size but not on [jobs], so [jobs = 1] and [jobs = N] agree
-    exactly.  [Portfolio] races its members across [jobs] domains.
-
-    [obs] receives the run's trace: a ["search"] span around the whole
-    strategy, a ["warm-start"] span around the replay fallback, and the
-    search layer's per-step events.  [metrics] additionally collects
-    the search counters, the per-phase span histograms, pool
-    utilization ([Parallel.Pool.export]) and — when [cache] is given —
-    the cache counters ([Tuning.Cache.export]).  Both default to off
-    and then cost nothing.
-
-    Fault tolerance: every evaluation runs through {!Robust.Guard.run}
-    under [guard] (default {!Robust.Guard.default}) — a raising, NaN or
-    fuel-exhausted evaluation is quarantined at +∞ instead of aborting
-    the run, traced as a [search.eval_error] event, counted in
-    [robust.*] metrics and in the outcome's [failures].  Which
-    candidates fail is deterministic, so jobs-invariance extends to the
-    failures themselves.  [faults] (default {!Robust.Faults.none}, the
-    identity) injects deterministic faults into the objective — a
-    test/bench knob for proving the degradation story, never for
-    production use.
-
-    {b Deprecated-in-docs:} this optional-argument form is kept for
-    source compatibility and is exactly
-    [optimize_ctx ~ctx:(Ctx.of_options ... ())]; new code should build
-    a {!Ctx.t} and call {!optimize_ctx}. *)
-
-val optimize_portfolio :
-  ?cache:Tuning.Cache.t ->
-  ?warm_start:string list ->
-  ?jobs:int ->
-  ?obs:Obs.Trace.sink ->
-  ?metrics:Obs.Metrics.t ->
-  ?guard:Robust.Guard.config ->
-  ?faults:Robust.Faults.config ->
-  members:portfolio_member list ->
-  target ->
-  Ir.Prog.t ->
-  outcome * string
-(** Race an explicit member list; returns the winning outcome (its
-    [evaluations] and [failures] are summed over the surviving members —
-    what the race spent) and the winner's label.  Ties resolve by member
-    order, so the result is deterministic for any [jobs].  Raises
-    [Invalid_argument] on an empty list or a nested [Portfolio] member.
+(** Race an explicit member list under a run context (the member seeds
+    override [ctx.seed] member by member); returns the winning outcome
+    (its [evaluations] and [failures] are summed over the surviving
+    members — what the race spent) and the winner's label.  Ties
+    resolve by member order, so the result is deterministic for any
+    [ctx.jobs].  Raises [Invalid_argument] on an empty list or a nested
+    [Portfolio] member.
 
     Degradation: members run under {!Parallel.Pool.map_result}, so a
     crashing member does not cancel the race — it becomes a
@@ -361,23 +303,9 @@ val optimize_portfolio :
     Each surviving member traces into a private buffer; the buffers fold
     into [obs] in member order behind [portfolio.member] headers,
     followed by a [portfolio.winner] event — the merged stream is
-    independent of race scheduling (modulo {!Obs.Trace.strip_timing}).
-
-    {b Deprecated-in-docs:} wrapper over {!optimize_portfolio_ctx};
-    prefer passing a {!Ctx.t}. *)
+    independent of race scheduling (modulo {!Obs.Trace.strip_timing}). *)
 
 val optimize_best :
-  ?seed:int ->
-  ?cache:Tuning.Cache.t ->
-  ?warm_start:string list ->
-  ?jobs:int ->
-  ?obs:Obs.Trace.sink ->
-  ?metrics:Obs.Metrics.t ->
-  ?guard:Robust.Guard.config ->
-  ?faults:Robust.Faults.config ->
-  ?budget:int ->
-  target ->
-  Ir.Prog.t ->
-  outcome
-(** Heuristic pass and a heuristic-space annealing run; keeps the
-    winner.  [jobs] as in {!optimize}. *)
+  ctx:Ctx.t -> ?budget:int -> target -> Ir.Prog.t -> outcome
+(** Heuristic pass and a heuristic-space annealing run ([budget]
+    default 300); keeps the winner.  Only the search uses [ctx.jobs]. *)

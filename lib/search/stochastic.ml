@@ -15,8 +15,13 @@
        runtime (so children of weak candidates rarely get budget);
      - simulated annealing, whose cost is the candidate's own runtime.
 
-   Every candidate evaluation increments the budget; the best-so-far
-   curve is recorded for the convergence comparison (Figure 12). *)
+   Both run through one engine, AutoTVM's batched measurement loop
+   ([run_rounds]): a round draws [batch] parents, grows and measures
+   their children, and folds the outcomes back in slot order.  Batch 1
+   is the sequential algorithm, and the evaluation-saving stages
+   (dedup, visited set, surrogate pre-ranking) are identities unless
+   asked for.  Every budget slot is one step of the best-so-far curve
+   recorded for the convergence comparison (Figure 12). *)
 
 open Transform
 
@@ -24,13 +29,13 @@ type objective = Ir.Prog.t -> float
 
 type space = Edges | Heuristic
 
-(* A surrogate pre-ranking stage for the batched variants: [score] is a
-   cheap learned predictor (higher = predicted faster) used to rank the
-   distinct candidates of a round so only the top [filter_ratio]
-   fraction pays for a real (simulator) evaluation; [observe] feeds
-   every real measurement back as online training signal.  The search
-   layer treats both as abstract closures — the concrete model lives in
-   [lib/surrogate], which depends on this library, not the reverse. *)
+(* A surrogate pre-ranking stage: [score] is a cheap learned predictor
+   (higher = predicted faster) used to rank the distinct candidates of
+   a round so only the top [filter_ratio] fraction pays for a real
+   (simulator) evaluation; [observe] feeds every real measurement back
+   as online training signal.  The search layer treats both as abstract
+   closures — the concrete model lives in [lib/surrogate], which
+   depends on this library, not the reverse. *)
 type prerank = {
   score : Ir.Prog.t -> float;  (** higher = predicted faster *)
   observe : Ir.Prog.t -> float -> unit;
@@ -42,7 +47,7 @@ type result = {
   best : Ir.Prog.t;
   best_time : float;
   best_moves : string list;
-  curve : float array; (* best-so-far runtime after each evaluation *)
+  curve : float array; (* best-so-far runtime after each budget slot *)
   evals : int; (* simulator evaluations actually performed *)
   skipped : int; (* slots filtered out by the surrogate (no evaluation) *)
   deduped : int; (* duplicate slots answered by a shared evaluation *)
@@ -53,8 +58,8 @@ type result = {
 (* Replay a sequence of move names from [prog], skipping moves that are
    not applicable at their point.  Returns the final program and the
    names that actually applied.  Resolution goes through a per-step
-   describe -> instance hash table (Xforms.resolver) rather than a
-   linear find_opt that re-describes instances until a match. *)
+   describe -> instance hash table (Xforms.lookup) rather than a linear
+   find_opt that re-describes instances until a match. *)
 let replay_skipping ?(filter = fun (_ : Xforms.instance) -> true) caps prog
     names =
   List.fold_left
@@ -170,10 +175,10 @@ let emit_best obs ~i (c : candidate) =
           ])
 
 (* Counter/gauge updates per evaluated step.  [accepted = None] for the
-   sampling methods (no acceptance notion): then only the step counter
-   and the runtime histogram move.  The annealing methods pass
-   [Some bool] and additionally maintain [search.accepted],
-   [search.acceptance_rate] and [search.temperature]. *)
+   sampling method (no acceptance notion): then only the step counter
+   and the runtime histogram move.  Annealing passes [Some bool] and
+   additionally maintains [search.accepted], [search.acceptance_rate]
+   and [search.temperature]. *)
 let note_step ?metrics ?accepted ?temp ~runtime () =
   match metrics with
   | None -> ()
@@ -192,6 +197,20 @@ let note_step ?metrics ?accepted ?temp ~runtime () =
       | None -> ()
       | Some t -> Obs.Metrics.set m "search.temperature" t
 
+(* A measured child folds into best-so-far, then into the step trace
+   and counters; annealing adds its acceptance decision and
+   temperature. *)
+let record_step ?metrics ?accepted ?temp obs best ~slot (child : candidate) =
+  if child.runtime < !best.runtime then begin
+    best := child;
+    emit_best obs ~i:slot child
+  end;
+  emit_step obs ~i:slot ~runtime:child.runtime ~best:!best.runtime (fun () ->
+      match (accepted, temp) with
+      | Some a, Some t -> Obs.Trace.[ bool "accepted" a; num "temp" t ]
+      | _ -> []);
+  note_step ?metrics ?accepted ?temp ~runtime:child.runtime ()
+
 (* Produce a child candidate according to the space structure.  In the
    edges-structured space the child program is the parent program plus
    one move, so it is returned directly (no replay from the root). *)
@@ -209,57 +228,8 @@ let expand ?(filter = fun (_ : Xforms.instance) -> true) space caps rng root
             Some (inst.apply parent.prog) ))
   | Heuristic -> (mutate ~filter caps rng root parent.moves, None)
 
-(* Expansion runs outside the guard — it consumes the search RNG, so a
-   transient retry must not re-draw — but is still protected: a
-   transform raising during [expand] quarantines the candidate exactly
-   like an objective raising during evaluation. *)
-let expand_checked ?filter space caps rng root parent =
-  match expand ?filter space caps rng root parent with
-  | v -> Ok v
-  | exception e -> Error (Robust.Guard.rejected_of_exn e)
-
-(* Grow and evaluate one child under the guard, to a
-   (candidate, failure option) pair.  The guard wraps replay and
-   evaluation together, so a transient failure re-runs both — replay
-   draws no randomness, so the retry is deterministic. *)
-let guarded_child ~guard ?filter space caps rng root objective
-    (parent : candidate) : candidate * Robust.Guard.failure option =
-  let outcome =
-    match expand_checked ?filter space caps rng root parent with
-    | Error f -> Error f
-    | Ok (child_moves, direct) ->
-        Robust.Guard.run ~cfg:guard
-          ~cost:(fun c -> c.runtime)
-          (fun () ->
-            match direct with
-            | Some p ->
-                {
-                  moves = child_moves;
-                  prog = p;
-                  runtime = objective p;
-                  parent_runtime = parent.runtime;
-                }
-            | None ->
-                eval_moves ?filter caps objective root child_moves
-                  parent.runtime)
-          ()
-  in
-  match outcome with
-  | Ok c -> (c, None)
-  | Error f -> (quarantined root parent.runtime, Some f)
-
-let run_curve budget f =
-  let curve = Array.make budget infinity in
-  let best = ref infinity in
-  for i = 0 to budget - 1 do
-    let t = f i in
-    if t < !best then best := t;
-    curve.(i) <- !best
-  done;
-  curve
-
 (* ------------------------------------------------------------------ *)
-(* Weighted random sampling                                            *)
+(* Prelude: root, warm start, failure accounting                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Warm-start: replay a recorded move sequence from the root and return
@@ -279,29 +249,25 @@ let warm_candidate ~guard ?filter caps objective root (init : string list) :
          ())
 
 (* The candidate pool and its selection weights live in growable buffers
-   (amortized O(1) push) — the previous per-evaluation [Array.append]
-   made pool growth O(budget^2).  The weight of a candidate depends only
-   on its parent's runtime, so it is computed once at push time;
+   (amortized O(1) push) — a per-evaluation [Array.append] would make
+   pool growth O(budget^2).  The weight of a candidate depends only on
+   its parent's runtime, so it is computed once at push time;
    [weighted_index_n] samples over the live prefix without copying.
    Quarantined candidates are pushed with weight 0: they keep their
    trajectory slot but are never drawn as parents. *)
-let make_pool root_cand warm =
-  let pool = Util.Dynarray.create ~capacity:64 root_cand in
+let make_pool root =
+  let dummy =
+    { moves = []; prog = root; runtime = infinity; parent_runtime = infinity }
+  in
+  let pool = Util.Dynarray.create ~capacity:64 dummy in
   let weights = Util.Dynarray.create ~capacity:64 0.0 in
   let push_weighted w c =
     Util.Dynarray.push pool c;
     Util.Dynarray.push weights w
   in
-  let push c = push_weighted (1.0 /. Float.max c.parent_runtime 1e-12) c in
-  let push_quarantined c = push_weighted 0.0 c in
-  push root_cand;
-  (match warm with None -> () | Some w -> push w);
-  let best =
-    Util.Dynarray.fold_left
-      (fun acc c -> if c.runtime < acc.runtime then c else acc)
-      root_cand pool
-  in
-  (pool, weights, push, push_quarantined, best)
+  (pool, weights, push_weighted)
+
+let weight c = 1.0 /. Float.max c.parent_runtime 1e-12
 
 let pick_parent rng pool weights =
   Util.Dynarray.get pool
@@ -309,11 +275,12 @@ let pick_parent rng pool weights =
        (Util.Dynarray.unsafe_data weights)
        (Util.Dynarray.length weights))
 
-(* A failure counter plus its recorder.  Every quarantined evaluation
-   becomes one [search.eval_error] event (the [i] field is -1 for the
-   root evaluation, -2 for the warm-start replay, the step index
-   otherwise) and bumps the robust.* counters — so [result.failures]
-   always equals the number of eval_error events the run traced. *)
+(* A failure counter plus its recorder for the prelude.  Every
+   quarantined evaluation becomes one [search.eval_error] event (the [i]
+   field is -1 for the root evaluation, -2 for the warm-start replay;
+   budget slots carry [slot] instead) and bumps the robust.* counters —
+   so [result.failures] always equals the number of eval_error events
+   the run traced. *)
 let make_noter ?metrics obs =
   let failures = ref 0 in
   let note ~i f =
@@ -339,192 +306,52 @@ let guarded_warm ~guard ~note ?filter caps objective root ~root_time init =
       note ~i:(-2) f;
       None
 
-let random_sampling ?(seed = 1) ?filter ?(init = [])
-    ?(obs = Obs.Trace.null) ?metrics ?(guard = Robust.Guard.default)
-    ~(space : space) ~(budget : int) caps (objective : objective)
-    (root : Ir.Prog.t) : result =
-  let guard = Robust.Guard.instrument ?metrics guard in
-  let rng = Util.Rng.create seed in
-  let failures, note = make_noter ?metrics obs in
-  let root_time = guarded_root ~guard ~note objective root in
-  let root_cand =
-    { moves = []; prog = root; runtime = root_time;
-      parent_runtime = root_time }
-  in
-  emit_start obs ~meth:"random-sampling" ~space ~budget ~seed ~root_time;
-  let warm =
-    guarded_warm ~guard ~note ?filter caps objective root ~root_time init
-  in
-  let pool, weights, push, push_quarantined, best0 =
-    make_pool root_cand warm
-  in
-  let best = ref best0 in
-  let curve =
-    run_curve budget (fun i ->
-        let parent = pick_parent rng pool weights in
-        let child, failed =
-          guarded_child ~guard ?filter space caps rng root objective parent
-        in
-        (match failed with
-        | Some f ->
-            note ~i f;
-            push_quarantined child
-        | None ->
-            push child;
-            if child.runtime < !best.runtime then begin
-              best := child;
-              emit_best obs ~i child
-            end;
-            emit_step obs ~i ~runtime:child.runtime ~best:!best.runtime
-              (fun () -> []);
-            note_step ?metrics ~runtime:child.runtime ());
-        child.runtime)
-  in
-  {
-    best = !best.prog;
-    best_time = !best.runtime;
-    best_moves = !best.moves;
-    curve;
-    evals = budget;
-    skipped = 0;
-    deduped = 0;
-    visited = 0;
-    failures = !failures;
-  }
-
 (* ------------------------------------------------------------------ *)
-(* Batched-synchronous-parallel variants                               *)
+(* The round loop                                                      *)
 (* ------------------------------------------------------------------ *)
-
-(* Parallelization follows AutoTVM's batched measurement loop: each
-   round deterministically prepares B candidate tasks on the submitting
-   thread (parent selection and one split-off RNG stream per task, in
-   slot order), fans the expensive part — growing the child and
-   replaying/evaluating it — across the pool, then folds the results
-   back in slot order.  Because every task is a pure function of its
-   (parent, RNG stream) inputs and both preparation and folding are
-   sequential, the trajectory is a function of (seed, batch) only: jobs
-   = 1 and jobs = N are identical, which the determinism tests pin.
-
-   Note the batched algorithms differ from the sequential ones for
-   batch > 1 (candidates within a round cannot see each other), so the
-   sequential entry points above remain the default path. *)
 
 let default_batch = 8
 
-(* Grow a child from [parent] with the task's own RNG stream and
-   evaluate it under the guard — the unit of parallel work.  [obs] is
-   the task's private buffer sink (or [null]); a successful evaluation
-   emits a [search.eval] event carrying the deterministic batch slot
-   plus a wall-clock [dur_s], a quarantined one emits the
-   [search.eval_error] event (and bumps robust.* counters) right here
-   on the worker — the fold only counts it, so each failure is recorded
-   exactly once.  Whether a candidate fails is deterministic (see
-   {!Robust.Faults}), so the merged event stream stays a pure function
-   of (seed, batch). *)
-let child_task ?filter ?metrics ~guard ~obs ~slot space caps root objective
-    parent task_rng () : candidate * Robust.Guard.failure option =
-  let t0 = if Obs.Trace.enabled obs then Obs.Span.now () else 0. in
-  let child, failed =
-    guarded_child ~guard ?filter space caps task_rng root objective parent
-  in
-  (match failed with
-  | Some f ->
-      Robust.Guard.note ~obs ?metrics
-        ~fields:[ Obs.Trace.int "slot" slot ]
-        f
-  | None ->
-      if Obs.Trace.enabled obs then
-        Obs.Trace.emit obs "search.eval" (fun () ->
-            Obs.Trace.
-              [
-                int "slot" slot;
-                int "n_moves" (List.length child.moves);
-                num "runtime" child.runtime;
-                num "dur_s" (Float.max 0. (Obs.Span.now () -. t0));
-              ]));
-  (child, failed)
+(* AutoTVM's batched measurement loop.  Each round:
 
-(* [prepare sink ~slot] builds one task thunk writing its events into
-   [sink]; [fold i child] consumes results in slot order.  When tracing
-   is on, each task gets its own buffer sink and the buffers are folded
-   into [obs] in slot order just before the corresponding [fold] — so
-   the merged event stream is a pure function of (seed, batch),
-   independent of which pool domain ran which task.
+     1. prepares its slots on the submitting thread, in slot order:
+        parent selection, then the slot's RNG — the search stream
+        itself when the configured batch is 1 (exactly the sequential
+        algorithm), one split-off stream per slot otherwise;
+     2. builds the children on the pool (expansion + replay, pure) and,
+        unless a stage below must first see the whole round, measures
+        each one in the task that built it, so building overlaps the
+        measurement latency;
+     3. dedup ([dedup]): slots are grouped by canonical fingerprint
+        ({!Canon.fingerprint}); each distinct state is measured once per
+        round and duplicates share it ([search.batch_dedup]);
+     4. visited set ([visited]): a state measured in an earlier round is
+        never measured again ([search.visited_skip]);
+     5. surrogate pre-ranking ([prerank]): only the top
+        [filter_ratio] of the distinct states reach the simulator, the
+        rest are skipped ([search.prerank]);
+     6. measures the selected representatives on the pool (staged runs);
+     7. folds every slot in slot order on the submitting thread.
 
-   [start]/[curve_init] resume the loop from a checkpointed round
-   boundary (the curve prefix is the crashed run's); [round_end] fires
-   after each round with the filled count, the curve, and the
-   (evals, skipped, deduped, visited) accounting so far — the
-   checkpoint writer's hook.  All three default to no-ops, keeping the
-   cold path byte-identical to earlier releases. *)
-let no_round_end ~filled:_ ~curve:_ ~stats:_ = ()
+   An absent stage is an identity: no fingerprint, no surrogate.* or
+   canon.* counter, no event, and no clock read when untraced.  All
+   randomness (parent selection, RNG splits, acceptance draws in
+   [fold]) and every stage decision happens on the submitting thread in
+   slot order, so the trajectory is a function of (seed, batch, model
+   state) — jobs = 1 and jobs = N are identical, which the determinism
+   tests pin.
 
-let run_batched ?(start = 0) ?(curve_init = [||]) ?(round_end = no_round_end)
-    ~obs ~batch ~pool ~budget ~prepare ~fold () =
-  if batch < 1 then invalid_arg "Stochastic: batch must be >= 1";
-  if start < 0 || start > budget then
-    invalid_arg "Stochastic: resume offset out of range";
-  let traced = Obs.Trace.enabled obs in
-  let curve = Array.make budget infinity in
-  Array.blit curve_init 0 curve 0 (min start (Array.length curve_init));
-  let filled = ref start in
-  while !filled < budget do
-    let b = min batch (budget - !filled) in
-    let sinks =
-      if traced then Array.init b (fun _ -> Obs.Trace.make_buffer ())
-      else [||]
-    in
-    let tasks = Array.make b (fun () -> assert false) in
-    for i = 0 to b - 1 do
-      (* explicit loop: slot order fixes the RNG draw order *)
-      let sink = if traced then sinks.(i) else Obs.Trace.null in
-      tasks.(i) <- prepare sink ~slot:(!filled + i)
-    done;
-    let children = Parallel.Pool.map pool (fun task -> task ()) tasks in
-    Array.iteri
-      (fun i child ->
-        if traced then Obs.Trace.append ~into:obs sinks.(i);
-        curve.(!filled + i) <- fold (!filled + i) child)
-      children;
-    filled := !filled + b;
-    round_end ~filled:!filled ~curve ~stats:(!filled, 0, 0, 0)
-  done;
-  curve
+   Building outside the guard preserves its semantics: replay is pure
+   and draws no randomness, so an exception while building classifies
+   with the same [rejected_of_exn] a guarded replay would produce, and
+   {!Robust.Faults} only ever wraps the objective.
 
-(* ------------------------------------------------------------------ *)
-(* Surrogate pre-ranking and intra-batch dedup                         *)
-(* ------------------------------------------------------------------ *)
-
-(* [run_batched_filtered] is the opt-in sibling of [run_batched]: the
-   same batched-synchronous discipline (deterministic preparation and
-   folding on the submitting thread, expensive work on the pool), but
-   each round is split into a build phase and an evaluation phase so two
-   evaluation-saving stages can sit between them:
-
-     1. intra-batch dedup ([dedup]): candidates are hashed by their
-        printed program; each distinct program is evaluated once per
-        round and duplicates share the measurement
-        ([search.batch_dedup] carries unique/total counts);
-     2. surrogate pre-ranking ([prerank]): a cheap learned score ranks
-        the distinct candidates and only the top-k
-        ([prerank.filter_ratio]) reach the guarded simulator; the rest
-        are skipped outright ([search.prerank]).
-
-   Everything that consumes randomness (parent selection, RNG splits,
-   acceptance draws) still happens on the submitting thread in slot
-   order, and which slots are skipped / deduplicated is a deterministic
-   function of (seed, batch, model state) — the model itself is only
-   ever scored and trained from the submitting thread, in slot order —
-   so jobs-invariance holds exactly as for [run_batched].  The default
-   path never comes here: [run_batched] is untouched when neither
-   feature is enabled.
-
-   Moving replay out of the guard (the build phase) preserves the guard
-   semantics: replay is pure and draws no randomness, so an exception
-   during build is classified with the same [rejected_of_exn] a guarded
-   replay would have produced, and {!Robust.Faults} only ever wraps the
-   objective, whose attempt counter is untouched by the split. *)
+   [start]/[curve_init]/[counters_init] resume from a checkpointed round
+   boundary; [round_end] fires after each round with the filled count,
+   the curve and the (evals, skipped, deduped, visited) accounting so
+   far — the checkpoint writer's hook.  Returns the curve plus that
+   accounting: budget = evals + skipped + deduped + visited +
+   build-failures. *)
 
 (* What one budget slot amounted to, folded in slot order. *)
 type slot_outcome =
@@ -538,7 +365,7 @@ type slot_outcome =
 
 (* Grow one child without measuring it: the (moves, program) pair ready
    for dedup/ranking.  Exceptions from a transform or replay classify
-   exactly like they did under the guard. *)
+   exactly like they would under the guard. *)
 let build_child ?filter space caps root (parent : candidate) task_rng :
     (string list * Ir.Prog.t, Robust.Guard.failure) Stdlib.result =
   match
@@ -567,28 +394,28 @@ let observe_seed prerank root ~root_time warm =
       | Some w when Float.is_finite w.runtime -> p.observe w.prog w.runtime
       | _ -> ())
 
-(* [prepare_parent ~slot] picks the parent and splits the task RNG on
-   the submitting thread; [fold slot parent outcome] consumes one slot.
-   [visited], when present, is the cross-round visited set: canonical
-   fingerprints of every state already measured; candidates whose
-   fingerprint is in the set never reach the simulator again.
-   Returns the curve plus (evals, skipped, deduped, visited)
-   accounting: budget = evals + skipped + deduped + visited +
-   build-failures. *)
-let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
-    ?(counters_init = (0, 0, 0, 0)) ?(round_end = no_round_end) ~obs ~batch
-    ~pool ~budget ~guard ~dedup ~prerank ~visited ~space ~caps ~root
-    ~objective ~prepare_parent ~fold () =
-  if batch < 1 then invalid_arg "Stochastic: batch must be >= 1";
+let run_rounds ?filter ?metrics ?pool ~obs ~rng ~batch ~budget ~guard ~dedup
+    ~prerank ~visited ~space ~caps ~root ~objective ~start ~curve_init
+    ~counters_init ~round_end ~parent ~fold () =
   if start < 0 || start > budget then
     invalid_arg "Stochastic: resume offset out of range";
   let traced = Obs.Trace.enabled obs in
+  let map f xs =
+    match pool with None -> Array.map f xs | Some p -> Parallel.Pool.map p f xs
+  in
   let bump ?(by = 1) name =
     if by > 0 then
       match metrics with None -> () | Some m -> Obs.Metrics.incr m ~by name
   in
   let ratio = match prerank with None -> 1.0 | Some p -> p.filter_ratio in
   let want_fp = dedup || visited <> None in
+  (* a stage that must see the whole round before anything is measured *)
+  let staged = want_fp || ratio < 1.0 in
+  let measure prog =
+    let t0 = if traced then Obs.Span.now () else 0. in
+    let r = Robust.Guard.eval ~cfg:guard objective prog in
+    (r, if traced then Float.max 0. (Obs.Span.now () -. t0) else 0.)
+  in
   let curve = Array.make budget infinity in
   Array.blit curve_init 0 curve 0 (min start (Array.length curve_init));
   let e0, s0, d0, v0 = counters_init in
@@ -599,159 +426,148 @@ let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
   let filled = ref start in
   while !filled < budget do
     let b = min batch (budget - !filled) in
-    (* 1. prepare: parent selection + RNG splits, submit thread, slot
-       order — the only draws from the main search stream *)
+    (* 1. prepare — the only draws from the search stream before fold *)
     let prepared =
-      Array.init b (fun i -> prepare_parent ~slot:(!filled + i))
+      Array.init b (fun _ ->
+          let p = parent () in
+          (p, if batch = 1 then rng else Util.Rng.split rng))
     in
-    (* 2. build phase on the pool: grow children (and, when dedup or
-       the visited set needs them, their canonical fingerprints — pure,
-       so still jobs-invariant), no measurement yet *)
-    let built_fp =
-      Parallel.Pool.map pool
+    (* 2. build (and, unstaged, measure) on the pool *)
+    let built =
+      map
         (fun (parent, task_rng) ->
-          let r = build_child ?filter space caps root parent task_rng in
-          let fp =
-            match r with
-            | Ok (_, p) when want_fp -> Canon.fingerprint p
-            | Ok _ | Error _ -> ""
-          in
-          (r, fp))
+          match build_child ?filter space caps root parent task_rng with
+          | Error _ as r -> (r, "", None)
+          | Ok (_, p) as r ->
+              ( r,
+                (if want_fp then Canon.fingerprint p else ""),
+                if staged then None else Some (measure p) ))
         prepared
     in
-    let built = Array.map fst built_fp in
-    let fps = Array.map snd built_fp in
-    let n_ok =
-      Array.fold_left
-        (fun acc r -> match r with Ok _ -> acc + 1 | Error _ -> acc)
-        0 built
-    in
-    (* 3. dedup: group slots by canonical fingerprint — alpha-renamed /
-       commutatively-reordered spellings of one state share a group;
-       the first slot of a group is its representative *)
-    let rep_of = Array.init b (fun i -> i) in
-    if dedup then begin
-      let tbl = Hashtbl.create (2 * b) in
-      for i = 0 to b - 1 do
-        match built.(i) with
-        | Error _ -> ()
-        | Ok _ -> (
-            match Hashtbl.find_opt tbl fps.(i) with
-            | None -> Hashtbl.add tbl fps.(i) i
-            | Some r -> rep_of.(i) <- r)
-      done
-    end;
-    let all_reps =
-      List.filter
-        (fun i -> rep_of.(i) = i && Result.is_ok built.(i))
-        (List.init b Fun.id)
-    in
-    (* 3b. visited filter: a representative whose canonical state was
-       measured in an earlier round never reaches pre-ranking or the
-       simulator; membership is checked on the submitting thread, so
-       the decision is a pure function of the trajectory so far *)
+    let rep_of = Array.init b Fun.id in
     let visited_rep = Array.make b false in
-    (match visited with
-    | None -> ()
-    | Some set ->
-        List.iter
-          (fun i -> if Hashtbl.mem set fps.(i) then visited_rep.(i) <- true)
-          all_reps);
-    let reps = List.filter (fun i -> not visited_rep.(i)) all_reps in
-    let n_reps = List.length reps in
-    if want_fp then begin
-      bump ~by:n_ok "canon.total";
-      bump ~by:n_reps "canon.unique"
-    end;
-    if dedup then begin
-      bump ~by:(n_ok - List.length all_reps) "surrogate.dedup_saved";
-      if traced then
-        Obs.Trace.emit obs "search.batch_dedup" (fun () ->
-            Obs.Trace.
-              [
-                int "i" !filled;
-                int "unique" (List.length all_reps);
-                int "total" n_ok;
-              ])
-    end;
-    (* 4. surrogate pre-rank: keep the top-k distinct candidates; ties
-       and equal scores resolve by slot order, so selection is
-       deterministic *)
-    let selected =
-      if ratio >= 1.0 then reps
+    let measured =
+      if not staged then Array.map (fun (_, _, m) -> m) built
       else begin
-        let p = Option.get prerank in
-        let scored =
-          List.map
+        let fps = Array.map (fun (_, fp, _) -> fp) built in
+        let is_ok i = match built.(i) with Ok _, _, _ -> true | _ -> false in
+        let n_ok = List.length (List.filter is_ok (List.init b Fun.id)) in
+        (* 3. dedup: alpha-renamed / commutatively-reordered spellings of
+           one state share a group; the first slot is its representative *)
+        if dedup then begin
+          let tbl = Hashtbl.create (2 * b) in
+          for i = 0 to b - 1 do
+            if is_ok i then
+              match Hashtbl.find_opt tbl fps.(i) with
+              | None -> Hashtbl.add tbl fps.(i) i
+              | Some r -> rep_of.(i) <- r
+          done
+        end;
+        let all_reps =
+          List.filter (fun i -> rep_of.(i) = i && is_ok i) (List.init b Fun.id)
+        in
+        (* 4. visited filter, checked on the submitting thread *)
+        (match visited with
+        | None -> ()
+        | Some set ->
+            List.iter
+              (fun i -> if Hashtbl.mem set fps.(i) then visited_rep.(i) <- true)
+              all_reps);
+        let reps = List.filter (fun i -> not visited_rep.(i)) all_reps in
+        let n_reps = List.length reps in
+        if want_fp then begin
+          bump ~by:n_ok "canon.total";
+          bump ~by:n_reps "canon.unique"
+        end;
+        if dedup then begin
+          bump ~by:(n_ok - List.length all_reps) "surrogate.dedup_saved";
+          if traced then
+            Obs.Trace.emit obs "search.batch_dedup" (fun () ->
+                Obs.Trace.
+                  [
+                    int "i" !filled;
+                    int "unique" (List.length all_reps);
+                    int "total" n_ok;
+                  ])
+        end;
+        (* 5. pre-rank: keep the top-k distinct candidates; equal scores
+           resolve by slot order, so selection is deterministic *)
+        let selected =
+          match prerank with
+          | Some p when ratio < 1.0 ->
+              let scored =
+                List.map
+                  (fun i ->
+                    match built.(i) with
+                    | Ok (_, prog), _, _ -> (i, p.score prog)
+                    | Error _, _, _ -> assert false)
+                  reps
+              in
+              let k =
+                min n_reps
+                  (max 1 (int_of_float (ceil (ratio *. float_of_int n_reps))))
+              in
+              let order =
+                List.stable_sort
+                  (fun (i1, s1) (i2, s2) ->
+                    match compare (s2 : float) s1 with
+                    | 0 -> compare (i1 : int) i2
+                    | c -> c)
+                  scored
+              in
+              bump ~by:n_reps "surrogate.scored";
+              bump ~by:k "surrogate.kept";
+              bump ~by:(n_reps - k) "surrogate.filtered";
+              if traced then
+                Obs.Trace.emit obs "search.prerank" (fun () ->
+                    Obs.Trace.
+                      [ int "i" !filled; int "scored" n_reps; int "kept" k ]);
+              List.filteri (fun idx _ -> idx < k) order
+              |> List.map fst |> List.sort compare
+          | _ -> reps
+        in
+        (* 6. measure the selected representatives on the pool *)
+        let selected = Array.of_list selected in
+        let results =
+          map
             (fun i ->
               match built.(i) with
-              | Ok (_, prog) -> (i, p.score prog)
-              | Error _ -> assert false)
-            reps
+              | Ok (_, prog), _, _ -> measure prog
+              | Error _, _, _ -> assert false)
+            selected
         in
-        let k = min n_reps (max 1 (int_of_float (ceil (ratio *. float_of_int n_reps)))) in
-        let order =
-          List.stable_sort
-            (fun (i1, s1) (i2, s2) ->
-              match compare (s2 : float) s1 with
-              | 0 -> compare (i1 : int) i2
-              | c -> c)
-            scored
-        in
-        let kept =
-          List.filteri (fun idx _ -> idx < k) order
-          |> List.map fst
-          |> List.sort compare
-        in
-        bump ~by:n_reps "surrogate.scored";
-        bump ~by:k "surrogate.kept";
-        bump ~by:(n_reps - k) "surrogate.filtered";
-        if traced then
-          Obs.Trace.emit obs "search.prerank" (fun () ->
-              Obs.Trace.[ int "i" !filled; int "scored" n_reps; int "kept" k ]);
-        kept
+        let m = Array.make b None in
+        Array.iteri (fun j i -> m.(i) <- Some results.(j)) selected;
+        (* quarantined evaluations stay unmarked (like the cache, which
+           never stores non-finite scores) so they do not poison the
+           visited set *)
+        (match visited with
+        | None -> ()
+        | Some set ->
+            Array.iteri
+              (fun j i ->
+                match results.(j) with
+                | Ok _, _ -> Hashtbl.replace set fps.(i) ()
+                | Error _, _ -> ())
+              selected);
+        m
       end
     in
-    (* 5. evaluation phase on the pool: only the selected
-       representatives hit the guarded simulator *)
-    let selected_arr = Array.of_list selected in
-    let measured =
-      Parallel.Pool.map pool
-        (fun i ->
-          match built.(i) with
-          | Error _ -> assert false
-          | Ok (_, prog) ->
-              let t0 = Obs.Span.now () in
-              let r = Robust.Guard.eval ~cfg:guard objective prog in
-              (r, Float.max 0. (Obs.Span.now () -. t0)))
-        selected_arr
+    let n_measured =
+      Array.fold_left
+        (fun n m -> if Option.is_some m then n + 1 else n)
+        0 measured
     in
-    n_evals := !n_evals + Array.length selected_arr;
-    bump ~by:(Array.length selected_arr) "surrogate.evals";
-    let eval_of = Hashtbl.create (2 * b) in
-    Array.iteri (fun j i -> Hashtbl.add eval_of i measured.(j)) selected_arr;
-    (* record the states measured this round; quarantined evaluations
-       stay unmarked (like the cache, which never stores non-finite
-       scores) so they do not poison the set *)
-    (match visited with
-    | None -> ()
-    | Some set ->
-        Array.iteri
-          (fun j i ->
-            match measured.(j) with
-            | Ok _, _ -> Hashtbl.replace set fps.(i) ()
-            | Error _, _ -> ())
-          selected_arr);
-    (* 6. fold in slot order on the submitting thread; all trace events
-       of the round are emitted here, so the stream is a pure function
-       of (seed, batch, model state) *)
+    n_evals := !n_evals + n_measured;
+    if prerank <> None then bump ~by:n_measured "surrogate.evals";
+    (* 7. fold in slot order; every event of the round is emitted here *)
     for i = 0 to b - 1 do
       let slot = !filled + i in
       let parent, _ = prepared.(i) in
       let outcome =
         match built.(i) with
-        | Error f -> Failed f
-        | Ok (moves, prog) -> (
+        | Error f, _, _ -> Failed f
+        | Ok (moves, prog), _, _ -> (
             if visited_rep.(rep_of.(i)) then begin
               incr n_visited;
               if traced then
@@ -760,31 +576,31 @@ let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
               Visited
             end
             else
-            match Hashtbl.find_opt eval_of rep_of.(i) with
-            | None ->
-                incr n_skipped;
-                Skipped
-            | Some (Error f, _) ->
-                if i <> rep_of.(i) then incr n_deduped;
-                Failed f
-            | Some (Ok runtime, dur) ->
-                if i = rep_of.(i) then begin
-                  (match prerank with
-                  | Some p -> p.observe prog runtime
-                  | None -> ());
-                  if traced then
-                    Obs.Trace.emit obs "search.eval" (fun () ->
-                        Obs.Trace.
-                          [
-                            int "slot" slot;
-                            int "n_moves" (List.length moves);
-                            num "runtime" runtime;
-                            num "dur_s" dur;
-                          ])
-                end
-                else incr n_deduped;
-                Evaluated
-                  { moves; prog; runtime; parent_runtime = parent.runtime })
+              match measured.(rep_of.(i)) with
+              | None ->
+                  incr n_skipped;
+                  Skipped
+              | Some (Error f, _) ->
+                  if i <> rep_of.(i) then incr n_deduped;
+                  Failed f
+              | Some (Ok runtime, dur) ->
+                  if i = rep_of.(i) then begin
+                    (match prerank with
+                    | Some p -> p.observe prog runtime
+                    | None -> ());
+                    if traced then
+                      Obs.Trace.emit obs "search.eval" (fun () ->
+                          Obs.Trace.
+                            [
+                              int "slot" slot;
+                              int "n_moves" (List.length moves);
+                              num "runtime" runtime;
+                              num "dur_s" dur;
+                            ])
+                  end
+                  else incr n_deduped;
+                  Evaluated
+                    { moves; prog; runtime; parent_runtime = parent.runtime })
       in
       curve.(slot) <- fold slot parent outcome
     done;
@@ -812,8 +628,8 @@ let make_visited ~visited_dedup root warm =
 (* Checkpoint / resume (crash safety)                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The batched engines checkpoint at round boundaries: after each round
-   the whole search state — main RNG quadruple, candidate pool with
+(* The engine checkpoints at round boundaries: after each round the
+   whole search state — main RNG quadruple, candidate pool with
    selection weights, best-so-far, the annealing chain state, the
    best-so-far curve prefix, exact accounting, the visited fingerprint
    set, the surrogate model (via [snapshot_extra]), and the number of
@@ -1004,27 +820,6 @@ let cand_of_triple ?filter caps root (moves, runtime, parent_runtime) =
   in
   { moves; prog; runtime; parent_runtime }
 
-(* Rebuild the candidate pool with its exact selection weights (a
-   quarantined entry keeps weight 0, the root its 1/root_time, etc.) so
-   the first resumed parent draw matches the uninterrupted run's. *)
-let pool_of_state ?filter caps root entries =
-  let dummy =
-    { moves = []; prog = root; runtime = infinity; parent_runtime = infinity }
-  in
-  let pool = Util.Dynarray.create ~capacity:64 dummy in
-  let weights = Util.Dynarray.create ~capacity:64 0.0 in
-  let push_weighted w c =
-    Util.Dynarray.push pool c;
-    Util.Dynarray.push weights w
-  in
-  Array.iter
-    (fun (moves, rt, prt, w) ->
-      push_weighted w (cand_of_triple ?filter caps root (moves, rt, prt)))
-    entries;
-  let push c = push_weighted (1.0 /. Float.max c.parent_runtime 1e-12) c in
-  let push_quarantined c = push_weighted 0.0 c in
-  (pool, weights, push, push_quarantined)
-
 let snapshot_pool pool weights =
   Array.init (Util.Dynarray.length pool) (fun i ->
       let c = Util.Dynarray.get pool i in
@@ -1042,20 +837,22 @@ let visited_of_list fps =
   List.iter (fun f -> Hashtbl.replace set f ()) fps;
   set
 
-(* The per-round hook: write a checkpoint when the cadence is due
-   (every [every] filled slots, and always at the end of the run), and
-   honor a pending SIGINT/SIGTERM by checkpointing and raising
-   {!Recover.Interrupt.Interrupted} at this safe point (the pool is
-   idle between rounds).  The [checkpoint.write] trace event is emitted
-   *before* the event counter is read, so the recorded count includes
-   it and the trace splice stays exact. *)
+(* The per-round hook of a checkpointed run: write a checkpoint when
+   the cadence is due (every [every] filled slots, and always at the end
+   of the run), and honor a pending SIGINT/SIGTERM by checkpointing and
+   raising {!Recover.Interrupt.Interrupted} at this safe point (the pool
+   is idle between rounds).  A run without a checkpoint has nothing to
+   write, so it ignores the flag and finishes its budget.  The
+   [checkpoint.write] trace event is emitted *before* the event counter
+   is read, so the recorded count includes it and the trace splice stays
+   exact. *)
 let make_round_hook ?metrics ~obs ~counted ~events_base ~checkpoint ~start
     ~budget ~snapshot () =
-  let last = ref start in
-  let write ~filled ~curve ~stats =
-    match checkpoint with
-    | None -> None
-    | Some ck ->
+  match checkpoint with
+  | None -> fun ~filled:_ ~curve:_ ~stats:_ -> ()
+  | Some ck ->
+      let last = ref start in
+      let write ~filled ~curve ~stats =
         Obs.Trace.emit obs "checkpoint.write" (fun () ->
             let e, s, d, v = stats in
             Obs.Trace.
@@ -1071,27 +868,15 @@ let make_round_hook ?metrics ~obs ~counted ~events_base ~checkpoint ~start
         | None -> ());
         Recover.Store.save ~path:ck.path
           (snapshot ~filled ~curve ~stats ~events:(events_base + counted ()));
-        last := filled;
-        Some ck.path
-  in
-  fun ~filled ~curve ~stats ->
-    let due =
-      match checkpoint with
-      | Some ck ->
-          filled > !last && (filled - !last >= ck.every || filled >= budget)
-      | None -> false
-    in
-    let written = if due then write ~filled ~curve ~stats else None in
-    if Recover.Interrupt.requested () && filled < budget then begin
-      let path =
-        match written with
-        | Some _ as p -> p
-        | None ->
-            if filled > !last then write ~filled ~curve ~stats
-            else Option.map (fun ck -> ck.path) checkpoint
+        last := filled
       in
-      raise (Recover.Interrupt.Interrupted path)
-    end
+      fun ~filled ~curve ~stats ->
+        if filled > !last && (filled - !last >= ck.every || filled >= budget)
+        then write ~filled ~curve ~stats;
+        if Recover.Interrupt.requested () && filled < budget then begin
+          if filled > !last then write ~filled ~curve ~stats;
+          raise (Recover.Interrupt.Interrupted (Some ck.path))
+        end
 
 (* Wrap [obs] so every emitted event is counted (checkpoints record the
    count for trace splicing) — only when checkpointing, so the default
@@ -1104,205 +889,43 @@ let maybe_counting checkpoint obs =
 let restore_model restore_extra extra =
   match (restore_extra, extra) with Some f, Some j -> f j | _ -> ()
 
-let random_sampling_parallel ?(seed = 1) ?filter ?(init = [])
-    ?(obs = Obs.Trace.null) ?metrics ?(guard = Robust.Guard.default)
-    ?(batch = default_batch) ?prerank ?(dedup = false)
-    ?(visited_dedup = false) ?checkpoint ?snapshot_extra ?restore_extra
-    ~(pool : Parallel.Pool.t) ~(space : space)
-    ~(budget : int) caps (objective : objective) (root : Ir.Prog.t) : result =
-  check_prerank prerank;
-  let guard = Robust.Guard.instrument ?metrics guard in
-  let meth = "random-sampling-parallel" in
-  let obs, counted = maybe_counting checkpoint obs in
-  let resumed =
-    load_stochastic_resume checkpoint ~meth ~space ~seed ~budget ~batch
-  in
-  let failures, note = make_noter ?metrics obs in
-  let ( rng,
-        cands,
-        weights,
-        push,
-        push_quarantined,
-        best,
-        visited,
-        start,
-        curve_init,
-        counters_init,
-        events_base ) =
-    match resumed with
-    | None ->
-        (* cold start: the prelude (root evaluation, warm-start replay,
-           model seeding) runs exactly as in earlier releases *)
-        let rng = Util.Rng.create seed in
-        let root_time = guarded_root ~guard ~note objective root in
-        let root_cand =
-          { moves = []; prog = root; runtime = root_time;
-            parent_runtime = root_time }
-        in
-        emit_start obs ~meth ~space ~budget ~seed ~root_time;
-        let warm =
-          guarded_warm ~guard ~note ?filter caps objective root ~root_time
-            init
-        in
-        observe_seed prerank root ~root_time warm;
-        let cands, weights, push, push_quarantined, best0 =
-          make_pool root_cand warm
-        in
-        let visited = make_visited ~visited_dedup root warm in
-        ( rng, cands, weights, push, push_quarantined, ref best0, visited, 0,
-          [||], (0, 0, 0, 0), 0 )
-    | Some st ->
-        (* resume: the entire prelude is skipped — its effects (root
-           evaluation, warm replay, start event, model seeding) are all
-           inside the restored state; re-running it would re-pay
-           evaluations and duplicate trace events *)
-        (match metrics with
-        | Some m -> Obs.Metrics.incr m "checkpoint.resumes"
-        | None -> ());
-        failures := st.st_failures;
-        let cands, weights, push, push_quarantined =
-          pool_of_state ?filter caps root st.st_pool
-        in
-        restore_model restore_extra st.st_extra;
-        let visited =
-          if visited_dedup then Some (visited_of_list st.st_visited) else None
-        in
-        ( Util.Rng.of_state st.st_rng, cands, weights, push,
-          push_quarantined, ref (cand_of_triple ?filter caps root st.st_best),
-          visited, st.st_filled, st.st_curve, st.st_counts, st.st_events )
-  in
-  let snapshot ~filled ~curve ~stats ~events =
-    encode_stochastic ~meth ~space ~seed ~budget ~batch
-      {
-        st_filled = filled;
-        st_rng = Util.Rng.state rng;
-        st_pool = snapshot_pool cands weights;
-        st_best = snapshot_triple !best;
-        st_current = None;
-        st_temp = None;
-        st_curve = Array.sub curve 0 filled;
-        st_counts = stats;
-        st_failures = !failures;
-        st_visited = visited_to_list visited;
-        st_events = events;
-        st_extra = Option.map (fun f -> f ()) snapshot_extra;
-      }
-  in
-  let round_end =
-    make_round_hook ?metrics ~obs ~counted ~events_base ~checkpoint ~start
-      ~budget ~snapshot ()
-  in
-  match (prerank, dedup, visited_dedup) with
-  | None, false, false ->
-      (* the default engine, byte-identical to earlier releases *)
-      let prepare sink ~slot =
-        let parent = pick_parent rng cands weights in
-        let task_rng = Util.Rng.split rng in
-        child_task ?filter ?metrics ~guard ~obs:sink ~slot space caps root
-          objective parent task_rng
-      in
-      let fold i (child, failed) =
-        (match failed with
-        | Some _ ->
-            (* the worker already recorded the event and counters *)
-            incr failures;
-            push_quarantined child
-        | None ->
-            push child;
-            if child.runtime < !best.runtime then begin
-              best := child;
-              emit_best obs ~i child
-            end;
-            emit_step obs ~i ~runtime:child.runtime ~best:!best.runtime
-              (fun () -> []);
-            note_step ?metrics ~runtime:child.runtime ());
-        !best.runtime
-      in
-      let curve =
-        run_batched ~start ~curve_init ~round_end ~obs ~batch ~pool ~budget
-          ~prepare ~fold ()
-      in
-      {
-        best = !best.prog;
-        best_time = !best.runtime;
-        best_moves = !best.moves;
-        curve;
-        evals = budget;
-        skipped = 0;
-        deduped = 0;
-        visited = 0;
-        failures = !failures;
-      }
-  | _ ->
-      let note_slot ~slot f =
-        incr failures;
-        Robust.Guard.note ~obs ?metrics
-          ~fields:[ Obs.Trace.int "slot" slot ]
-          f
-      in
-      let prepare_parent ~slot:_ =
-        let parent = pick_parent rng cands weights in
-        (parent, Util.Rng.split rng)
-      in
-      let fold slot parent = function
-        | Failed f ->
-            note_slot ~slot f;
-            push_quarantined (quarantined root parent.runtime);
-            !best.runtime
-        | Skipped | Visited -> !best.runtime
-        | Evaluated child ->
-            push child;
-            if child.runtime < !best.runtime then begin
-              best := child;
-              emit_best obs ~i:slot child
-            end;
-            emit_step obs ~i:slot ~runtime:child.runtime ~best:!best.runtime
-              (fun () -> []);
-            note_step ?metrics ~runtime:child.runtime ();
-            !best.runtime
-      in
-      let curve, evals, skipped, deduped, visited =
-        run_batched_filtered ?filter ?metrics ~start ~curve_init
-          ~counters_init ~round_end ~obs ~batch ~pool ~budget ~guard ~dedup
-          ~prerank ~visited ~space ~caps ~root ~objective ~prepare_parent
-          ~fold ()
-      in
-      {
-        best = !best.prog;
-        best_time = !best.runtime;
-        best_moves = !best.moves;
-        curve;
-        evals;
-        skipped;
-        deduped;
-        visited;
-        failures = !failures;
-      }
+(* ------------------------------------------------------------------ *)
+(* The two methods                                                     *)
+(* ------------------------------------------------------------------ *)
 
-let simulated_annealing_parallel ?(seed = 1) ?filter ?(init = [])
-    ?(obs = Obs.Trace.null) ?metrics ?(guard = Robust.Guard.default)
-    ?(t0 = 0.5) ?(cooling = 0.995) ?(batch = default_batch) ?prerank
-    ?(dedup = false) ?(visited_dedup = false) ?checkpoint ?snapshot_extra
-    ?restore_extra ~(pool : Parallel.Pool.t)
-    ~(space : space) ~(budget : int) caps (objective : objective)
-    (root : Ir.Prog.t) : result =
+(* Where a run starts: the cold prelude's root and warm-start
+   candidates, or a restored checkpoint — whose state already holds the
+   prelude's effects (root evaluation, warm replay, start event, model
+   seeding), so re-running it would re-pay evaluations and duplicate
+   trace events. *)
+type origin = Cold of candidate * candidate option | Resumed of ckpt_state
+
+(* The half of a run that differs between the methods, built once the
+   origin is known: the best-so-far cell, a slot's parent (drawn on the
+   submitting thread, in slot order), the method's reaction to a folded
+   slot (failures are already noted), and its checkpoint fields. *)
+type chain = {
+  best : candidate ref;
+  parent : unit -> candidate;
+  on_slot : slot:int -> candidate -> slot_outcome -> unit;
+  save : ckpt_state -> ckpt_state;
+}
+
+let search ~meth ~seed ?filter ~init ~obs ?metrics ~guard ?pool ~batch
+    ?prerank ~dedup ~visited_dedup ?checkpoint ?snapshot_extra ?restore_extra
+    ~space ~budget caps (objective : objective) (root : Ir.Prog.t)
+    (chain : Util.Rng.t -> Obs.Trace.sink -> origin -> chain) : result =
+  if budget < 0 then invalid_arg "Stochastic: budget must be >= 0";
+  if batch < 1 then invalid_arg "Stochastic: batch must be >= 1";
   check_prerank prerank;
+  let meth = if batch > 1 then meth ^ "-parallel" else meth in
   let guard = Robust.Guard.instrument ?metrics guard in
-  let meth = "simulated-annealing-parallel" in
   let obs, counted = maybe_counting checkpoint obs in
   let resumed =
     load_stochastic_resume checkpoint ~meth ~space ~seed ~budget ~batch
   in
   let failures, note = make_noter ?metrics obs in
-  let ( rng,
-        current,
-        best,
-        temp,
-        visited,
-        start,
-        curve_init,
-        counters_init,
-        events_base ) =
+  let rng, origin, visited, start, curve_init, counters_init, events_base =
     match resumed with
     | None ->
         let rng = Util.Rng.create seed in
@@ -1317,258 +940,180 @@ let simulated_annealing_parallel ?(seed = 1) ?filter ?(init = [])
             init
         in
         observe_seed prerank root ~root_time warm;
-        let current =
-          ref
-            (match warm with
-            | Some w when w.runtime <= root_time -> w
-            | Some _ | None -> root_cand)
-        in
-        let visited = make_visited ~visited_dedup root warm in
-        (rng, current, ref !current, ref t0, visited, 0, [||], (0, 0, 0, 0), 0)
+        ( rng, Cold (root_cand, warm), make_visited ~visited_dedup root warm,
+          0, [||], (0, 0, 0, 0), 0 )
     | Some st ->
-        (* resume: prelude skipped — see random_sampling_parallel *)
         (match metrics with
         | Some m -> Obs.Metrics.incr m "checkpoint.resumes"
         | None -> ());
         failures := st.st_failures;
         restore_model restore_extra st.st_extra;
-        let current =
-          match st.st_current with
-          | Some c -> ref (cand_of_triple ?filter caps root c)
-          | None -> ck_corrupt "annealing checkpoint missing chain state"
-        in
-        let temp =
-          match st.st_temp with
-          | Some t -> ref t
-          | None -> ck_corrupt "annealing checkpoint missing temperature"
-        in
         let visited =
           if visited_dedup then Some (visited_of_list st.st_visited) else None
         in
-        ( Util.Rng.of_state st.st_rng, current,
-          ref (cand_of_triple ?filter caps root st.st_best), temp, visited,
-          st.st_filled, st.st_curve, st.st_counts, st.st_events )
+        ( Util.Rng.of_state st.st_rng, Resumed st, visited, st.st_filled,
+          st.st_curve, st.st_counts, st.st_events )
   in
+  let c = chain rng obs origin in
   let snapshot ~filled ~curve ~stats ~events =
     encode_stochastic ~meth ~space ~seed ~budget ~batch
-      {
-        st_filled = filled;
-        st_rng = Util.Rng.state rng;
-        st_pool = [||];
-        st_best = snapshot_triple !best;
-        st_current = Some (snapshot_triple !current);
-        st_temp = Some !temp;
-        st_curve = Array.sub curve 0 filled;
-        st_counts = stats;
-        st_failures = !failures;
-        st_visited = visited_to_list visited;
-        st_events = events;
-        st_extra = Option.map (fun f -> f ()) snapshot_extra;
-      }
+      (c.save
+         {
+           st_filled = filled;
+           st_rng = Util.Rng.state rng;
+           st_pool = [||];
+           st_best = snapshot_triple !(c.best);
+           st_current = None;
+           st_temp = None;
+           st_curve = Array.sub curve 0 filled;
+           st_counts = stats;
+           st_failures = !failures;
+           st_visited = visited_to_list visited;
+           st_events = events;
+           st_extra = Option.map (fun f -> f ()) snapshot_extra;
+         })
   in
   let round_end =
     make_round_hook ?metrics ~obs ~counted ~events_base ~checkpoint ~start
       ~budget ~snapshot ()
   in
-  match (prerank, dedup, visited_dedup) with
-  | None, false, false ->
-      (* the default engine, byte-identical to earlier releases *)
-      let prepare sink ~slot =
-        (* all proposals of a round branch off the round-start state *)
-        let parent = !current in
-        let task_rng = Util.Rng.split rng in
-        child_task ?filter ?metrics ~guard ~obs:sink ~slot space caps root
-          objective parent task_rng
-      in
-      let fold i (child, failed) =
-        (match failed with
-        | Some _ ->
-            (* quarantined: never accepted, never best; the cooling
-               schedule still advances so temperature stays a function
-               of the step index alone.  No acceptance RNG draw happens
-               — the failure is deterministic, so the draw sequence is
-               too. *)
-            incr failures
-        | None ->
-            let accept =
-              child.runtime <= !current.runtime
-              ||
-              let delta =
-                (child.runtime -. !current.runtime)
-                /. Float.max !current.runtime 1e-12
-              in
-              Util.Rng.float rng < exp (-.delta /. Float.max !temp 1e-6)
-            in
-            if accept then current := child;
-            if child.runtime < !best.runtime then begin
-              best := child;
-              emit_best obs ~i child
-            end;
-            emit_step obs ~i ~runtime:child.runtime ~best:!best.runtime
-              (fun () ->
-                [
-                  Obs.Trace.bool "accepted" accept; Obs.Trace.num "temp" !temp;
-                ]);
-            note_step ?metrics ~accepted:accept ~temp:!temp
-              ~runtime:child.runtime ());
-        temp := !temp *. cooling;
-        !best.runtime
-      in
-      let curve =
-        run_batched ~start ~curve_init ~round_end ~obs ~batch ~pool ~budget
-          ~prepare ~fold ()
-      in
-      {
-        best = !best.prog;
-        best_time = !best.runtime;
-        best_moves = !best.moves;
-        curve;
-        evals = budget;
-        skipped = 0;
-        deduped = 0;
-        visited = 0;
-        failures = !failures;
-      }
-  | _ ->
-      let note_slot ~slot f =
+  let fold slot parent outcome =
+    (match outcome with
+    | Failed f ->
         incr failures;
-        Robust.Guard.note ~obs ?metrics
-          ~fields:[ Obs.Trace.int "slot" slot ]
-          f
-      in
-      let prepare_parent ~slot:_ =
-        (* all proposals of a round branch off the round-start state *)
-        (!current, Util.Rng.split rng)
-      in
-      let fold slot _parent outcome =
-        (match outcome with
-        | Failed f ->
-            (* quarantined: never accepted, never best; cooling still
-               advances so temperature stays a function of the step
-               index alone *)
-            note_slot ~slot f
-        | Skipped | Visited ->
-            (* filtered out (surrogate) or already measured (visited
-               set) before measurement: no acceptance draw (the skip is
-               deterministic), cooling still advances *)
-            ()
-        | Evaluated child ->
-            let accept =
-              child.runtime <= !current.runtime
-              ||
-              let delta =
-                (child.runtime -. !current.runtime)
-                /. Float.max !current.runtime 1e-12
-              in
-              Util.Rng.float rng < exp (-.delta /. Float.max !temp 1e-6)
-            in
-            if accept then current := child;
-            if child.runtime < !best.runtime then begin
-              best := child;
-              emit_best obs ~i:slot child
-            end;
-            emit_step obs ~i:slot ~runtime:child.runtime ~best:!best.runtime
-              (fun () ->
-                [
-                  Obs.Trace.bool "accepted" accept; Obs.Trace.num "temp" !temp;
-                ]);
-            note_step ?metrics ~accepted:accept ~temp:!temp
-              ~runtime:child.runtime ());
-        temp := !temp *. cooling;
-        !best.runtime
-      in
-      let curve, evals, skipped, deduped, visited =
-        run_batched_filtered ?filter ?metrics ~start ~curve_init
-          ~counters_init ~round_end ~obs ~batch ~pool ~budget ~guard ~dedup
-          ~prerank ~visited ~space ~caps ~root ~objective ~prepare_parent
-          ~fold ()
-      in
-      {
-        best = !best.prog;
-        best_time = !best.runtime;
-        best_moves = !best.moves;
-        curve;
-        evals;
-        skipped;
-        deduped;
-        visited;
-        failures = !failures;
-      }
-
-(* ------------------------------------------------------------------ *)
-(* Simulated annealing                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let simulated_annealing ?(seed = 1) ?filter ?(init = [])
-    ?(obs = Obs.Trace.null) ?metrics ?(guard = Robust.Guard.default)
-    ?(t0 = 0.5) ?(cooling = 0.995) ~(space : space) ~(budget : int) caps
-    (objective : objective) (root : Ir.Prog.t) : result =
-  let guard = Robust.Guard.instrument ?metrics guard in
-  let rng = Util.Rng.create seed in
-  let failures, note = make_noter ?metrics obs in
-  let root_time = guarded_root ~guard ~note objective root in
-  let root_cand =
-    { moves = []; prog = root; runtime = root_time;
-      parent_runtime = root_time }
+        Robust.Guard.note ~obs ?metrics ~fields:[ Obs.Trace.int "slot" slot ] f
+    | Evaluated _ | Skipped | Visited -> ());
+    c.on_slot ~slot parent outcome;
+    !(c.best).runtime
   in
-  emit_start obs ~meth:"simulated-annealing" ~space ~budget ~seed
-    ~root_time;
-  let current =
-    ref
-      (match
-         guarded_warm ~guard ~note ?filter caps objective root ~root_time
-           init
-       with
-      | Some w when w.runtime <= root_time -> w
-      | Some _ | None -> root_cand)
+  let curve, evals, skipped, deduped, visited =
+    run_rounds ?filter ?metrics ?pool ~obs ~rng ~batch ~budget ~guard ~dedup
+      ~prerank ~visited ~space ~caps ~root ~objective ~start ~curve_init
+      ~counters_init ~round_end ~parent:c.parent ~fold ()
   in
-  let best = ref !current in
-  let temp = ref t0 in
-  let curve =
-    run_curve budget (fun i ->
-        let child, failed =
-          guarded_child ~guard ?filter space caps rng root objective
-            !current
-        in
-        (match failed with
-        | Some f ->
-            (* quarantined: never accepted, never best; cooling still
-               advances so temperature stays a function of the step
-               index alone *)
-            note ~i f
-        | None ->
-            let accept =
-              child.runtime <= !current.runtime
-              ||
-              let delta =
-                (child.runtime -. !current.runtime)
-                /. Float.max !current.runtime 1e-12
-              in
-              Util.Rng.float rng < exp (-.delta /. Float.max !temp 1e-6)
-            in
-            if accept then current := child;
-            if child.runtime < !best.runtime then begin
-              best := child;
-              emit_best obs ~i child
-            end;
-            emit_step obs ~i ~runtime:child.runtime ~best:!best.runtime
-              (fun () ->
-                [
-                  Obs.Trace.bool "accepted" accept; Obs.Trace.num "temp" !temp;
-                ]);
-            note_step ?metrics ~accepted:accept ~temp:!temp
-              ~runtime:child.runtime ());
-        temp := !temp *. cooling;
-        child.runtime)
-  in
+  let best = !(c.best) in
   {
-    best = !best.prog;
-    best_time = !best.runtime;
-    best_moves = !best.moves;
+    best = best.prog;
+    best_time = best.runtime;
+    best_moves = best.moves;
     curve;
-    evals = budget;
-    skipped = 0;
-    deduped = 0;
-    visited = 0;
+    evals;
+    skipped;
+    deduped;
+    visited;
     failures = !failures;
   }
+
+(* Weighted random sampling: a slot's parent is drawn from every
+   candidate encountered so far (as of the round start). *)
+let random_sampling ?(seed = 1) ?filter ?(init = [])
+    ?(obs = Obs.Trace.null) ?metrics ?(guard = Robust.Guard.default)
+    ?(batch = 1) ?prerank ?(dedup = false) ?(visited_dedup = false)
+    ?checkpoint ?snapshot_extra ?restore_extra ?pool ~(space : space)
+    ~(budget : int) caps (objective : objective) (root : Ir.Prog.t) : result =
+  search ~meth:"random-sampling" ~seed ?filter ~init ~obs ?metrics ~guard
+    ?pool ~batch ?prerank ~dedup ~visited_dedup ?checkpoint ?snapshot_extra
+    ?restore_extra ~space ~budget caps objective root (fun rng obs origin ->
+      let cands, weights, push_weighted = make_pool root in
+      let push c = push_weighted (weight c) c in
+      let best =
+        match origin with
+        | Cold (root_cand, warm) -> (
+            push root_cand;
+            Option.iter push warm;
+            match warm with
+            | Some w when w.runtime < root_cand.runtime -> w
+            | Some _ | None -> root_cand)
+        | Resumed st ->
+            (* exact saved weights, so the first resumed draw matches *)
+            Array.iter
+              (fun (moves, rt, prt, w) ->
+                push_weighted w
+                  (cand_of_triple ?filter caps root (moves, rt, prt)))
+              st.st_pool;
+            cand_of_triple ?filter caps root st.st_best
+      in
+      let best = ref best in
+      {
+        best;
+        parent = (fun () -> pick_parent rng cands weights);
+        on_slot =
+          (fun ~slot parent -> function
+            | Failed _ -> push_weighted 0.0 (quarantined root parent.runtime)
+            | Skipped | Visited -> ()
+            | Evaluated child ->
+                push child;
+                record_step ?metrics obs best ~slot child);
+        save = (fun st -> { st with st_pool = snapshot_pool cands weights });
+      })
+
+(* Simulated annealing: every proposal of a round branches off the
+   round-start chain state; acceptance, cooling and best-so-far fold in
+   slot order. *)
+let simulated_annealing ?(seed = 1) ?filter ?(init = [])
+    ?(obs = Obs.Trace.null) ?metrics ?(guard = Robust.Guard.default)
+    ?(t0 = 0.5) ?(cooling = 0.995) ?(batch = 1) ?prerank ?(dedup = false)
+    ?(visited_dedup = false) ?checkpoint ?snapshot_extra ?restore_extra ?pool
+    ~(space : space) ~(budget : int) caps (objective : objective)
+    (root : Ir.Prog.t) : result =
+  search ~meth:"simulated-annealing" ~seed ?filter ~init ~obs ?metrics ~guard
+    ?pool ~batch ?prerank ~dedup ~visited_dedup ?checkpoint ?snapshot_extra
+    ?restore_extra ~space ~budget caps objective root (fun rng obs origin ->
+      let current, best, temp =
+        match origin with
+        | Cold (root_cand, warm) ->
+            let c =
+              match warm with
+              | Some w when w.runtime <= root_cand.runtime -> w
+              | Some _ | None -> root_cand
+            in
+            (c, c, t0)
+        | Resumed st ->
+            let current =
+              match st.st_current with
+              | Some c -> cand_of_triple ?filter caps root c
+              | None -> ck_corrupt "annealing checkpoint missing chain state"
+            in
+            let temp =
+              match st.st_temp with
+              | Some t -> t
+              | None -> ck_corrupt "annealing checkpoint missing temperature"
+            in
+            (current, cand_of_triple ?filter caps root st.st_best, temp)
+      in
+      let current = ref current and best = ref best and temp = ref temp in
+      {
+        best;
+        parent = (fun () -> !current);
+        on_slot =
+          (fun ~slot _parent outcome ->
+            (match outcome with
+            | Failed _ | Skipped | Visited ->
+                (* quarantined, filtered out or already measured: never
+                   accepted, no acceptance draw (the outcome is
+                   deterministic, so the draw sequence is too) *)
+                ()
+            | Evaluated child ->
+                let accept =
+                  child.runtime <= !current.runtime
+                  ||
+                  let delta =
+                    (child.runtime -. !current.runtime)
+                    /. Float.max !current.runtime 1e-12
+                  in
+                  Util.Rng.float rng < exp (-.delta /. Float.max !temp 1e-6)
+                in
+                if accept then current := child;
+                record_step ?metrics ~accepted:accept ~temp:!temp obs best
+                  ~slot child);
+            (* cooling always advances, so the temperature is a function
+               of the step index alone *)
+            temp := !temp *. cooling);
+        save =
+          (fun st ->
+            {
+              st with
+              st_current = Some (snapshot_triple !current);
+              st_temp = Some !temp;
+            });
+      })

@@ -12,7 +12,25 @@
     Methods: weighted random sampling (selection probability from the
     {e parent}'s runtime) and simulated annealing (cost is the
     candidate's own runtime).  Both record the best-so-far curve for the
-    Figure-12 convergence comparison. *)
+    Figure-12 convergence comparison.
+
+    {b One engine.}  Both methods run AutoTVM's batched measurement
+    loop: each round prepares [batch] slots deterministically on the
+    submitting thread (parent selection, then the slot's RNG), builds
+    and measures the children — across the domains of [pool] when one
+    is given, on the caller otherwise — and folds the outcomes back in
+    slot order.  [batch = 1] (the default) {e is} the sequential
+    algorithm: the slot draws from the search RNG itself, so each
+    candidate sees every earlier one.  For [batch > 1] each slot gets a
+    split-off RNG stream and candidates within a round cannot see each
+    other, so the trajectory differs from the sequential one — but it is
+    a function of [(seed, batch)] only: [jobs = 1] and [jobs = N] pools
+    return bit-identical results.
+
+    The [objective] may run concurrently on several domains when a
+    multi-domain [pool] is given: it must be pure or internally
+    synchronized (the analytic machine models are pure;
+    {!Tuning.Cache.memoize} is domain-safe). *)
 
 type objective = Ir.Prog.t -> float
 (** Modelled runtime in seconds; lower is better. *)
@@ -27,18 +45,17 @@ type prerank = {
       (** fraction of distinct candidates per round sent to the real
           objective, in (0, 1]; [1.0] keeps all (training only) *)
 }
-(** A surrogate pre-ranking stage for the batched variants (see
-    {!random_sampling_parallel}): [score] cheaply ranks the distinct
-    candidates of a round and only the top [filter_ratio] fraction pays
-    for a real evaluation; [observe] receives every real measurement as
-    online training signal.  Both are abstract closures — the concrete
+(** A surrogate pre-ranking stage (see {!random_sampling}): [score]
+    cheaply ranks the distinct candidates of a round and only the top
+    [filter_ratio] fraction pays for a real evaluation; [observe]
+    receives every real measurement as online training signal.  Both are abstract closures — the concrete
     learned model lives in [lib/surrogate], which depends on this
     library, not the reverse.  Scoring and observation happen only on
     the submitting thread, in slot order, so a deterministic model keeps
     the search jobs-invariant. *)
 
 type checkpoint_cfg = { path : string; every : int; resume : bool }
-(** Crash-safe checkpointing for the batched engines (and, via
+(** Crash-safe checkpointing for the stochastic engine (and, via
     {!Exhaustive}, the BFS engine).  A checkpoint is written through
     {!Recover.Store} — atomically and durably — at every round boundary
     where at least [every] budget slots completed since the last write,
@@ -63,16 +80,18 @@ type result = {
   best : Ir.Prog.t;
   best_time : float;
   best_moves : string list;  (** replayable via {!replay_skipping} *)
-  curve : float array;  (** best-so-far runtime after each evaluation *)
+  curve : float array;
+      (** best-so-far runtime after each budget slot, root (and
+          warm-start) included — the last point equals [best_time] *)
   evals : int;
-      (** objective (simulator) evaluations actually performed: equal to
-          the budget on the default paths; with
-          [prerank]/[dedup]/[visited_dedup] enabled, the budget minus
-          the skipped, deduplicated, visited and build-failed slots —
+      (** objective (simulator) evaluations of budget slots actually
+          performed: the budget minus the skipped, deduplicated, visited
+          and build-failed slots —
           [evals + skipped + deduped + visited + failures = budget]
           exactly whenever no evaluation is quarantined (a quarantined
           evaluation consumed its simulator call, so it counts in both
-          [evals] and [failures]) *)
+          [evals] and [failures]; a slot whose build raised counts only
+          in [failures]) *)
   skipped : int;
       (** budget slots filtered out by the surrogate — never measured *)
   deduped : int;
@@ -108,7 +127,7 @@ val mutate :
 (** {2 Fault tolerance}
 
     Every evaluation — root, warm-start replay, and each candidate —
-    runs through {!Robust.Guard.run} under [guard] (default
+    runs through {!Robust.Guard} under [guard] (default
     {!Robust.Guard.default}).  A failed evaluation is {e quarantined}
     rather than fatal: its trajectory slot scores +∞, it is never the
     best, never accepted by annealing, never drawn as a sampling parent,
@@ -120,74 +139,11 @@ val mutate :
     the {!Robust.Faults} harness are deterministic per candidate, so
     [jobs = 1] and [jobs = N] agree on {e which} candidates failed. *)
 
+val default_batch : int
+(** The round size the facade uses for pooled, staged or checkpointed
+    runs: [8]. *)
+
 val random_sampling :
-  ?seed:int ->
-  ?filter:(Transform.Xforms.instance -> bool) ->
-  ?init:string list ->
-  ?obs:Obs.Trace.sink ->
-  ?metrics:Obs.Metrics.t ->
-  ?guard:Robust.Guard.config ->
-  space:space ->
-  budget:int ->
-  Transform.Xforms.caps ->
-  objective ->
-  Ir.Prog.t ->
-  result
-(** Global weighted sampling over all previously encountered candidates;
-    [filter] restricts the move set (used by the TVM-template baseline).
-    [init] warm-starts the pool with a recorded move sequence (replayed
-    through {!replay_skipping}), so search resumes from a tuning
-    database's best instead of restarting cold.
-
-    [obs] receives [search.start] / [search.step] / [search.best]
-    events; [metrics] accumulates [search.steps] and the
-    [search.runtime] histogram.  Both default to off and then cost
-    nothing (see {!Obs.Trace.enabled}). *)
-
-val simulated_annealing :
-  ?seed:int ->
-  ?filter:(Transform.Xforms.instance -> bool) ->
-  ?init:string list ->
-  ?obs:Obs.Trace.sink ->
-  ?metrics:Obs.Metrics.t ->
-  ?guard:Robust.Guard.config ->
-  ?t0:float ->
-  ?cooling:float ->
-  space:space ->
-  budget:int ->
-  Transform.Xforms.caps ->
-  objective ->
-  Ir.Prog.t ->
-  result
-(** [init] seeds the annealing chain (and best-so-far) with a recorded
-    sequence; with [budget = 0] the result is exactly the replayed
-    schedule — replay fidelity the tuning tests rely on.
-
-    In addition to the sampling events, annealing [search.step] events
-    carry [accepted] and [temp] fields, and [metrics] gains the
-    [search.accepted] counter plus [search.acceptance_rate] /
-    [search.temperature] gauges. *)
-
-(** {1 Batched-synchronous-parallel variants}
-
-    AutoTVM-style batched candidate measurement: each round prepares
-    [batch] candidate tasks deterministically on the submitting thread
-    (parent selection and one split-off RNG stream per slot, in slot
-    order), evaluates them across the pool's domains, and folds the
-    results back in slot order.  The trajectory is a function of
-    [(seed, batch)] only — [jobs = 1] and [jobs = N] pools return
-    bit-identical results, and the recorded [curve] keeps its
-    best-so-far-per-evaluation meaning.
-
-    For [batch > 1] the algorithm differs from the sequential one
-    (candidates within a round cannot see each other), so the
-    sequential entry points above remain the default path.
-
-    The [objective] runs concurrently on several domains: it must be
-    pure or internally synchronized (the analytic machine models are
-    pure; {!Tuning.Cache.memoize} is domain-safe). *)
-
-val random_sampling_parallel :
   ?seed:int ->
   ?filter:(Transform.Xforms.instance -> bool) ->
   ?init:string list ->
@@ -201,28 +157,38 @@ val random_sampling_parallel :
   ?checkpoint:checkpoint_cfg ->
   ?snapshot_extra:(unit -> Util.Json.t) ->
   ?restore_extra:(Util.Json.t -> unit) ->
-  pool:Parallel.Pool.t ->
+  ?pool:Parallel.Pool.t ->
   space:space ->
   budget:int ->
   Transform.Xforms.caps ->
   objective ->
   Ir.Prog.t ->
   result
-(** Batched {!random_sampling}: parents for a whole round are drawn
-    from the pool as of the round start.  [batch] defaults to 8.
+(** Global weighted sampling over all previously encountered candidates
+    (as of the round start); [filter] restricts the move set (used by
+    the TVM-template baseline).  [init] warm-starts the pool with a
+    recorded move sequence (replayed through {!replay_skipping}), so
+    search resumes from a tuning database's best instead of restarting
+    cold.  Raises [Invalid_argument] when [budget < 0] or [batch < 1],
+    before anything is evaluated.
 
-    [checkpoint] enables crash-safe round-boundary snapshots (see
-    {!checkpoint_cfg}); [snapshot_extra]/[restore_extra] let the caller
-    piggy-back opaque state — the surrogate model — on the checkpoint
-    payload.
+    [obs] receives [search.start] / [search.eval] / [search.step] /
+    [search.best] events ([search.start]'s [method] is
+    [random-sampling], or [random-sampling-parallel] when
+    [batch > 1]); [metrics] accumulates [search.steps] and the
+    [search.runtime] histogram.  Both default to off and then cost
+    nothing (see {!Obs.Trace.enabled}).  Every event is emitted on the
+    submitting thread in slot order, so the stream is a function of
+    [(seed, batch)] modulo {!Obs.Trace.strip_timing}.
 
-    Tracing stays jobs-invariant: each task writes [search.eval] events
-    into a private buffer sink, and the buffers are folded into [obs]
-    in slot order — the merged stream is a function of (seed, batch)
-    modulo {!Obs.Trace.strip_timing}.
+    [pool] (default: none, tasks run on the caller) spreads each round's
+    building and measuring across domains.  [checkpoint] enables
+    crash-safe round-boundary snapshots (see {!checkpoint_cfg});
+    [snapshot_extra]/[restore_extra] let the caller piggy-back opaque
+    state — the surrogate model — on the checkpoint payload.
 
-    {b Evaluation saving} (opt-in; the default path is byte-identical to
-    earlier releases when all are off):
+    {b Evaluation saving} (opt-in; each absent stage is an identity —
+    no fingerprint, no counter, no event):
     - [dedup] (default [false]) hashes each round's candidates by their
       canonical fingerprint ({!Canon.fingerprint}) and evaluates each
       distinct state once; the duplicates — including alpha-renamed or
@@ -238,16 +204,21 @@ val random_sampling_parallel :
       [canon.unique] / [canon.total] metrics counting distinct-new vs
       built candidates).  Membership is checked on the submitting
       thread in slot order, so jobs-invariance is preserved.
-    - [prerank] scores the distinct candidates with a cheap learned
+    - [prerank] feeds every real measurement to [prerank.observe] in
+      slot order (counted in [surrogate.evals]) and, when
+      [filter_ratio < 1], scores the distinct candidates with the cheap
       model and sends only the top [filter_ratio] fraction to the real
       objective; the rest are skipped (not failures — [result.skipped],
       [search.prerank] events, [surrogate.scored/kept/filtered]
-      metrics).  Every real measurement is fed back through
-      [prerank.observe] in slot order, so search and online training
-      stay jobs-invariant.  Raises [Invalid_argument] unless
-      [filter_ratio] is in (0, 1]. *)
+      metrics).  Raises [Invalid_argument] unless [filter_ratio] is in
+      (0, 1].
 
-val simulated_annealing_parallel :
+    A stage that must see the whole round (dedup, the visited set,
+    filtering pre-rank) splits it into a build phase and a measurement
+    phase; without one, each slot is measured in the task that built
+    it. *)
+
+val simulated_annealing :
   ?seed:int ->
   ?filter:(Transform.Xforms.instance -> bool) ->
   ?init:string list ->
@@ -263,19 +234,26 @@ val simulated_annealing_parallel :
   ?checkpoint:checkpoint_cfg ->
   ?snapshot_extra:(unit -> Util.Json.t) ->
   ?restore_extra:(Util.Json.t -> unit) ->
-  pool:Parallel.Pool.t ->
+  ?pool:Parallel.Pool.t ->
   space:space ->
   budget:int ->
   Transform.Xforms.caps ->
   objective ->
   Ir.Prog.t ->
   result
-(** Batched {!simulated_annealing}: every proposal of a round branches
-    off the round-start chain state; acceptance, cooling and best-so-far
-    fold sequentially in slot order.  [batch] defaults to 8.  Tracing
-    follows the same per-slot-buffer discipline as
-    {!random_sampling_parallel}, and [prerank] / [dedup] /
-    [visited_dedup] behave identically (a surrogate-skipped or
+(** [init] seeds the annealing chain (and best-so-far) with a recorded
+    sequence; with [budget = 0] the result is exactly the replayed
+    schedule — replay fidelity the tuning tests rely on.  Every proposal
+    of a round branches off the round-start chain state; acceptance,
+    cooling and best-so-far fold in slot order.
+
+    The optional arguments behave as in {!random_sampling}
+    ([search.start]'s [method] is [simulated-annealing], or
+    [simulated-annealing-parallel] when [batch > 1]).  In addition to
+    the sampling events, annealing [search.step] events carry
+    [accepted] and [temp] fields, and [metrics] gains the
+    [search.accepted] counter plus [search.acceptance_rate] /
+    [search.temperature] gauges.  A quarantined, surrogate-skipped or
     visited-skipped slot draws no acceptance RNG and still advances the
     cooling schedule, so the temperature remains a function of the step
-    index alone). *)
+    index alone. *)

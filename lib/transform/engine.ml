@@ -223,5 +223,3 @@ let replay_compat caps prog (names : string list) : (Ir.Prog.t, string) result
                  (if alts = [] then "none" else String.concat ", " alts)))
   in
   go 0 names
-
-let replay = replay_compat

@@ -79,9 +79,3 @@ val replay_compat :
     applicable alternatives of the same transformation.  This is the
     compatibility path that keeps schema-2 tuning DBs warm; new code
     should record and replay scripts ({!Transfo.Script}). *)
-
-val replay :
-  Xforms.caps -> Ir.Prog.t -> string list -> (Ir.Prog.t, string) result
-  [@@deprecated
-    "use Transfo.Script.run (script replay) or Engine.replay_compat for \
-     recorded describe-string sequences."]

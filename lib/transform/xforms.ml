@@ -28,7 +28,7 @@ let not_applicable msg = raise (Not_applicable msg)
 
 (* Resolve [describe] strings against an instance list through a hash
    table built once — replaces the per-name linear scans (with repeated
-   [describe] calls) in Engine.replay / Stochastic.replay_skipping.
+   [describe] calls) in Engine.replay_compat / Stochastic.replay_skipping.
    First occurrence wins, matching List.find_opt. *)
 let lookup ?(filter = fun (_ : instance) -> true) (insts : instance list) :
     string -> instance option =
@@ -43,11 +43,6 @@ let lookup ?(filter = fun (_ : instance) -> true) (insts : instance list) :
     t
   end in
   fun name -> Hashtbl.find_opt (Lazy.force table) name
-
-(* Deprecated alias (see xforms.mli): the script API in Transfo.Script is
-   the supported way to address moves; [lookup] remains for the engine's
-   internal describe-string compatibility path. *)
-let resolver = lookup
 
 (* Hardware capabilities gate which transformations are offered.  This is
    the paper's "hardware knowledge exposed to the search only as a library

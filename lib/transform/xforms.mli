@@ -33,13 +33,6 @@ val lookup :
     path for replaying recorded move names.  First occurrence wins, as
     with [List.find_opt]. *)
 
-val resolver :
-  ?filter:(instance -> bool) -> instance list -> string -> instance option
-  [@@deprecated
-    "describe-string resolution is a compatibility path; address moves \
-     with the script API (Transfo.Script / Engine.apply_at) instead.  \
-     Internal replay code should use Xforms.lookup."]
-
 (** Hardware capabilities gate which transformations are offered: the
     paper's "hardware knowledge exposed to the search only as a library
     of transformations". *)

@@ -1,5 +1,5 @@
 (** One tuning result: the best transformation sequence found for a
-    (kernel, target) pair, replayable via {!Transform.Engine.replay},
+    (kernel, target) pair, replayable via {!Transform.Engine.replay_compat},
     plus the provenance a later search needs to trust it (program
     fingerprint, modelled runtime, evaluation count, schema version).
 

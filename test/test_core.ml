@@ -6,6 +6,10 @@ let target_cpu = Machine.Desc.Cpu Machine.Desc.avx512_cpu
 let target_snitch = Machine.Desc.Snitch Machine.Desc.snitch_cluster
 let target_gpu = Machine.Desc.Gpu Machine.Desc.gh200
 
+(* [optimize_ctx] under the default context with the given seed/jobs *)
+let optimize ?(seed = 1) ?(jobs = 0) =
+  optimize_ctx ~ctx:Ctx.(default |> with_seed seed |> with_jobs jobs)
+
 let game_tests =
   [
     Alcotest.test_case "start validates the program" `Quick (fun () ->
@@ -77,7 +81,7 @@ let optimize_tests =
         let t0 = Machine.time target_snitch p in
         List.iter
           (fun (name, strategy) ->
-            let o = Perfdojo.optimize ~seed:3 strategy target_snitch p in
+            let o = optimize ~seed:3 strategy target_snitch p in
             Ir.Validate.check_exn o.schedule;
             Alcotest.(check bool)
               (Printf.sprintf "%s: %.2e <= %.2e" name o.time_s t0)
@@ -106,13 +110,13 @@ let optimize_tests =
           ]);
     Alcotest.test_case "optimize_best picks the winner" `Quick (fun () ->
         let p = Kernels.relu ~n:64 ~m:64 in
-        let b = Perfdojo.optimize_best ~budget:40 target_cpu p in
-        let h = Perfdojo.optimize Heuristic target_cpu p in
+        let b = optimize_best ~ctx:Ctx.default ~budget:40 target_cpu p in
+        let h = optimize Heuristic target_cpu p in
         Alcotest.(check bool) "best <= heuristic" true (b.time_s <= h.time_s));
     Alcotest.test_case "gpu heuristic strategy maps to the device" `Quick
       (fun () ->
         let p = Kernels.add ~n:256 ~m:256 in
-        let o = Perfdojo.optimize Heuristic target_gpu p in
+        let o = optimize Heuristic target_gpu p in
         Alcotest.(check bool) "grid mapped" true
           (Codegen.contains_gpu o.schedule));
   ]
@@ -125,8 +129,8 @@ let parallel_facade_tests =
         let strat =
           Annealing { budget = 40; space = Search.Stochastic.Heuristic }
         in
-        let a = Perfdojo.optimize ~seed:6 ~jobs:1 strat target_snitch p in
-        let b = Perfdojo.optimize ~seed:6 ~jobs:4 strat target_snitch p in
+        let a = optimize ~seed:6 ~jobs:1 strat target_snitch p in
+        let b = optimize ~seed:6 ~jobs:4 strat target_snitch p in
         Alcotest.(check (float 0.0)) "time" a.time_s b.time_s;
         Alcotest.(check (list string)) "moves" a.moves b.moves;
         Alcotest.(check int) "evals" a.evaluations b.evaluations);
@@ -135,16 +139,16 @@ let parallel_facade_tests =
         let p = Kernels.relu ~n:32 ~m:32 in
         let members = Perfdojo.default_portfolio ~seed:2 ~budget:30 () in
         let o, winner =
-          Perfdojo.optimize_portfolio ~jobs:2 ~members target_cpu p
+          Perfdojo.optimize_portfolio_ctx
+            ~ctx:Ctx.(default |> with_jobs 2)
+            ~members target_cpu p
         in
         Ir.Validate.check_exn o.schedule;
         Alcotest.(check bool) "winner is a member" true
           (List.exists (fun m -> m.plabel = winner) members);
         List.iter
           (fun (m : Perfdojo.portfolio_member) ->
-            let solo =
-              Perfdojo.optimize ~seed:m.pseed m.pstrategy target_cpu p
-            in
+            let solo = optimize ~seed:m.pseed m.pstrategy target_cpu p in
             Alcotest.(check bool)
               (winner ^ " beats " ^ m.plabel)
               true (o.time_s <= solo.time_s))
@@ -156,14 +160,18 @@ let parallel_facade_tests =
       (fun () ->
         let p = Kernels.gemv ~m:32 ~n:32 in
         let strat = Portfolio { budget = 25 } in
-        let a = Perfdojo.optimize ~seed:4 ~jobs:1 strat target_snitch p in
-        let b = Perfdojo.optimize ~seed:4 ~jobs:3 strat target_snitch p in
+        let a = optimize ~seed:4 ~jobs:1 strat target_snitch p in
+        let b = optimize ~seed:4 ~jobs:3 strat target_snitch p in
         Alcotest.(check (float 0.0)) "time" a.time_s b.time_s;
         Alcotest.(check (list string)) "moves" a.moves b.moves);
     Alcotest.test_case "portfolio rejects empty and nested members" `Quick
       (fun () ->
         let p = Kernels.relu ~n:8 ~m:8 in
-        (match Perfdojo.optimize_portfolio ~members:[] target_cpu p with
+        let race members =
+          Perfdojo.optimize_portfolio_ctx ~ctx:Ctx.default ~members target_cpu
+            p
+        in
+        (match race [] with
         | _ -> Alcotest.fail "accepted an empty portfolio"
         | exception Invalid_argument _ -> ());
         let nested =
@@ -175,13 +183,13 @@ let parallel_facade_tests =
             };
           ]
         in
-        match Perfdojo.optimize_portfolio ~members:nested target_cpu p with
+        match race nested with
         | _ -> Alcotest.fail "accepted a nested portfolio"
         | exception Invalid_argument _ -> ());
   ]
 
-(* The run-context record must be a faithful repackaging of the legacy
-   optional arguments: same defaults, same results. *)
+(* The run-context builders must be a faithful shorthand for record
+   updates of [Ctx.default]: same fields, same results. *)
 let check_outcome label (a : outcome) (b : outcome) =
   Alcotest.(check (float 0.0)) (label ^ " time") a.time_s b.time_s;
   Alcotest.(check (list string)) (label ^ " moves") a.moves b.moves;
@@ -190,28 +198,22 @@ let check_outcome label (a : outcome) (b : outcome) =
 
 let ctx_tests =
   [
-    Alcotest.test_case "Ctx.default equals the wrapper defaults" `Quick
-      (fun () ->
-        let p = Kernels.relu ~n:32 ~m:32 in
-        List.iter
-          (fun strat ->
-            check_outcome "default"
-              (Perfdojo.optimize strat target_cpu p)
-              (Perfdojo.optimize_ctx ~ctx:Ctx.default strat target_cpu p))
-          [
-            Heuristic;
-            Annealing { budget = 40; space = Search.Stochastic.Heuristic };
-            Sampling { budget = 40; space = Search.Stochastic.Edges };
-          ]);
-    Alcotest.test_case "builders agree with the optional arguments" `Quick
+    Alcotest.test_case "builders agree with record updates" `Quick
       (fun () ->
         let p = Kernels.gemv ~m:32 ~n:32 in
         let strat =
           Annealing { budget = 40; space = Search.Stochastic.Heuristic }
         in
-        let cache = Tuning.Cache.create () in
-        let old_style =
-          Perfdojo.optimize ~seed:7 ~cache ~jobs:2 strat target_snitch p
+        let by_record =
+          Perfdojo.optimize_ctx
+            ~ctx:
+              {
+                Ctx.default with
+                seed = 7;
+                cache = Some (Tuning.Cache.create ());
+                jobs = 2;
+              }
+            strat target_snitch p
         in
         let ctx =
           Ctx.(
@@ -219,32 +221,18 @@ let ctx_tests =
             |> with_cache (Tuning.Cache.create ())
             |> with_jobs 2)
         in
-        check_outcome "builders" old_style
+        check_outcome "builders" by_record
           (Perfdojo.optimize_ctx ~ctx strat target_snitch p));
-    Alcotest.test_case "of_options defaults match Ctx.default" `Quick
+    Alcotest.test_case "Ctx.default has the documented defaults" `Quick
       (fun () ->
-        let a = Ctx.of_options () in
-        let b = Ctx.default in
-        Alcotest.(check int) "seed" b.Ctx.seed a.Ctx.seed;
-        Alcotest.(check int) "jobs" b.Ctx.jobs a.Ctx.jobs;
-        Alcotest.(check (list string)) "warm" b.Ctx.warm_start
-          a.Ctx.warm_start;
-        Alcotest.(check bool) "cache" true (a.Ctx.cache = None);
-        Alcotest.(check bool) "metrics" true (a.Ctx.metrics = None));
-    Alcotest.test_case "portfolio wrapper equals optimize_portfolio_ctx"
-      `Quick (fun () ->
-        let p = Kernels.softmax ~n:16 ~m:16 in
-        let members = Perfdojo.default_portfolio ~seed:3 ~budget:25 () in
-        let a, wa =
-          Perfdojo.optimize_portfolio ~jobs:2 ~members target_cpu p
-        in
-        let b, wb =
-          Perfdojo.optimize_portfolio_ctx
-            ~ctx:Ctx.(default |> with_jobs 2)
-            ~members target_cpu p
-        in
-        Alcotest.(check string) "winner" wa wb;
-        check_outcome "portfolio" a b);
+        let d = Ctx.default in
+        Alcotest.(check int) "seed" 1 d.Ctx.seed;
+        Alcotest.(check int) "jobs" 0 d.Ctx.jobs;
+        Alcotest.(check (list string)) "warm" [] d.Ctx.warm_start;
+        Alcotest.(check bool) "cache" true (d.Ctx.cache = None);
+        Alcotest.(check bool) "metrics" true (d.Ctx.metrics = None);
+        Alcotest.(check bool) "checkpoint" true (d.Ctx.checkpoint = None);
+        Alcotest.(check int) "exhaustive depth" 3 d.Ctx.exhaustive_depth);
     Alcotest.test_case "warm start through the context resumes the search"
       `Quick (fun () ->
         let p = Kernels.gemv ~m:32 ~n:32 in
@@ -257,10 +245,12 @@ let ctx_tests =
             ~ctx:(Ctx.with_warm_start first.moves Ctx.default)
             strat target_cpu p
         in
-        let legacy =
-          Perfdojo.optimize ~warm_start:first.moves strat target_cpu p
+        let by_record =
+          Perfdojo.optimize_ctx
+            ~ctx:{ Ctx.default with warm_start = first.moves }
+            strat target_cpu p
         in
-        check_outcome "warm" legacy warm;
+        check_outcome "warm" by_record warm;
         Alcotest.(check bool) "no regression" true
           (warm.time_s <= first.time_s +. 1e-12));
   ]

@@ -285,7 +285,7 @@ let search_tests =
           let obs = Obs.Trace.make_buffer () in
           let r =
             Parallel.Pool.with_pool ~jobs (fun pool ->
-                Search.Stochastic.simulated_annealing_parallel ~seed:5 ~obs
+                Search.Stochastic.simulated_annealing ~seed:5 ~obs
                   ~batch:6 ~pool ~space:Search.Stochastic.Heuristic
                   ~budget:18 caps_x86 time_x86 (Kernels.scale ~n:64))
           in
@@ -310,7 +310,10 @@ let search_tests =
         let cache = Tuning.Cache.create () in
         let target = Machine.Desc.Cpu Machine.Desc.xeon_e5_2695v4 in
         let o =
-          Perfdojo.optimize ~seed:1 ~cache ~jobs:2 ~metrics:m
+          Perfdojo.optimize_ctx
+            ~ctx:
+              Perfdojo.Ctx.(
+                default |> with_cache cache |> with_jobs 2 |> with_metrics m)
             (Perfdojo.Annealing
                { budget = 10; space = Search.Stochastic.Heuristic })
             target (Kernels.scale ~n:64)

@@ -303,11 +303,13 @@ let kill_point_invariant meth k =
         in
         match meth with
         | `Sampling ->
-            Stoch.random_sampling_parallel ~seed:11 ~obs ~checkpoint ~pool
-              ~space:Stoch.Heuristic ~budget caps_cpu objective root
+            Stoch.random_sampling ~seed:11 ~obs ~checkpoint
+              ~batch:Stoch.default_batch ~pool ~space:Stoch.Heuristic ~budget
+              caps_cpu objective root
         | `Annealing ->
-            Stoch.simulated_annealing_parallel ~seed:11 ~obs ~checkpoint
-              ~pool ~space:Stoch.Heuristic ~budget caps_cpu objective root)
+            Stoch.simulated_annealing ~seed:11 ~obs ~checkpoint
+              ~batch:Stoch.default_batch ~pool ~space:Stoch.Heuristic ~budget
+              caps_cpu objective root)
   in
   let obs_ref = Obs.Trace.make_buffer () in
   let seen = ref 0 in

@@ -354,8 +354,8 @@ let quarantine_tests =
 (* Portfolio degradation                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Annealing with budget = -1 crashes inside run_curve (Array.make of a
-   negative length) — a real member crash outside the per-evaluation
+(* Annealing with budget = -1 is refused up front by the engine
+   (Invalid_argument) — a real member crash outside the per-evaluation
    guard, which is exactly what map_result-based degradation handles. *)
 let crasher seed =
   {
@@ -380,7 +380,8 @@ let portfolio_tests =
         let p = Kernels.softmax ~n:8 ~m:8 in
         let obs = Obs.Trace.make_buffer () in
         let outcome, label =
-          Perfdojo.optimize_portfolio ~jobs:2 ~obs
+          Perfdojo.optimize_portfolio_ctx
+            ~ctx:Perfdojo.Ctx.(default |> with_jobs 2 |> with_obs obs)
             ~members:[ crasher 2; survivor ] target p
         in
         Alcotest.(check string) "winner among survivors" "survivor" label;
@@ -406,7 +407,8 @@ let portfolio_tests =
       (fun () ->
         let p = Kernels.softmax ~n:8 ~m:8 in
         match
-          Perfdojo.optimize_portfolio ~jobs:2
+          Perfdojo.optimize_portfolio_ctx
+            ~ctx:Perfdojo.Ctx.(with_jobs 2 default)
             ~members:[ crasher 1; crasher 2 ] target p
         with
         | _ -> Alcotest.fail "expected Portfolio_failed"
@@ -417,13 +419,17 @@ let portfolio_tests =
     Alcotest.test_case "empty and nested members still Invalid_argument"
       `Quick (fun () ->
         let p = Kernels.softmax ~n:8 ~m:8 in
-        (match Perfdojo.optimize_portfolio ~members:[] target p with
+        let race members =
+          Perfdojo.optimize_portfolio_ctx ~ctx:Perfdojo.Ctx.default ~members
+            target p
+        in
+        (match race [] with
         | _ -> Alcotest.fail "accepted empty members"
         | exception Invalid_argument _ -> ());
         let nested =
           { survivor with pstrategy = Perfdojo.Portfolio { budget = 4 } }
         in
-        match Perfdojo.optimize_portfolio ~members:[ nested ] target p with
+        match race [ nested ] with
         | _ -> Alcotest.fail "accepted nested portfolio"
         | exception Invalid_argument _ -> ());
   ]
@@ -449,7 +455,14 @@ let optimize_under_faults =
       in
       let run jobs =
         let obs = Obs.Trace.make_buffer () in
-        let o = Perfdojo.optimize ~seed:3 ~jobs ~obs ~faults strat target p in
+        let o =
+          Perfdojo.optimize_ctx
+            ~ctx:
+              Perfdojo.Ctx.(
+                default |> with_seed 3 |> with_jobs jobs |> with_obs obs
+                |> with_faults faults)
+            strat target p
+        in
         (o, obs)
       in
       let o1, obs1 = run 1 in
@@ -479,7 +492,10 @@ let sequential_faults_accounted =
       let faults = Robust.Faults.spread ~seed:fseed 0.25 in
       let obs = Obs.Trace.make_buffer () in
       let o =
-        Perfdojo.optimize ~seed:5 ~jobs:0 ~obs ~faults
+        Perfdojo.optimize_ctx
+          ~ctx:
+            Perfdojo.Ctx.(
+              default |> with_seed 5 |> with_obs obs |> with_faults faults)
           (Perfdojo.Annealing
              { budget = 10; space = Search.Stochastic.Heuristic })
           target p

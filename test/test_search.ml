@@ -84,6 +84,9 @@ let improvement_tests =
 
 let objective target p = Machine.time target p
 
+(* the round size the facade's pooled runs use *)
+let batch = Search.Stochastic.default_batch
+
 let stochastic_tests =
   [
     Alcotest.test_case "sampling improves over the root" `Quick (fun () ->
@@ -170,6 +173,217 @@ let stochastic_tests =
         Alcotest.(check (float 0.0)) "same result" (run ()) (run ()));
   ]
 
+(* Golden trajectories of the sequential search, recorded before the
+   sequential engines became batch 1 of the round loop: batch 1 must
+   reproduce them bit for bit.  Budget 40, seed 1; [`Warm] seeds the
+   search with a two-move greedy walk, [`Faults] injects
+   [Faults.spread ~seed:7 0.3]. *)
+let golden_tests =
+  let module S = Search.Stochastic in
+  let resolve name = snd (Option.get (Desc.resolve_target name)) in
+  let kernels =
+    [
+      ("softmax", (resolve "x86", Kernels.softmax ~n:16 ~m:16));
+      ("gemv", (resolve "snitch", Kernels.gemv ~m:32 ~n:32));
+    ]
+  in
+  (* each step takes the first applicable move with the best runtime *)
+  let greedy_walk caps obj p =
+    let rec go p acc k =
+      let pick best (i : Transform.Xforms.instance) =
+        let t = obj (i.apply p) in
+        match best with Some (_, u) when u <= t -> best | _ -> Some (i, t)
+      in
+      match
+        if k = 0 then None
+        else List.fold_left pick None (Transform.Xforms.all caps p)
+      with
+      | None -> List.rev acc
+      | Some ((i : Transform.Xforms.instance), _) ->
+          go (i.apply p) (Transform.Xforms.describe i :: acc) (k - 1)
+    in
+    go p [] 2
+  in
+  let run ?filter ?(obs = Obs.Trace.null) kernel meth space cond =
+    let target, p = List.assoc kernel kernels in
+    let caps = Desc.caps_of target in
+    let obj = objective target in
+    let objective, init =
+      match cond with
+      | `Clean -> (obj, [])
+      | `Faults ->
+          (Robust.Faults.wrap (Robust.Faults.spread ~seed:7 0.3) obj, [])
+      | `Warm -> (obj, greedy_walk caps obj p)
+    in
+    match meth with
+    | `Sampling ->
+        S.random_sampling ?filter ~obs ~init ~space ~budget:40 caps objective
+          p
+    | `Annealing ->
+        S.simulated_annealing ?filter ~obs ~init ~space ~budget:40 caps
+          objective p
+  in
+  let name = function
+    | `Sampling -> "sampling"
+    | `Annealing -> "annealing"
+    | `Clean -> "clean"
+    | `Faults -> "faults"
+    | `Warm -> "warm"
+  in
+  let golden =
+    [
+    ( "softmax", `Sampling, S.Edges, `Clean, "0x1.7852296352bdep-20",
+      [ "split_scope([0,4] factor 2)"; "unroll([0])" ], 0 );
+    ( "softmax", `Sampling, S.Edges, `Faults, "0x1.ff4e3dcc83e62p-20",
+      [ "set_storage(mx -> register)"; "join_scopes([0,3])"; "unroll([0,3])" ],
+      11 );
+    ( "softmax", `Sampling, S.Edges, `Warm, "0x1.162677a274cf2p-20",
+      [ "unroll([0])"; "join_scopes([0,3])" ], 0 );
+    ( "softmax", `Sampling, S.Heuristic, `Clean, "0x1.20605a268bed5p-19",
+      [ "unroll([0,3])" ], 0 );
+    ( "softmax", `Sampling, S.Heuristic, `Faults, "0x1.20605a268bed5p-19",
+      [ "unroll([0,3])" ], 3 );
+    ( "softmax", `Sampling, S.Heuristic, `Warm, "0x1.162677a274cf2p-20",
+      [ "unroll([0])"; "join_scopes([0,3])" ], 0 );
+    ( "softmax", `Annealing, S.Edges, `Clean, "0x1.1d4efc9884fdep-19",
+      [ "split_scope([0] factor 4)"; "split_reduction([0,0,4] into 4)";
+        "split_reduction([0,0,1] into 8)"; "split_scope([0,0,1] factor 4)";
+        "unroll([0,0,9])"; "unroll([0,0,8])"; "fission([0,0] at 1)";
+        "set_storage(s__part -> register)";
+        "pad_scope([0,0] to multiple of 8)"; "split_scope([0,1,0,0] factor 2)";
+        "fission([0,1] at 5)"; "fission([0] at 1)"; "reorder([1,0,3])";
+        "set_storage(s__part -> stack)"; "unroll([1,0])"; "unroll([1,0,1,0])" ],
+      0 );
+    ( "softmax", `Annealing, S.Edges, `Faults, "0x1.303a12d9afc29p-19",
+      [ "split_scope([0] factor 4)"; "split_scope([0,0,4] factor 4)";
+        "set_storage(s -> register)"; "pad_scope([0,0,4] to multiple of 8)";
+        "split_scope([0,0,3] factor 8)"; "split_scope([0,0] factor 2)";
+        "split_scope([0,0,0,1] factor 4)"; "set_storage(mx -> stack)";
+        "pad_scope([0,0,0,1,0] to multiple of 8)"; "split_scope([0] factor 2)";
+        "fission([0,0,0,0] at 3)"; "unroll([0])" ], 10 );
+    ( "softmax", `Annealing, S.Edges, `Warm, "0x1.162677a274cf2p-20",
+      [ "unroll([0])"; "join_scopes([0,3])" ], 0 );
+    ( "softmax", `Annealing, S.Heuristic, `Clean, "0x1.20605a268bed5p-19",
+      [ "unroll([0,3])" ], 0 );
+    ( "softmax", `Annealing, S.Heuristic, `Faults, "0x1.20605a268bed5p-19",
+      [ "unroll([0,3])" ], 4 );
+    ( "softmax", `Annealing, S.Heuristic, `Warm, "0x1.162677a274cf2p-20",
+      [ "unroll([0])"; "join_scopes([0,3])" ], 0 );
+    ( "gemv", `Sampling, S.Edges, `Clean, "0x1.195202f97bf9cp-18",
+      [ "enable_ssr([0,1])"; "split_scope([0,1] factor 8)";
+        "unannotate([0,1])"; "unroll([0,1])"; "unroll([0,1,0])" ], 0 );
+    ( "gemv", `Sampling, S.Edges, `Faults, "0x1.0ad328ed9b34bp-18",
+      [ "enable_ssr([0,1])"; "split_scope([0] factor 8)"; "unroll([0,0])" ],
+      4 );
+    ( "gemv", `Sampling, S.Edges, `Warm, "0x1.0ad328ed9b34bp-18",
+      [ "split_scope([0] factor 8)"; "unroll([0,0])"; "enable_ssr([0,0,1])" ],
+      0 );
+    ( "gemv", `Sampling, S.Heuristic, `Clean, "0x1.5be4711d12794p-18",
+      [ "split_scope([0] factor 2)"; "unroll([0,0])" ], 0 );
+    ( "gemv", `Sampling, S.Heuristic, `Faults, "0x1.a2c2623ab2ae7p-18",
+      [], 6 );
+    ( "gemv", `Sampling, S.Heuristic, `Warm, "0x1.5a481fff4ed52p-18",
+      [ "split_scope([0] factor 8)"; "unroll([0,0])" ], 0 );
+    ( "gemv", `Annealing, S.Edges, `Clean, "0x1.0cf8ea6aa00f9p-18",
+      [ "split_scope([0] factor 2)"; "split_scope([0,0,1] factor 8)";
+        "split_scope([0] factor 8)"; "pad_scope([0,0,0] to multiple of 4)";
+        "split_scope([0,0,0,1,0] factor 2)"; "interchange([0,0,0,1,0])";
+        "pad_scope([0] to multiple of 4)"; "unroll([0,0])";
+        "interchange([0,0,0,1])"; "pad_scope([0,0,0,1] to multiple of 4)";
+        "unroll([0,0,0,1,0,0])" ], 0 );
+    ( "gemv", `Annealing, S.Edges, `Faults, "0x1.871c4711142d1p-18",
+      [ "split_scope([0] factor 2)"; "interchange([0])";
+        "split_scope([0,0] factor 8)"; "pad_scope([0,0] to multiple of 4)";
+        "fission([0,0,0] at 1)"; "split_scope([0,0,1,0] factor 4)";
+        "split_scope([0,0,0] factor 4)"; "split_scope([0,0,1] factor 2)";
+        "unroll([0,0,0])"; "unannotate([0,0,0])"; "unroll([0,0,1])" ], 11 );
+    ( "gemv", `Annealing, S.Edges, `Warm, "0x1.0016617c82eeap-18",
+      [ "split_scope([0] factor 8)"; "unroll([0,0])"; "unannotate([0,0])";
+        "split_scope([0,0,1] factor 8)"; "split_scope([0,0] factor 4)";
+        "interchange([0,0,0,1])"; "split_scope([0,0,0,1] factor 4)";
+        "interchange([0,0])"; "unroll([0,0,0,1,0,0])"; "unroll([0,0])" ], 0 );
+    ( "gemv", `Annealing, S.Heuristic, `Clean, "0x1.a2c2623ab2ae7p-18",
+      [], 0 );
+    ( "gemv", `Annealing, S.Heuristic, `Faults, "0x1.a2c2623ab2ae7p-18",
+      [], 7 );
+    ( "gemv", `Annealing, S.Heuristic, `Warm, "0x1.59beafa00d9e7p-18",
+      [ "split_scope([0] factor 8)"; "unroll([0,0])"; "unroll([0])" ], 0 );
+    ]
+  in
+  List.map
+    (fun (kernel, meth, space, cond, best_time, best_moves, failures) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s %s %s %s" kernel (name meth)
+           (S.(function Edges -> "edges" | Heuristic -> "heuristic") space)
+           (name cond))
+        `Quick
+        (fun () ->
+          let r = run kernel meth space cond in
+          Alcotest.(check string) "best_time" best_time
+            (Printf.sprintf "%h" r.best_time);
+          Alcotest.(check (list string)) "best_moves" best_moves r.best_moves;
+          Alcotest.(check int) "evals" 40 r.evals;
+          Alcotest.(check int) "failures" failures r.failures))
+    golden
+  @ [
+      Alcotest.test_case "a raising build counts only as a failure" `Quick
+        (fun () ->
+          List.iter
+            (fun meth ->
+              let calls = ref 0 in
+              let filter _ =
+                incr calls;
+                if !calls = 40 then failwith "filter" else true
+              in
+              let r = run ~filter "softmax" meth S.Edges `Clean in
+              Alcotest.(check int) (name meth ^ ": one failure") 1 r.failures;
+              Alcotest.(check int)
+                (name meth ^ ": evals + failures = budget")
+                40 (r.evals + r.failures))
+            [ `Sampling; `Annealing ]);
+      Alcotest.test_case "a negative budget is refused up front" `Quick
+        (fun () ->
+          let p = Kernels.scale ~n:16 in
+          let evaluated = ref false in
+          let objective q =
+            evaluated := true;
+            objective target_sn q
+          in
+          List.iter
+            (fun search ->
+              match search () with
+              | (_ : S.result) -> Alcotest.fail "accepted budget -1"
+              | exception Invalid_argument msg ->
+                  Alcotest.(check string)
+                    "message" "Stochastic: budget must be >= 0" msg)
+            [
+              (fun () ->
+                S.random_sampling ~space:S.Heuristic ~budget:(-1) caps_sn
+                  objective p);
+              (fun () ->
+                S.simulated_annealing ~space:S.Heuristic ~budget:(-1) caps_sn
+                  objective p);
+              (fun () ->
+                S.simulated_annealing ~batch ~space:S.Edges ~budget:(-1)
+                  caps_sn objective p);
+            ];
+          Alcotest.(check bool) "nothing evaluated" false !evaluated);
+      Alcotest.test_case "batch 1 curve includes the root" `Quick (fun () ->
+          let target, p = List.assoc "gemv" kernels in
+          let obs = Obs.Trace.make_buffer () in
+          let r = run ~obs "gemv" `Annealing S.Heuristic `Clean in
+          let is_eval j =
+            Util.Json.member "ev" j = Some (Util.Json.Str "search.eval")
+          in
+          Alcotest.(check int) "one search.eval per evaluated slot" r.evals
+            (List.length (List.filter is_eval (Obs.Trace.events obs)));
+          Alcotest.(check (float 0.0)) "last point is the best" r.best_time
+            r.curve.(Array.length r.curve - 1);
+          let root_time = objective target p in
+          Alcotest.(check bool) "no point above the root" true
+            (Array.for_all (fun v -> v <= root_time) r.curve));
+    ]
+
 let mutation_tests =
   [
     Alcotest.test_case "replay_skipping skips stale moves" `Quick (fun () ->
@@ -203,7 +417,7 @@ let parallel_search_tests =
         let p = Kernels.softmax ~n:16 ~m:16 in
         let run jobs =
           Parallel.Pool.with_pool ~jobs (fun pool ->
-              Search.Stochastic.simulated_annealing_parallel ~seed:7 ~pool
+              Search.Stochastic.simulated_annealing ~seed:7 ~batch ~pool
                 ~space:Search.Stochastic.Heuristic ~budget:40 caps_cpu
                 (objective target_cpu) p)
         in
@@ -213,7 +427,7 @@ let parallel_search_tests =
         let p = Kernels.gemv ~m:32 ~n:32 in
         let run jobs =
           Parallel.Pool.with_pool ~jobs (fun pool ->
-              Search.Stochastic.random_sampling_parallel ~seed:5 ~pool
+              Search.Stochastic.random_sampling ~seed:5 ~batch ~pool
                 ~space:Search.Stochastic.Edges ~budget:40 caps_sn
                 (objective target_sn) p)
         in
@@ -223,7 +437,7 @@ let parallel_search_tests =
         let p = Kernels.relu ~n:16 ~m:16 in
         Parallel.Pool.with_pool ~jobs:3 (fun pool ->
             let run () =
-              Search.Stochastic.simulated_annealing_parallel ~seed:9 ~pool
+              Search.Stochastic.simulated_annealing ~seed:9 ~batch ~pool
                 ~space:Search.Stochastic.Heuristic ~budget:30 caps_cpu
                 (objective target_cpu) p
             in
@@ -232,7 +446,7 @@ let parallel_search_tests =
         let p = Kernels.softmax ~n:8 ~m:8 in
         let r =
           Parallel.Pool.with_pool ~jobs:4 (fun pool ->
-              Search.Stochastic.simulated_annealing_parallel ~seed:3 ~pool
+              Search.Stochastic.simulated_annealing ~seed:3 ~batch ~pool
                 ~space:Search.Stochastic.Heuristic ~budget:30 caps_cpu
                 (objective target_cpu) p)
         in
@@ -243,7 +457,7 @@ let parallel_search_tests =
         let p = Kernels.gemv ~m:32 ~n:32 in
         let r =
           Parallel.Pool.with_pool ~jobs:2 (fun pool ->
-              Search.Stochastic.random_sampling_parallel ~seed:2 ~pool
+              Search.Stochastic.random_sampling ~seed:2 ~batch ~pool
                 ~space:Search.Stochastic.Heuristic ~budget:35 caps_sn
                 (objective target_sn) p)
         in
@@ -388,7 +602,7 @@ let visited_dedup_tests =
           let obs = Obs.Trace.make_buffer () in
           let r =
             Parallel.Pool.with_pool ~jobs (fun pool ->
-                Search.Stochastic.simulated_annealing_parallel ~seed:11
+                Search.Stochastic.simulated_annealing ~seed:11 ~batch
                   ~obs ~visited_dedup:true ~pool
                   ~space:Search.Stochastic.Heuristic ~budget:48 caps_sn
                   (objective target_sn) p)
@@ -407,7 +621,7 @@ let visited_dedup_tests =
           (fun (label, p, caps, target) ->
             let r =
               Parallel.Pool.with_pool ~jobs:2 (fun pool ->
-                  Search.Stochastic.random_sampling_parallel ~seed:3
+                  Search.Stochastic.random_sampling ~seed:3 ~batch
                     ~visited_dedup:true ~pool
                     ~space:Search.Stochastic.Heuristic ~budget:60 caps
                     (objective target) p)
@@ -428,7 +642,7 @@ let visited_dedup_tests =
           (fun (label, p, caps, target) ->
             let run visited_dedup =
               Parallel.Pool.with_pool ~jobs:2 (fun pool ->
-                  Search.Stochastic.simulated_annealing_parallel ~seed:5
+                  Search.Stochastic.simulated_annealing ~seed:5 ~batch
                     ~visited_dedup ~pool
                     ~space:Search.Stochastic.Heuristic ~budget:60 caps
                     (objective target) p)
@@ -448,7 +662,7 @@ let visited_dedup_tests =
         let ms = Obs.Metrics.create () in
         let r =
           Parallel.Pool.with_pool ~jobs:1 (fun pool ->
-              Search.Stochastic.simulated_annealing_parallel ~seed:5 ~obs
+              Search.Stochastic.simulated_annealing ~seed:5 ~batch ~obs
                 ~metrics:ms ~visited_dedup:true ~pool
                 ~space:Search.Stochastic.Heuristic ~budget:40 caps_sn
                 (objective target_sn) p)
@@ -478,6 +692,7 @@ let () =
       ("gpu-pass-semantics", gpu_pass_tests);
       ("improvements", improvement_tests);
       ("stochastic", stochastic_tests);
+      ("golden", golden_tests);
       ("mutation", mutation_tests);
       ("parallel-search", parallel_search_tests);
       ("exhaustive", exhaustive_tests);

@@ -222,9 +222,10 @@ let run_filtered ?(ratio = 0.25) ?(dedup = true) ~jobs ~seed ~budget () =
   let prerank = Surrogate.Model.prerank ~filter_ratio:ratio ~group:"t" model in
   let r =
     Parallel.Pool.with_pool ~jobs (fun pool ->
-        Search.Stochastic.random_sampling_parallel ~seed ~obs ~pool ~prerank
-          ~dedup ~space:Search.Stochastic.Heuristic ~budget caps time
-          (Kernels.softmax ~n:8 ~m:12))
+        Search.Stochastic.(
+          random_sampling ~seed ~obs ~batch:default_batch ~pool ~prerank
+            ~dedup ~space:Heuristic ~budget caps time
+            (Kernels.softmax ~n:8 ~m:12)))
   in
   (r, List.map Obs.Trace.strip_timing (Obs.Trace.events obs), model)
 
@@ -273,9 +274,10 @@ let keep_all_matches_legacy () =
     let obs = Obs.Trace.make_buffer () in
     let r =
       Parallel.Pool.with_pool ~jobs:2 (fun pool ->
-          Search.Stochastic.random_sampling_parallel ~seed:9 ~obs ~pool
-            ~space:Search.Stochastic.Heuristic ~budget:32 caps time
-            (Kernels.softmax ~n:8 ~m:12))
+          Search.Stochastic.(
+            random_sampling ~seed:9 ~obs ~batch:default_batch ~pool
+              ~space:Heuristic ~budget:32 caps time
+              (Kernels.softmax ~n:8 ~m:12)))
     in
     (r, List.map Obs.Trace.strip_timing (Obs.Trace.events obs))
   in
@@ -300,9 +302,9 @@ let bad_ratio_rejected () =
       in
       match
         Parallel.Pool.with_pool ~jobs:1 (fun pool ->
-            Search.Stochastic.random_sampling_parallel ~seed:1 ~pool
-              ~prerank ~space:Search.Stochastic.Heuristic ~budget:8 caps
-              time (Kernels.scale ~n:32))
+            Search.Stochastic.(
+              random_sampling ~seed:1 ~batch:default_batch ~pool ~prerank
+                ~space:Heuristic ~budget:8 caps time (Kernels.scale ~n:32)))
       with
       | _ -> Alcotest.failf "filter_ratio %g accepted" ratio
       | exception Invalid_argument _ -> ())

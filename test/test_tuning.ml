@@ -644,7 +644,8 @@ let facade_tests =
         let p = Kernels.softmax ~n:64 ~m:64 in
         let cache = Perfdojo.Tuning.Cache.create () in
         let outcome =
-          Perfdojo.optimize ~seed:1 ~cache
+          Perfdojo.optimize_ctx
+            ~ctx:Perfdojo.Ctx.(with_cache cache default)
             (Perfdojo.Annealing
                { budget = 60; space = Search.Stochastic.Heuristic })
             target_cpu p
@@ -661,14 +662,16 @@ let facade_tests =
       (fun () ->
         let p = Kernels.gemv ~m:64 ~n:64 in
         let search =
-          Perfdojo.optimize ~seed:3
+          Perfdojo.optimize_ctx
+            ~ctx:Perfdojo.Ctx.(with_seed 3 default)
             (Perfdojo.Annealing
                { budget = 80; space = Search.Stochastic.Heuristic })
             target_sn p
         in
         let naive_warm =
-          Perfdojo.optimize ~seed:1 ~warm_start:search.moves Perfdojo.Naive
-            target_sn p
+          Perfdojo.optimize_ctx
+            ~ctx:Perfdojo.Ctx.(with_warm_start search.moves default)
+            Perfdojo.Naive target_sn p
         in
         Alcotest.(check bool) "warm naive at or below plain search" true
           (naive_warm.time_s <= search.time_s +. 1e-18));
