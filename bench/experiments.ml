@@ -812,44 +812,31 @@ let tuning () =
         let strat =
           Perfdojo.Annealing { budget; space = Stoch.Heuristic }
         in
-        (* cold run: empty cache, no warm start; deposits its winner *)
+        (* each run deposits its winner under the one deposit rule *)
+        let run ctx =
+          let o, record =
+            Perfdojo.optimize_recorded ~ctx ~kernel ~target_name:tname strat
+              target p
+          in
+          Option.iter (fun r -> ignore (Tuning.Db.add db r)) record;
+          o
+        in
+        (* cold run: empty cache, no warm start *)
         let cold_cache = Tuning.Cache.create () in
         let cold =
-          Perfdojo.optimize_ctx
-            ~ctx:Perfdojo.Ctx.(default |> with_seed 1 |> with_cache cold_cache)
-            strat target p
+          run Perfdojo.Ctx.(default |> with_seed 1 |> with_cache cold_cache)
         in
-        (if cold.moves <> [] then
-           match
-             Tuning.Warmstart.record_of
-               ~objective:(time target) ~caps:(Machine.caps target)
-               ~kernel ~target:tname ~root:p ~moves:cold.moves
-               ~evals:cold.evaluations
-           with
-           | Ok r -> ignore (Tuning.Db.add db r)
-           | Error _ -> ());
         (* warm run: fresh cache, seeded from the database's best *)
         let warm_cache = Tuning.Cache.create () in
         let warm_start =
           Tuning.Warmstart.moves_for db ~kernel ~target:tname ~root:p
         in
         let warm =
-          Perfdojo.optimize_ctx
-            ~ctx:
-              Perfdojo.Ctx.(
-                default |> with_seed 2 |> with_cache warm_cache
-                |> with_warm_start warm_start)
-            strat target p
+          run
+            Perfdojo.Ctx.(
+              default |> with_seed 2 |> with_cache warm_cache
+              |> with_warm_start warm_start)
         in
-        (if warm.moves <> [] then
-           match
-             Tuning.Warmstart.record_of
-               ~objective:(time target) ~caps:(Machine.caps target)
-               ~kernel ~target:tname ~root:p ~moves:warm.moves
-               ~evals:warm.evaluations
-           with
-           | Ok r -> ignore (Tuning.Db.add db r)
-           | Error _ -> ());
         (kernel, tname, time target p, cold, cold_cache, warm, warm_cache))
       workloads
   in
@@ -876,26 +863,26 @@ let tuning () =
     " finish behind it; hits are performance-model evaluations avoided)";
   (* machine-readable summary for the perf trajectory *)
   let json =
-    Tuning.Json.Obj
+    Util.Json.Obj
       [
-        ("budget", Tuning.Json.Num (float_of_int budget));
+        ("budget", Util.Json.Num (float_of_int budget));
         ( "workloads",
-          Tuning.Json.Arr
+          Util.Json.Arr
             (List.map
                (fun (kernel, tname, _, (cold : Perfdojo.outcome), cold_cache,
                      (warm : Perfdojo.outcome), warm_cache) ->
-                 Tuning.Json.Obj
+                 Util.Json.Obj
                    [
-                     ("kernel", Tuning.Json.Str kernel);
-                     ("target", Tuning.Json.Str tname);
-                     ("cold_best_s", Tuning.Json.Num cold.time_s);
-                     ("warm_best_s", Tuning.Json.Num warm.time_s);
+                     ("kernel", Util.Json.Str kernel);
+                     ("target", Util.Json.Str tname);
+                     ("cold_best_s", Util.Json.Num cold.time_s);
+                     ("warm_best_s", Util.Json.Num warm.time_s);
                      ( "cold_hit_rate",
-                       Tuning.Json.Num (Tuning.Cache.hit_rate cold_cache) );
+                       Util.Json.Num (Tuning.Cache.hit_rate cold_cache) );
                      ( "warm_hit_rate",
-                       Tuning.Json.Num (Tuning.Cache.hit_rate warm_cache) );
+                       Util.Json.Num (Tuning.Cache.hit_rate warm_cache) );
                      ( "evals_saved",
-                       Tuning.Json.Num
+                       Util.Json.Num
                          (float_of_int
                             (Tuning.Cache.hits cold_cache
                             + Tuning.Cache.hits warm_cache)) );
@@ -904,7 +891,7 @@ let tuning () =
       ]
   in
   let oc = open_out "BENCH_tuning.json" in
-  output_string oc (Tuning.Json.to_string json);
+  output_string oc (Util.Json.to_string json);
   output_char oc '\n';
   close_out oc;
   print_endline "\nwrote BENCH_tuning.json";
@@ -1011,37 +998,37 @@ let parallel () =
   let oc = open_out "BENCH_parallel_trace.jsonl" in
   List.iter
     (fun ev ->
-      output_string oc (Tuning.Json.to_string ev);
+      output_string oc (Util.Json.to_string ev);
       output_char oc '\n')
     (Obs.Trace.events obs_last);
   close_out oc;
   print_endline "wrote BENCH_parallel_trace.jsonl";
   let json =
-    Tuning.Json.Obj
+    Util.Json.Obj
       [
-        ("budget", Tuning.Json.Num (float_of_int budget));
-        ("batch", Tuning.Json.Num (float_of_int batch));
-        ("measure_latency_s", Tuning.Json.Num measure_latency);
-        ("workload", Tuning.Json.Str "annealing/heuristic softmax 512x512 x86");
-        ("identical", Tuning.Json.Str (string_of_bool identical));
-        ("trace_identical", Tuning.Json.Str (string_of_bool trace_identical));
-        ("seq_wall_s", Tuning.Json.Num seq_wall);
+        ("budget", Util.Json.Num (float_of_int budget));
+        ("batch", Util.Json.Num (float_of_int batch));
+        ("measure_latency_s", Util.Json.Num measure_latency);
+        ("workload", Util.Json.Str "annealing/heuristic softmax 512x512 x86");
+        ("identical", Util.Json.Str (string_of_bool identical));
+        ("trace_identical", Util.Json.Str (string_of_bool trace_identical));
+        ("seq_wall_s", Util.Json.Num seq_wall);
         ( "runs",
-          Tuning.Json.Arr
+          Util.Json.Arr
             (List.map
                (fun (j, ((r : Stoch.result), w, _)) ->
-                 Tuning.Json.Obj
+                 Util.Json.Obj
                    [
-                     ("jobs", Tuning.Json.Num (float_of_int j));
-                     ("wall_s", Tuning.Json.Num w);
-                     ("speedup_vs_jobs1", Tuning.Json.Num (w1 /. w));
-                     ("best_s", Tuning.Json.Num r.best_time);
+                     ("jobs", Util.Json.Num (float_of_int j));
+                     ("wall_s", Util.Json.Num w);
+                     ("speedup_vs_jobs1", Util.Json.Num (w1 /. w));
+                     ("best_s", Util.Json.Num r.best_time);
                    ])
                results) );
       ]
   in
   let oc = open_out "BENCH_parallel.json" in
-  output_string oc (Tuning.Json.to_string json);
+  output_string oc (Util.Json.to_string json);
   output_char oc '\n';
   close_out oc;
   print_endline "wrote BENCH_parallel.json"
@@ -1172,31 +1159,31 @@ let faults () =
       (Printf.sprintf "faults: guard overhead %.2fx exceeds 5x bound"
          overhead);
   let json =
-    Tuning.Json.Obj
+    Util.Json.Obj
       [
-        ("fault_rate", Tuning.Json.Num rate);
-        ("budget", Tuning.Json.Num (float_of_int budget));
-        ("workload", Tuning.Json.Str "annealing/heuristic softmax 64x64 x86");
-        ("trace_identical", Tuning.Json.Str (string_of_bool trace_identical));
-        ("guard_overhead_ratio", Tuning.Json.Num overhead);
-        ("guard_overhead_evals", Tuning.Json.Num (float_of_int evals));
+        ("fault_rate", Util.Json.Num rate);
+        ("budget", Util.Json.Num (float_of_int budget));
+        ("workload", Util.Json.Str "annealing/heuristic softmax 64x64 x86");
+        ("trace_identical", Util.Json.Str (string_of_bool trace_identical));
+        ("guard_overhead_ratio", Util.Json.Num overhead);
+        ("guard_overhead_evals", Util.Json.Num (float_of_int evals));
         ( "runs",
-          Tuning.Json.Arr
+          Util.Json.Arr
             (List.map
                (fun (label, (o : Perfdojo.outcome), wall, _) ->
-                 Tuning.Json.Obj
+                 Util.Json.Obj
                    [
-                     ("run", Tuning.Json.Str label);
-                     ("wall_s", Tuning.Json.Num wall);
-                     ("best_s", Tuning.Json.Num o.time_s);
-                     ("evals", Tuning.Json.Num (float_of_int o.evaluations));
-                     ("failures", Tuning.Json.Num (float_of_int o.failures));
+                     ("run", Util.Json.Str label);
+                     ("wall_s", Util.Json.Num wall);
+                     ("best_s", Util.Json.Num o.time_s);
+                     ("evals", Util.Json.Num (float_of_int o.evaluations));
+                     ("failures", Util.Json.Num (float_of_int o.failures));
                    ])
                runs) );
       ]
   in
   let oc = open_out "BENCH_faults.json" in
-  output_string oc (Tuning.Json.to_string json);
+  output_string oc (Util.Json.to_string json);
   output_char oc '\n';
   close_out oc;
   print_endline "wrote BENCH_faults.json"
@@ -1276,26 +1263,26 @@ let libgen () =
     (Report.x2 (w1 /. w4))
     (100. *. skip_rate) ww;
   let json =
-    Tuning.Json.Obj
+    Util.Json.Obj
       [
-        ("budget", Tuning.Json.Num (float_of_int budget));
-        ("kernels", Tuning.Json.Num (float_of_int n_kernels));
+        ("budget", Util.Json.Num (float_of_int budget));
+        ("kernels", Util.Json.Num (float_of_int n_kernels));
         ( "targets",
-          Tuning.Json.Arr (List.map (fun t -> Tuning.Json.Str t) targets) );
-        ("pairs", Tuning.Json.Num (float_of_int pairs));
-        ("manifest_identical", Tuning.Json.Str (string_of_bool (m1 = m4)));
-        ("cold_wall_jobs1_s", Tuning.Json.Num w1);
-        ("cold_wall_jobs4_s", Tuning.Json.Num w4);
-        ("parallel_speedup", Tuning.Json.Num (w1 /. w4));
-        ("warm_wall_s", Tuning.Json.Num ww);
-        ("warm_skip_rate", Tuning.Json.Num skip_rate);
-        ("fresh", Tuning.Json.Num (float_of_int lib4.Libgen.fresh));
-        ("skipped", Tuning.Json.Num (float_of_int warm.Libgen.skipped));
-        ("degraded", Tuning.Json.Num (float_of_int warm.Libgen.degraded));
+          Util.Json.Arr (List.map (fun t -> Util.Json.Str t) targets) );
+        ("pairs", Util.Json.Num (float_of_int pairs));
+        ("manifest_identical", Util.Json.Str (string_of_bool (m1 = m4)));
+        ("cold_wall_jobs1_s", Util.Json.Num w1);
+        ("cold_wall_jobs4_s", Util.Json.Num w4);
+        ("parallel_speedup", Util.Json.Num (w1 /. w4));
+        ("warm_wall_s", Util.Json.Num ww);
+        ("warm_skip_rate", Util.Json.Num skip_rate);
+        ("fresh", Util.Json.Num (float_of_int lib4.Libgen.fresh));
+        ("skipped", Util.Json.Num (float_of_int warm.Libgen.skipped));
+        ("degraded", Util.Json.Num (float_of_int warm.Libgen.degraded));
       ]
   in
   let oc = open_out "BENCH_libgen.json" in
-  output_string oc (Tuning.Json.to_string json);
+  output_string oc (Util.Json.to_string json);
   output_char oc '\n';
   close_out oc;
   print_endline "wrote BENCH_libgen.json (library in BENCH_libgen/)"
@@ -1436,30 +1423,30 @@ let serve () =
     (!warm_total - !warm_misses)
     !warm_total req_s (Report.x2 ratio);
   let json =
-    Tuning.Json.Obj
+    Util.Json.Obj
       [
-        ("budget", Tuning.Json.Num (float_of_int budget));
-        ("target", Tuning.Json.Str target);
+        ("budget", Util.Json.Num (float_of_int budget));
+        ("target", Util.Json.Str target);
         ( "kernels",
-          Tuning.Json.Arr (List.map (fun k -> Tuning.Json.Str k) kernels) );
-        ("requests", Tuning.Json.Num (float_of_int requests));
-        ("cold_wall_s", Tuning.Json.Num cold_wall);
-        ("warm_wall_s", Tuning.Json.Num warm_wall);
-        ("warm_req_per_s", Tuning.Json.Num req_s);
-        ("cold_p50_s", Tuning.Json.Num c.p50);
-        ("cold_p99_s", Tuning.Json.Num c.p99);
-        ("warm_p50_s", Tuning.Json.Num w.p50);
-        ("warm_p99_s", Tuning.Json.Num w.p99);
-        ("warm_to_cold_p50", Tuning.Json.Num ratio);
+          Util.Json.Arr (List.map (fun k -> Util.Json.Str k) kernels) );
+        ("requests", Util.Json.Num (float_of_int requests));
+        ("cold_wall_s", Util.Json.Num cold_wall);
+        ("warm_wall_s", Util.Json.Num warm_wall);
+        ("warm_req_per_s", Util.Json.Num req_s);
+        ("cold_p50_s", Util.Json.Num c.p50);
+        ("cold_p99_s", Util.Json.Num c.p99);
+        ("warm_p50_s", Util.Json.Num w.p50);
+        ("warm_p99_s", Util.Json.Num w.p99);
+        ("warm_to_cold_p50", Util.Json.Num ratio);
         ( "warm_hit_rate",
-          Tuning.Json.Num
+          Util.Json.Num
             (float_of_int (!warm_total - !warm_misses)
             /. float_of_int !warm_total) );
-        ("records", Tuning.Json.Num (float_of_int records));
+        ("records", Util.Json.Num (float_of_int records));
       ]
   in
   let oc = open_out "BENCH_serve.json" in
-  output_string oc (Tuning.Json.to_string json);
+  output_string oc (Util.Json.to_string json);
   output_char oc '\n';
   close_out oc;
   print_endline "wrote BENCH_serve.json"
@@ -1610,30 +1597,30 @@ let surrogate () =
     (Obs.Metrics.counter metrics "surrogate.filtered")
     (Obs.Metrics.counter metrics "surrogate.dedup_saved");
   let json =
-    Tuning.Json.Obj
+    Util.Json.Obj
       [
-        ("budget", Tuning.Json.Num (float_of_int budget));
+        ("budget", Util.Json.Num (float_of_int budget));
         ( "train_kernels",
-          Tuning.Json.Arr
+          Util.Json.Arr
             (List.map
-               (fun (e : Kernels.entry) -> Tuning.Json.Str e.label)
+               (fun (e : Kernels.entry) -> Util.Json.Str e.label)
                Kernels.table3) );
-        ("held_out", Tuning.Json.Str "softmax n=48 m=96");
-        ("filter_ratio", Tuning.Json.Num 0.25);
-        ("baseline_best_s", Tuning.Json.Num baseline.time_s);
+        ("held_out", Util.Json.Str "softmax n=48 m=96");
+        ("filter_ratio", Util.Json.Num 0.25);
+        ("baseline_best_s", Util.Json.Num baseline.time_s);
         ( "baseline_evals",
-          Tuning.Json.Num (float_of_int baseline.evaluations) );
-        ("filtered_best_s", Tuning.Json.Num filt.time_s);
-        ("filtered_evals", Tuning.Json.Num (float_of_int filt.evaluations));
-        ("best_time_ratio", Tuning.Json.Num regression);
-        ("eval_reduction", Tuning.Json.Num reduction);
-        ("online_updates", Tuning.Json.Num (float_of_int online_updates));
-        ("offline_records", Tuning.Json.Num (float_of_int stats.records));
-        ("offline_pairs", Tuning.Json.Num (float_of_int stats.pairs));
+          Util.Json.Num (float_of_int baseline.evaluations) );
+        ("filtered_best_s", Util.Json.Num filt.time_s);
+        ("filtered_evals", Util.Json.Num (float_of_int filt.evaluations));
+        ("best_time_ratio", Util.Json.Num regression);
+        ("eval_reduction", Util.Json.Num reduction);
+        ("online_updates", Util.Json.Num (float_of_int online_updates));
+        ("offline_records", Util.Json.Num (float_of_int stats.records));
+        ("offline_pairs", Util.Json.Num (float_of_int stats.pairs));
       ]
   in
   let oc = open_out "BENCH_surrogate.json" in
-  output_string oc (Tuning.Json.to_string json);
+  output_string oc (Util.Json.to_string json);
   output_char oc '\n';
   close_out oc;
   print_endline "wrote BENCH_surrogate.json"
@@ -1738,50 +1725,50 @@ let exhaustive () =
   let oc = open_out "BENCH_exhaustive_trace.jsonl" in
   List.iter
     (fun ev ->
-      output_string oc (Tuning.Json.to_string ev);
+      output_string oc (Util.Json.to_string ev);
       output_char oc '\n')
     (Obs.Trace.events obs);
   close_out oc;
   print_endline "wrote BENCH_exhaustive_trace.jsonl";
   let json =
-    Tuning.Json.Obj
+    Util.Json.Obj
       [
-        ("depth", Tuning.Json.Num (float_of_int depth));
-        ("budget", Tuning.Json.Num (float_of_int budget));
+        ("depth", Util.Json.Num (float_of_int depth));
+        ("budget", Util.Json.Num (float_of_int budget));
         ( "kernels",
-          Tuning.Json.Arr
+          Util.Json.Arr
             (List.map
                (fun (label, (ex : Search.Exhaustive.result),
                          (plain : Stoch.result), (dd : Stoch.result)) ->
-                 Tuning.Json.Obj
+                 Util.Json.Obj
                    [
-                     ("kernel", Tuning.Json.Str label);
-                     ("unique", Tuning.Json.Num (float_of_int ex.unique));
-                     ("total", Tuning.Json.Num (float_of_int ex.total));
+                     ("kernel", Util.Json.Str label);
+                     ("unique", Util.Json.Num (float_of_int ex.unique));
+                     ("total", Util.Json.Num (float_of_int ex.total));
                      ( "unique_total_ratio",
-                       Tuning.Json.Num
+                       Util.Json.Num
                          (float_of_int ex.unique /. float_of_int ex.total)
                      );
                      ( "certified",
-                       Tuning.Json.Str (string_of_bool ex.certified) );
+                       Util.Json.Str (string_of_bool ex.certified) );
                      ( "exhausted",
-                       Tuning.Json.Str (string_of_bool ex.exhausted) );
-                     ("certified_best_s", Tuning.Json.Num ex.best_time);
+                       Util.Json.Str (string_of_bool ex.exhausted) );
+                     ("certified_best_s", Util.Json.Num ex.best_time);
                      ( "exhaustive_evals",
-                       Tuning.Json.Num (float_of_int ex.evals) );
-                     ("stoch_best_s", Tuning.Json.Num plain.best_time);
+                       Util.Json.Num (float_of_int ex.evals) );
+                     ("stoch_best_s", Util.Json.Num plain.best_time);
                      ( "stoch_evals_plain",
-                       Tuning.Json.Num (float_of_int plain.evals) );
+                       Util.Json.Num (float_of_int plain.evals) );
                      ( "stoch_evals_visited",
-                       Tuning.Json.Num (float_of_int dd.evals) );
+                       Util.Json.Num (float_of_int dd.evals) );
                      ( "visited_slots",
-                       Tuning.Json.Num (float_of_int dd.visited) );
+                       Util.Json.Num (float_of_int dd.visited) );
                    ])
                rows) );
       ]
   in
   let oc = open_out "BENCH_exhaustive.json" in
-  output_string oc (Tuning.Json.to_string json);
+  output_string oc (Util.Json.to_string json);
   output_char oc '\n';
   close_out oc;
   print_endline "wrote BENCH_exhaustive.json"
@@ -1850,12 +1837,13 @@ let script () =
           failwith (label ^ ": composites did not save evaluations");
         (* round-trip: winning moves -> .pds -> selector replay ->
            byte-identical program *)
-        let replayed, applied =
-          Stoch.replay_skipping caps_macro p macro.best_moves
+        let replayed =
+          match Stoch.replay_exact caps_macro p macro.best_moves with
+          | Ok q -> q
+          | Error e ->
+              failwith (label ^ ": winner is not move-replayable: " ^ e)
         in
-        if List.length applied <> List.length macro.best_moves then
-          failwith (label ^ ": winner is not move-replayable");
-        let pds = Transfo.Script.of_moves ~kernel:label applied in
+        let pds = Transfo.Script.of_moves ~kernel:label macro.best_moves in
         (match Transfo.Script.parse (Transfo.Script.to_string pds) with
         | Error e -> failwith (label ^ ": emitted script unparseable: " ^ e)
         | Ok reparsed -> (

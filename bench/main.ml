@@ -2,8 +2,6 @@
 
    `dune exec bench/main.exe`                runs every experiment
    `dune exec bench/main.exe -- fig7 fig8`   runs a subset
-   `dune exec bench/main.exe -- framework`   Bechamel micro-benchmarks of
-                                             the framework itself
    `dune exec bench/main.exe -- tuning --db tune.jsonl`
                                              tuning-database trajectory
                                              against a persistent store
@@ -12,67 +10,8 @@
    (cache hit rates, evals saved, best runtimes).
 
    Environment: PERFDOJO_BUDGET (search evaluations per kernel, default
-   300; the paper uses 1000), PERFDOJO_RL_EPISODES (default 14). *)
-
-let run_framework_microbench () =
-  Report.header
-    "Framework micro-benchmarks (Bechamel): the tooling itself";
-  let open Bechamel in
-  let open Toolkit in
-  let caps = Machine.caps (Machine.Desc.Cpu Machine.Desc.avx512_cpu) in
-  let softmax = Kernels.softmax ~n:64 ~m:64 in
-  let softmax_small = Kernels.softmax ~n:4 ~m:8 in
-  let text = Ir.Printer.program softmax in
-  let tests =
-    [
-      Test.make ~name:"printer.softmax" (Staged.stage (fun () ->
-          ignore (Ir.Printer.program softmax)));
-      Test.make ~name:"parser.softmax" (Staged.stage (fun () ->
-          ignore (Ir.Parser.program text)));
-      Test.make ~name:"validate.softmax" (Staged.stage (fun () ->
-          ignore (Ir.Validate.check softmax)));
-      Test.make ~name:"xforms.discovery.softmax" (Staged.stage (fun () ->
-          ignore (Transform.Xforms.all caps softmax)));
-      Test.make ~name:"interp.softmax.4x8" (Staged.stage (fun () ->
-          let t = Interp.alloc_tensors softmax_small in
-          Interp.run softmax_small t));
-      Test.make ~name:"cpu_model.softmax" (Staged.stage (fun () ->
-          ignore (Machine.Cpu_model.time Machine.Desc.avx512_cpu softmax)));
-      Test.make ~name:"snitch_sim.gemv" (Staged.stage (fun () ->
-          ignore
-            (Machine.Snitch_sim.time Machine.Desc.snitch_cluster
-               (Kernels.gemv ~m:64 ~n:64))));
-      Test.make ~name:"embed.softmax" (Staged.stage (fun () ->
-          ignore (Rl.Embed.embed softmax)));
-      Test.make ~name:"gpu_model.mul" (Staged.stage (fun () ->
-          ignore
-            (Machine.Gpu_model.time Machine.Desc.gh200
-               (Kernels.mul ~n:6 ~m:14336))));
-    ]
-  in
-  let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 500) ()
-    in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true
-        ~predictors:Measure.[| run |]
-    in
-    Analyze.all ols Instance.monotonic_clock results
-  in
-  let test = Test.make_grouped ~name:"perfdojo" ~fmt:"%s %s" tests in
-  let results = benchmark test in
-  let results = analyze results in
-  Hashtbl.iter
-    (fun name result ->
-      match Bechamel.Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "  %-36s %12.1f ns/run\n" name est
-      | _ -> Printf.printf "  %-36s (no estimate)\n" name)
-    results
+   300; the paper uses 1000), PERFDOJO_RL_EPISODES (default 14).
+   Per-layer costs of the tooling: `perfbench/run.sh --trace 1`. *)
 
 (* Strip `--db FILE` and `--fault-rate R` from the argument list,
    routing them to the tuning / fault-tolerance experiments. *)
@@ -99,21 +38,15 @@ let () =
   let trace = Obs.Trace.make_buffer () in
   let timed name f = Obs.Span.run ~trace ("experiment." ^ name) f in
   (match args with
-  | [] ->
-      List.iter (fun (name, f) -> timed name f) Experiments.all;
-      timed "framework" run_framework_microbench
-  | [ "framework" ] -> timed "framework" run_framework_microbench
+  | [] -> List.iter (fun (name, f) -> timed name f) Experiments.all
   | names ->
       List.iter
         (fun name ->
-          if name = "framework" then timed "framework" run_framework_microbench
-          else
-            match List.assoc_opt name Experiments.all with
-            | Some f -> timed name f
-            | None ->
-                Printf.eprintf "unknown experiment %S; available: %s\n" name
-                  (String.concat ", "
-                     ("framework" :: List.map fst Experiments.all)))
+          match List.assoc_opt name Experiments.all with
+          | Some f -> timed name f
+          | None ->
+              Printf.eprintf "unknown experiment %S; available: %s\n" name
+                (String.concat ", " (List.map fst Experiments.all)))
         names);
   let oc = open_out "BENCH_trace.jsonl" in
   List.iter

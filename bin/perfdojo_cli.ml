@@ -572,31 +572,32 @@ let optimize_cmd =
            | None -> []
            | Some d -> (
                match
-                 Tuning.Warmstart.moves_for d ~kernel:e.label ~target:tname
-                   ~root:p
+                 Tuning.Warmstart.lookup d ~kernel:e.label ~target:tname
+                   ~keys:(Tuning.Record.root_keys p)
                with
-               | [] ->
+               | None ->
                    Printf.eprintf
                      "note: no matching record for %s on %s; starting cold\n"
                      e.label tname;
                    []
-               | moves ->
+               | Some r ->
                    (* pre-script records (schema <= 2) replay through the
                       deprecated describe-string path; nudge toward the
                       script format without blocking the run *)
-                   (match Tuning.Db.best d ~kernel:e.label ~target:tname with
-                   | Some r when r.Tuning.Record.script = None ->
-                       Printf.eprintf
-                         "warning: record for %s on %s has no script \
-                          provenance (schema %d); replaying raw move \
-                          strings, which is deprecated — re-tune with \
-                          --db to upgrade the record\n"
-                         e.label tname r.Tuning.Record.schema
-                   | _ -> ());
-                   moves)
+                   if r.Tuning.Record.script = None then
+                     Printf.eprintf
+                       "warning: record for %s on %s has no script \
+                        provenance (schema %d); replaying raw move \
+                        strings, which is deprecated — re-tune with \
+                        --db to upgrade the record\n"
+                       e.label tname r.Tuning.Record.schema;
+                   r.Tuning.Record.moves)
        in
        let ctx = Ctx.with_warm_start warm_start ctx in
-       let outcome = Perfdojo.optimize_ctx ~ctx strat t p in
+       let outcome, record =
+         Perfdojo.optimize_recorded ~ctx ~kernel:e.label ~target_name:tname
+           strat t p
+       in
        Printf.printf "kernel:     %s (%s)\n" e.label e.shape_desc;
        Printf.printf "target:     %s\n" (Machine.Desc.target_name t);
        Printf.printf "strategy:   %s%s\n" strategy
@@ -628,33 +629,24 @@ let optimize_cmd =
        print_endline "schedule:";
        print_endline (Ir.Printer.body outcome.schedule);
        (* deposit the winner into the database *)
-       (match (db, common.co_db) with
-       | Some d, Some f ->
-           if outcome.moves = [] then
-             Printf.eprintf
-               "note: %s produced no move-replayable schedule; not recorded\n"
-               strategy
-           else
-             Obs.Span.run ?metrics:ctx.Ctx.metrics ~trace:ctx.Ctx.obs
-               "db-write" (fun () ->
-                 match
-                   Tuning.Warmstart.record_of
-                     ~objective:(fun q -> Machine.time t q)
-                     ~caps:(Perfdojo.caps_of ~ctx t) ~kernel:e.label
-                     ~target:tname ~root:p ~moves:outcome.moves
-                     ~evals:outcome.evaluations
-                 with
-                 | Error msg -> Printf.eprintf "note: not recorded: %s\n" msg
-                 | Ok r ->
-                     let verdict =
-                       match Tuning.Db.add d r with
-                       | `Inserted -> "new record"
-                       | `Improved -> "improved record"
-                       | `Duplicate -> "no improvement over recorded best"
-                     in
-                     Tuning.Db.save d f;
-                     Printf.printf "db:         %s (%s, %d records)\n" f
-                       verdict (Tuning.Db.size d))
+       (match (db, common.co_db, record) with
+       | Some _, Some _, None ->
+           Printf.eprintf
+             "note: the %s schedule does not replay to its modelled time; not \
+              recorded\n"
+             strategy
+       | Some d, Some f, Some r ->
+           Obs.Span.run ?metrics:ctx.Ctx.metrics ~trace:ctx.Ctx.obs "db-write"
+             (fun () ->
+               let verdict =
+                 match Tuning.Db.add d r with
+                 | `Inserted -> "new record"
+                 | `Improved -> "improved record"
+                 | `Duplicate -> "no improvement over recorded best"
+               in
+               Tuning.Db.save d f;
+               Printf.printf "db:         %s (%s, %d records)\n" f verdict
+                 (Tuning.Db.size d))
        | _ -> ());
        if check then begin
          let small = e.build_small () in
@@ -691,8 +683,8 @@ let optimize_cmd =
       value & flag
       & info [ "warm-start" ]
           ~doc:
-            "Seed the search from the database's best recorded schedule \
-             for this kernel/target (requires --db).")
+            "Seed the search from the database's fastest record for this \
+             kernel/target and program fingerprint (requires --db).")
   in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Optimize a kernel for a target machine.")
@@ -1125,7 +1117,7 @@ let replay_cmd =
            (read [])
        in
        let p = e.build () in
-       match Transform.Engine.replay_compat caps p moves with
+       match Search.Stochastic.replay_exact caps p moves with
        | Error msg -> Error (false, "replay failed: " ^ msg)
        | Ok result ->
            Printf.printf "replayed %d moves\n" (List.length moves);
@@ -1748,7 +1740,8 @@ let script_run_cmd =
              | Some f -> (
                  let* db = load_db f in
                  match
-                   Tuning.Db.best db ~kernel:e.label ~target:tname
+                   Tuning.Warmstart.lookup db ~kernel:e.label ~target:tname
+                     ~keys:(Tuning.Record.root_keys p)
                  with
                  | None ->
                      Printf.printf
@@ -1756,8 +1749,11 @@ let script_run_cmd =
                        tname f;
                      Ok ()
                  | Some r ->
-                     let replayed, _ =
-                       Search.Stochastic.replay_skipping caps p r.moves
+                     let* replayed =
+                       Result.map_error
+                         (fun msg ->
+                           (false, "recorded best does not replay: " ^ msg))
+                         (Search.Stochastic.replay_exact caps p r.moves)
                      in
                      if
                        String.equal

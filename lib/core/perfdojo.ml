@@ -627,13 +627,13 @@ and optimize_portfolio_ctx ~(ctx : Ctx.t)
 
 (* One tuned request, ready to deposit: optimize under the context and
    build the replayed-and-retimed database record of the winner in the
-   same call — the entry a long-running consumer (the serve daemon, the
-   CLI's optimize verb) needs, so each does not reimplement the
-   "optimize, then Warmstart.record_of, then decide recordability"
-   dance.  The record is [None] when the winner carries no move trace
-   (pass strategies), when some move no longer replays, or when the
-   replayed schedule would record a *slower* time than the outcome —
-   depositing that would make a future warm start worse than cold. *)
+   same call — the one deposit rule, shared by the serve daemon, the
+   library generator and the CLI's optimize verb.  The record is [None]
+   when the moves do not replay exactly under the run's caps, or when
+   the replayed schedule would record a *slower* time than the outcome
+   — depositing that would make a future warm start worse than cold
+   (a pass strategy's schedule carries no move trace, so it records
+   only when the root is at least as fast). *)
 let optimize_recorded ~(ctx : Ctx.t) ~kernel ~target_name strategy
     (target : target) (prog : Ir.Prog.t) : outcome * Tuning.Record.t option
     =

@@ -269,15 +269,15 @@ val optimize_recorded :
   Ir.Prog.t ->
   outcome * Tuning.Record.t option
 (** {!optimize_ctx} plus the tuning-database record of the winner in one
-    call — the entry long-running consumers (the serve daemon, the CLI's
-    optimize verb) deposit from.  The record is built by {e replaying}
-    the winning move sequence and re-timing it
-    ({!Tuning.Warmstart.record_of}), so everything deposited is
-    reproducible; an empty move sequence records the root itself (a
-    kernel already optimal in naive form still warms up).  The record is
-    [None] when a move no longer replays or the replayed time would be
-    slower than the outcome's (recording that would make warm starts
-    regress). *)
+    call — the one deposit rule: the serve daemon, [Libgen.generate]
+    and the CLI's optimize verb all deposit from it.  The record is
+    built by {e replaying} the winning move sequence with
+    {!caps_of}[ ~ctx] and re-timing it ({!Tuning.Warmstart.record_of}),
+    so everything deposited is reproducible; an empty move sequence
+    records the root itself (a kernel already optimal in naive form
+    still warms up).  The record is [None] when the sequence does not
+    replay exactly or the replayed time would be slower than the
+    outcome's (recording that would make warm starts regress). *)
 
 val optimize_portfolio_ctx :
   ctx:Ctx.t ->

@@ -8,9 +8,10 @@
 
    Three properties shape the implementation:
 
-   - incremental: a pair whose tuning-database best matches the current
-     program fingerprint is reproduced by replay instead of re-searched
-     (a [libgen.skip] trace event; [Skipped] in the manifest);
+   - incremental: a pair whose tuning-database record matches the
+     current program fingerprint is reproduced by exact replay instead
+     of re-searched (a [libgen.skip] trace event; [Skipped] in the
+     manifest);
    - fault-tolerant: pairs run under [Parallel.Pool.map_result], so a
      crashing optimization degrades that pair to the naive schedule —
      classified through [Robust.Guard]'s failure taxonomy and flagged
@@ -280,10 +281,9 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
         let keys = Tuning.Record.root_keys root in
         let fp = fst keys in
         let naive_s = Machine.time t root in
-        let best =
-          match db with
-          | None -> None
-          | Some d -> Tuning.Db.best d ~kernel:e.label ~target:tname
+        let record =
+          Option.bind db (fun d ->
+              Tuning.Warmstart.lookup d ~kernel:e.label ~target:tname ~keys)
         in
         let item =
           (* a ledgered pair completed before the crash: its entry wins
@@ -293,18 +293,18 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
           match Hashtbl.find_opt ledgered (pair_id e.label tname) with
           | Some j -> Ledgered j
           | None -> (
-              match best with
-              | Some r when Tuning.Record.matches_root ~keys r ->
-                  if force then Optimize r.moves
-                  else
-                    let sched, applied =
-                      Tuning.Warmstart.replay (Machine.caps t) root r.moves
-                    in
-                    (* a record some of whose moves no longer apply is
-                       stale: re-optimize, still seeded by what replays *)
-                    if applied = r.moves then Reproduce (r, sched)
-                    else Optimize r.moves
-              | _ -> Optimize [] (* no record, or a different root program *))
+              match record with
+              | Some r when force -> Optimize r.moves
+              | Some r -> (
+                  (* a record that no longer replays exactly is stale:
+                     re-optimize, still seeded by what replays *)
+                  match
+                    Search.Stochastic.replay_exact (P.caps_of ~ctx t) root
+                      r.moves
+                  with
+                  | Ok sched -> Reproduce (r, sched)
+                  | Error _ -> Optimize r.moves)
+              | None -> Optimize [])
         in
         (tname, t, e, root, fp, naive_s, item))
       pairs
@@ -322,7 +322,7 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
            | Reproduce _ | Ledgered _ -> None)
          plan)
   in
-  let task (_, t, _, root, _, warm) =
+  let task (tname, t, (e : Kernels.entry), root, _, warm) =
     let sink = if traced then Obs.Trace.make_buffer () else Obs.Trace.null in
     (* per-pair searches never checkpoint themselves: the ledger is the
        suite's unit of recovery, and a pair is cheap to rerun *)
@@ -336,30 +336,14 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
         resume = false;
       }
     in
-    let o = P.optimize_ctx ~ctx:pctx strategy t root in
-    (o, sink)
+    let o, record =
+      P.optimize_recorded ~ctx:pctx ~kernel:e.label ~target_name:tname
+        strategy t root
+    in
+    (* without a database there is nothing to deposit into *)
+    (o, (if db = None then None else record), sink)
   in
-  (* The deposit decision (pure) and the deposit itself, split so the
-     ledger can record the decision before the database mutation. *)
-  let deposit_record ~kernel ~tname ~t ~root (o : P.outcome) =
-    match db with
-    | None -> None
-    | Some _ -> (
-        match
-          Tuning.Warmstart.record_of ~objective:(Machine.time t)
-            ~caps:(Machine.caps t) ~kernel ~target:tname ~root ~moves:o.moves
-            ~evals:o.evaluations
-        with
-        | Error _ -> None
-        | Ok r ->
-            (* Only a replayable winner is worth recording: a pass
-               schedule with no move trace would deposit the naive time
-               and make the next run "skip" to a slower library. *)
-            if r.Tuning.Record.best_time <= o.time_s *. (1. +. 1e-9) then
-              Some r
-            else None)
-  in
-  let apply_deposit r =
+  let deposit r =
     match db with
     | None -> ()
     | Some d ->
@@ -368,56 +352,46 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
         ignore (Tuning.Db.add d r);
         (match db_file with Some f -> Tuning.Db.save d f | None -> ())
   in
-  let deposit ~kernel ~tname ~t ~root (o : P.outcome) =
-    match deposit_record ~kernel ~tname ~t ~root o with
-    | None -> false
-    | Some r ->
-        apply_deposit r;
-        true
-  in
-  let fresh_results : (P.outcome * Obs.Trace.sink, exn) result array =
+  let fresh_results :
+      (P.outcome * Tuning.Record.t option * Obs.Trace.sink, exn) result array
+      =
     Array.make (Array.length fresh_tasks) (Stdlib.Error Exit)
   in
-  let recorded_flags = Array.make (Array.length fresh_tasks) false in
-  (* Ledger one completed fresh task: translate the raw task result to
-     its final manifest fields (mirroring the fold below), append the
-     entry — fsynced, *before* the deposit — then deposit.  Once the
-     append returns, a kill anywhere leaves a resumable suite. *)
-  let ledger_completed w i =
-    let tname, t, (e : Kernels.entry), root, naive_s, _ = fresh_tasks.(i) in
+  (* Settle one completed fresh task, in pair order: ledger its final
+     manifest fields (mirroring the fold below) — fsynced, *before* the
+     deposit, so once the append returns a kill anywhere leaves a
+     resumable suite — then deposit its record. *)
+  let settle i =
+    let tname, _, (e : Kernels.entry), _, naive_s, _ = fresh_tasks.(i) in
     let pid = pair_id e.label tname in
     let append ~status ~strategy ~moves ~time_s ~evaluations ~failures
         ~recorded ~error =
-      Recover.Journal.append w
-        (ledger_entry_json ~pid ~status ~strategy ~moves ~time_s ~evaluations
-           ~failures ~recorded ~error);
-      (match metrics with
-      | Some m -> Obs.Metrics.incr m "journal.appends"
-      | None -> ());
-      if traced then
-        Obs.Trace.emit obs "journal.append" (fun () ->
-            Obs.Trace.[ str "kind" "libgen"; str "key" pid ])
+      match ledger with
+      | None -> ()
+      | Some w ->
+          Recover.Journal.append w
+            (ledger_entry_json ~pid ~status ~strategy ~moves ~time_s
+               ~evaluations ~failures ~recorded ~error);
+          (match metrics with
+          | Some m -> Obs.Metrics.incr m "journal.appends"
+          | None -> ());
+          if traced then
+            Obs.Trace.emit obs "journal.append" (fun () ->
+                Obs.Trace.[ str "kind" "libgen"; str "key" pid ])
     in
     match fresh_results.(i) with
-    | Ok ((o : P.outcome), _) when not (Float.is_finite o.time_s) ->
+    | Ok ((o : P.outcome), _, _) when not (Float.is_finite o.time_s) ->
         append ~status:Degraded ~strategy:"naive" ~moves:[] ~time_s:naive_s
           ~evaluations:o.evaluations ~failures:o.failures ~recorded:false
           ~error:
             (Some
                (Robust.Guard.failure_message
                   (Robust.Guard.Non_finite o.time_s)))
-    | Ok (o, _) -> (
-        match deposit_record ~kernel:e.label ~tname ~t ~root o with
-        | Some r ->
-            recorded_flags.(i) <- true;
-            append ~status:Fresh ~strategy:strat_label ~moves:o.moves
-              ~time_s:o.time_s ~evaluations:o.evaluations
-              ~failures:o.failures ~recorded:true ~error:None;
-            apply_deposit r
-        | None ->
-            append ~status:Fresh ~strategy:strat_label ~moves:o.moves
-              ~time_s:o.time_s ~evaluations:o.evaluations
-              ~failures:o.failures ~recorded:false ~error:None)
+    | Ok (o, record, _) ->
+        append ~status:Fresh ~strategy:strat_label ~moves:o.moves
+          ~time_s:o.time_s ~evaluations:o.evaluations ~failures:o.failures
+          ~recorded:(record <> None) ~error:None;
+        Option.iter deposit record
     | Error exn ->
         append ~status:Degraded ~strategy:"naive" ~moves:[] ~time_s:naive_s
           ~evaluations:0 ~failures:0 ~recorded:false
@@ -433,8 +407,11 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
         (match ledger with
         | None ->
             let r = Parallel.Pool.map_result pool task fresh_tasks in
-            Array.blit r 0 fresh_results 0 n
-        | Some w ->
+            Array.blit r 0 fresh_results 0 n;
+            for k = 0 to n - 1 do
+              settle k
+            done
+        | Some _ ->
             (* chunks of [jobs] tasks, so the ledger fills as pairs
                complete and an interrupt has a boundary to stop at *)
             let pos = ref 0 in
@@ -446,7 +423,7 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
               in
               Array.blit r 0 fresh_results !pos len;
               for k = !pos to !pos + len - 1 do
-                ledger_completed w k
+                settle k
               done;
               pos := !pos + len;
               if Recover.Interrupt.requested () && !pos < n then
@@ -459,14 +436,7 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
   end;
   let results = fresh_results in
   (* Fold phase (sequential, pair order): emit trace events and C
-     sources; without a ledger, this is also where winners deposit into
-     the database (with one, the chunk loop above already did — the
-     fold then reads the decision back from [recorded_flags]). *)
-  let fold_recorded ~i ~kernel ~tname ~t ~root o =
-    match ledger with
-    | None -> deposit ~kernel ~tname ~t ~root o
-    | Some _ -> recorded_flags.(i)
-  in
+     sources; the deposits already happened as the tasks settled. *)
   let next_fresh = ref 0 in
   let entries =
     List.map
@@ -557,36 +527,28 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
               | Some (Util.Json.Str m) -> Some m
               | _ -> None
             in
-            let sched =
-              if moves = [] then root
-              else fst (Tuning.Warmstart.replay (Machine.caps t) root moves)
-            in
-            if recorded then begin
-              match
-                Tuning.Warmstart.record_of ~objective:(Machine.time t)
-                  ~caps:(Machine.caps t) ~kernel:e.label ~target:tname ~root
-                  ~moves ~evals:evaluations
-              with
-              | Ok r -> apply_deposit r
-              | Error _ -> ()
-            end;
+            let caps = P.caps_of ~ctx t in
+            let sched = fst (Tuning.Warmstart.replay caps root moves) in
+            if recorded then
+              Result.iter deposit
+                (Tuning.Warmstart.record_of ~objective:(Machine.time t) ~caps
+                   ~kernel:e.label ~target:tname ~root ~moves
+                   ~evals:evaluations);
             finish ~status ~strategy ~moves ~time_s ~evaluations ~failures
               ~recorded ~error sched
         | Optimize _ -> (
             let i = !next_fresh in
             incr next_fresh;
             match results.(i) with
-            | Ok ((o : P.outcome), _sink) when not (Float.is_finite o.time_s)
+            | Ok ((o : P.outcome), _, _) when not (Float.is_finite o.time_s)
               ->
                 (* the search survived but found nothing finite — the
                    same taxonomy a guarded evaluation would use *)
                 degrade
                   ~failure:(Robust.Guard.Non_finite o.time_s)
                   ~evaluations:o.evaluations ~failures:o.failures None
-            | Ok (o, sink) ->
-                let recorded =
-                  fold_recorded ~i ~kernel:e.label ~tname ~t ~root o
-                in
+            | Ok (o, record, sink) ->
+                let recorded = record <> None in
                 if traced then begin
                   Obs.Trace.emit obs "libgen.entry" (fun () ->
                       Obs.Trace.

@@ -8,10 +8,11 @@
     provenance of every entry (program fingerprint, winning strategy and
     move sequence, modelled time, evaluation and failure counts).
 
-    Generation is {e incremental}: a pair whose tuning-database best
-    already matches the current program fingerprint is not re-optimized
-    — its recorded schedule is replayed, a [libgen.skip] trace event is
-    emitted, and the entry is marked [Skipped].  And it is
+    Generation is {e incremental}: a pair with a tuning-database record
+    for the current program fingerprint ({!Tuning.Warmstart.lookup})
+    that replays exactly is not re-optimized — its recorded schedule is
+    replayed, a [libgen.skip] trace event is emitted, and the entry is
+    marked [Skipped].  And it is
     {e fault-tolerant}: a pair whose optimization crashes or produces a
     non-finite time degrades to the naive schedule, classified through
     {!Robust.Guard}'s failure taxonomy and flagged [Degraded] in the
@@ -100,8 +101,11 @@ val generate :
     next run over the same [db] skips the entire suite.
 
     [db] is both read (incremental skips, warm starts) and updated
-    (each fresh pair's winner is deposited under the
-    {!Tuning.Db.add} improve/dedupe rules).  When [db_file] is given
+    (each fresh pair's winner is deposited when
+    {!Perfdojo.optimize_recorded} admits it, under the {!Tuning.Db.add}
+    improve/dedupe rules).  Records replay with
+    {!Perfdojo.caps_of}[ ~ctx], so winners that use [ctx.composites]
+    deposit and skip like any other.  When [db_file] is given
     the database is checkpointed after every deposit with the
     crash-safe {!Tuning.Db.save}, so an interrupted suite run resumes
     from the pairs it completed.  [force] re-optimizes pairs that would

@@ -51,18 +51,14 @@ let default_max_states = 20_000
    checkpointed [evals] are never re-paid), and reaches the same
    certified optimum with the same trace suffix. *)
 
-(* Exact replay of a checkpointed move path — unlike
-   [Stochastic.replay_skipping] nothing may be skipped: a path that no
-   longer replays means the checkpoint does not match this build and is
-   rejected as corrupt. *)
-let replay_exact ~filter caps root moves =
-  List.fold_left
-    (fun p name ->
-      match Xforms.lookup ~filter (Xforms.all caps p) name with
-      | Some inst -> inst.apply p
-      | None ->
-          Recover.Field.corrupt "checkpointed path does not replay: %S" name)
-    root moves
+(* A checkpointed move path must replay exactly: one that no longer
+   does means the checkpoint does not match this build and is rejected
+   as corrupt. *)
+let replay_checkpointed ~filter caps root moves =
+  match Stochastic.replay_exact ~filter caps root moves with
+  | Ok p -> p
+  | Error msg ->
+      Recover.Field.corrupt "checkpointed path does not replay: %s" msg
 
 let encode_exhaustive ~depth ~max_states ~level ~unique ~total ~evals
     ~failures ~best_time ~best_moves ~seen ~frontier ~events =
@@ -174,13 +170,13 @@ let run ?filter ?(obs = Obs.Trace.null) ?metrics
       failures := Recover.Field.int "failures" json;
       best_time := Recover.Field.float_bits "best_time" json;
       best_moves := Recover.Field.str_list "best_moves" json;
-      best := replay_exact ~filter caps root !best_moves;
+      best := replay_checkpointed ~filter caps root !best_moves;
       List.iter
         (fun fp -> Hashtbl.replace seen fp ())
         (Recover.Field.str_list "seen" json);
       frontier :=
         List.map
-          (fun path -> (replay_exact ~filter caps root path, path))
+          (fun path -> (replay_checkpointed ~filter caps root path, path))
           (decode_frontier json);
       events_base := Recover.Field.int "events" json);
   let truncated = ref false in

@@ -25,7 +25,7 @@ type result = {
   best_time : float;
   best_moves : string list;
       (** shortest path of {!Transform.Xforms.describe} strings to the
-          optimum, replayable via {!Stochastic.replay_skipping} *)
+          optimum, replayable via {!Stochastic.replay_exact} *)
   unique : int;  (** distinct canonical states discovered (incl. root) *)
   total : int;  (** state encounters: root + every instance application *)
   evals : int;  (** guarded objective evaluations (one per unique state) *)

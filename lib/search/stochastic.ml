@@ -70,6 +70,53 @@ let replay_skipping ?(filter = fun (_ : Xforms.instance) -> true) caps prog
     (prog, []) names
   |> fun (p, applied) -> (p, List.rev applied)
 
+(* Replay a recorded sequence exactly: every move must apply at its
+   point.  A failure reports the step index, the path the failing
+   string anchors to, and the nearest applicable alternatives of the
+   same transformation.  The final program is validated once. *)
+let replay_exact ?(filter = fun (_ : Xforms.instance) -> true) caps root
+    names =
+  let rec go step p = function
+    | [] -> (
+        match Ir.Validate.check p with
+        | [] -> Ok p
+        | errs ->
+            Error
+              ("replayed program is invalid: "
+              ^ String.concat "; " (List.map Ir.Validate.error_to_string errs)
+              ))
+    | name :: rest -> (
+        let offered = Xforms.all caps p in
+        match Xforms.lookup ~filter offered name with
+        | Some inst -> go (step + 1) (inst.apply p) rest
+        | None ->
+            let offered = List.filter filter offered in
+            let mref = Moveref.of_describe name in
+            let path_s =
+              match Option.bind mref Moveref.anchor with
+              | Some path -> Xforms.path_str path
+              | None -> "(no path)"
+            in
+            let same_xname =
+              match Option.map Moveref.xname mref with
+              | Some xn ->
+                  List.filter
+                    (fun (i : Xforms.instance) -> i.xname = xn)
+                    offered
+              | None -> []
+            in
+            let pool = if same_xname = [] then offered else same_xname in
+            let alts =
+              List.filteri (fun k _ -> k < 3) (List.map Xforms.describe pool)
+            in
+            Error
+              (Printf.sprintf
+                 "step %d: move %S not applicable at %s; nearest applicable: %s"
+                 step name path_s
+                 (if alts = [] then "none" else String.concat ", " alts)))
+  in
+  if names = [] then Ok root else go 0 root names
+
 (* One structural mutation of a move sequence. *)
 let mutate ?(filter = fun (_ : Xforms.instance) -> true) caps rng prog
     (names : string list) : string list =
@@ -646,7 +693,7 @@ let make_visited ~visited_dedup root warm =
 
    Floats (runtimes can be +inf for quarantined slots) cross the file
    boundary as IEEE-754 bit patterns ({!Recover.Bits}); candidate
-   programs are not serialized — they rebuild via [replay_skipping]
+   programs are not serialized — they rebuild via [replay_exact]
    from the root, which costs transform replays but zero simulator
    evaluations. *)
 
@@ -813,12 +860,13 @@ let load_stochastic_resume checkpoint ~meth ~space ~seed ~budget ~batch =
    parent_runtime): the program replays from the root through the same
    [filter] the original run used — transform replays only, no
    simulator evaluations (this is what makes resume strictly cheaper
-   than a cold restart). *)
+   than a cold restart).  Every candidate's moves are the ones that
+   applied, so a path that no longer replays exactly means the
+   checkpoint does not match this build. *)
 let cand_of_triple ?filter caps root (moves, runtime, parent_runtime) =
-  let prog =
-    if moves = [] then root else fst (replay_skipping ?filter caps root moves)
-  in
-  { moves; prog; runtime; parent_runtime }
+  match replay_exact ?filter caps root moves with
+  | Ok prog -> { moves; prog; runtime; parent_runtime }
+  | Error msg -> ck_corrupt "checkpointed path does not replay: %s" msg
 
 let snapshot_pool pool weights =
   Array.init (Util.Dynarray.length pool) (fun i ->

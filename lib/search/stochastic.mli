@@ -79,7 +79,7 @@ type checkpoint_cfg = { path : string; every : int; resume : bool }
 type result = {
   best : Ir.Prog.t;
   best_time : float;
-  best_moves : string list;  (** replayable via {!replay_skipping} *)
+  best_moves : string list;  (** replayable via {!replay_exact} *)
   curve : float array;
       (** best-so-far runtime after each budget slot, root (and
           warm-start) included — the last point equals [best_time] *)
@@ -113,6 +113,17 @@ val replay_skipping :
 (** Replay a sequence of {!Transform.Xforms.describe} strings from a
     root, skipping entries not applicable at their point; returns the
     final program and the names that actually applied. *)
+
+val replay_exact :
+  ?filter:(Transform.Xforms.instance -> bool) ->
+  Transform.Xforms.caps ->
+  Ir.Prog.t ->
+  string list ->
+  (Ir.Prog.t, string) Stdlib.result
+(** Replay a recorded sequence exactly: every entry must apply at its
+    point and the final program must validate; [[]] is [Ok root].  An
+    [Error] names the failing step, the path its string anchors to and
+    up to three applicable alternatives of the same transformation. *)
 
 val mutate :
   ?filter:(Transform.Xforms.instance -> bool) ->

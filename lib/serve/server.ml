@@ -179,14 +179,11 @@ let root_of t (e : Kernels.entry) : Ir.Prog.t * (string * string) =
           Hashtbl.replace t.roots e.label (root, keys);
           (root, keys))
 
-(* Best record for the pair whose fingerprint matches the current root
-   — canonical or legacy, so pre-canonicalization databases stay warm —
-   the only records the warm path may answer from (Db.query returns
-   best-first, so the first match is the fastest trustworthy one). *)
-let warm_lookup t ~kernel ~tname ~keys : Tuning.Record.t option =
+(* The pair's record ({!Tuning.Warmstart.lookup}) under the database
+   lock: the only record the warm path may answer from. *)
+let locked_lookup t ~kernel ~tname ~keys =
   with_lock t.db_mutex (fun () ->
-      Tuning.Db.query ~kernel ~target:tname t.tuning_db
-      |> List.find_opt (Tuning.Record.matches_root ~keys))
+      Tuning.Warmstart.lookup t.tuning_db ~kernel ~target:tname ~keys)
 
 let wal_checkpoint_every = 64
 
@@ -259,12 +256,13 @@ let request_ctx t sink ~warm_start =
    the buffer back, degrade any failure — a raising strategy, an
    all-evaluations-quarantined (+inf) outcome — to a typed error
    response with the guard's fault class. *)
-let run_cold t ~id ~kernel ~tname ~target ~strat ~root finish :
+let run_cold t ~id ~kernel ~tname ~target ~strat ~root ~keys finish :
     Protocol.response =
   let sink = if t.traced then Obs.Trace.make_buffer () else Obs.Trace.null in
   let warm_start =
-    with_lock t.db_mutex (fun () ->
-        Tuning.Warmstart.moves_for t.tuning_db ~kernel ~target:tname ~root)
+    match locked_lookup t ~kernel ~tname ~keys with
+    | Some r -> r.Tuning.Record.moves
+    | None -> []
   in
   let ctx = request_ctx t sink ~warm_start in
   let result =
@@ -292,8 +290,8 @@ let record_script (record : Tuning.Record.t option) =
   | Some r -> Option.value r.Tuning.Record.script ~default:""
   | None -> ""
 
-let cold_optimize t ~id ~kernel ~tname ~target ~strat ~root () =
-  run_cold t ~id ~kernel ~tname ~target ~strat ~root
+let cold_optimize t ~id ~kernel ~tname ~target ~strat ~root ~keys () =
+  run_cold t ~id ~kernel ~tname ~target ~strat ~root ~keys
     (fun (o : P.outcome) record ->
       Protocol.Optimized
         {
@@ -308,8 +306,8 @@ let cold_optimize t ~id ~kernel ~tname ~target ~strat ~root () =
           failures = o.failures;
         })
 
-let cold_generate t ~id ~kernel ~tname ~target ~strat ~root () =
-  run_cold t ~id ~kernel ~tname ~target ~strat ~root
+let cold_generate t ~id ~kernel ~tname ~target ~strat ~root ~keys () =
+  run_cold t ~id ~kernel ~tname ~target ~strat ~root ~keys
     (fun (o : P.outcome) (_ : Tuning.Record.t option) ->
       let c_entry = entry_symbol ~kernel ~tname in
       Protocol.Generated
@@ -702,7 +700,7 @@ let submit_async t (req : Protocol.request) :
       | Error msg -> `Done (err t ~id ~code:Protocol.Bad_request ~msg)
       | Ok (e, tname) -> (
           let _, keys = root_of t e in
-          match warm_lookup t ~kernel:e.label ~tname ~keys with
+          match locked_lookup t ~kernel:e.label ~tname ~keys with
           | Some r ->
               `Done
                 (warm_reply t ~t0
@@ -736,7 +734,8 @@ let submit_async t (req : Protocol.request) :
       | Ok (e, tname, tgt, strat) -> (
           let root, keys = root_of t e in
           match
-            if force then None else warm_lookup t ~kernel:e.label ~tname ~keys
+            if force then None
+            else locked_lookup t ~kernel:e.label ~tname ~keys
           with
           | Some r ->
               `Done
@@ -758,7 +757,7 @@ let submit_async t (req : Protocol.request) :
               queued
                 (ticket
                    (cold_optimize t ~id ~kernel:e.label ~tname ~target:tgt
-                      ~strat ~root)
+                      ~strat ~root ~keys)
                    deadline_ms)))
   | Protocol.Generate { kernel; target; strategy; budget; deadline_ms; _ } -> (
       match resolve_tuning t ~kernel ~target ~strategy ~budget with
@@ -766,13 +765,13 @@ let submit_async t (req : Protocol.request) :
       | Ok (e, tname, tgt, strat) -> (
           let root, keys = root_of t e in
           let warm_c =
-            match warm_lookup t ~kernel:e.label ~tname ~keys with
+            match locked_lookup t ~kernel:e.label ~tname ~keys with
             | None -> None
             | Some r -> (
                 (* replay the recorded schedule; a stale record that no
                    longer replays falls through to the cold path *)
                 match
-                  Transform.Engine.replay_compat (Machine.caps tgt) root
+                  Search.Stochastic.replay_exact (Machine.caps tgt) root
                     r.Tuning.Record.moves
                 with
                 | Ok sched -> Some (r, sched)
@@ -797,7 +796,7 @@ let submit_async t (req : Protocol.request) :
               queued
                 (ticket
                    (cold_generate t ~id ~kernel:e.label ~tname ~target:tgt
-                      ~strat ~root)
+                      ~strat ~root ~keys)
                    deadline_ms)))
 
 let submit t req =

@@ -66,5 +66,5 @@ val run :
   (Ir.Prog.t * string list, run_error) result
 (** Execute every statement in order.  Returns the final program and
     the atomic describe-string provenance (replayable through
-    {!Transform.Engine.replay_compat}).  Emits a [script.run] trace
+    [Search.Stochastic.replay_exact]).  Emits a [script.run] trace
     event. *)

@@ -174,52 +174,3 @@ let apply_at session (sel : Target.t) (t : transfo) :
               Obs.Trace.str "path" (Xforms.path_str anchor);
             ]);
       apply_anchored session ~anchor t
-
-(* ------------------------------------------------------------------ *)
-(* Describe-string replay (compatibility path)                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Apply a named sequence of moves, resolving each by [describe] string
-   against the applicable set at that point.  Used to express recorded
-   optimization journeys (Figure 4).  Failures report the step index,
-   the path the failing string resolves to, and the nearest applicable
-   alternatives of the same transformation. *)
-let replay_compat caps prog (names : string list) : (Ir.Prog.t, string) result
-    =
-  let session = start caps prog in
-  let rec go step = function
-    | [] -> Ok session.current
-    | name :: rest -> (
-        (* hash-table resolution per step: one describe per instance
-           instead of a linear scan re-describing until a match *)
-        let offered = applicable session in
-        match Xforms.lookup offered name with
-        | Some inst ->
-            ignore (apply session inst);
-            go (step + 1) rest
-        | None ->
-            let mref = Moveref.of_describe name in
-            let path_s =
-              match Option.bind mref Moveref.anchor with
-              | Some p -> Xforms.path_str p
-              | None -> "(no path)"
-            in
-            let same_xname =
-              match Option.map Moveref.xname mref with
-              | Some xn ->
-                  List.filter
-                    (fun (i : Xforms.instance) -> i.xname = xn)
-                    offered
-              | None -> []
-            in
-            let pool = if same_xname = [] then offered else same_xname in
-            let alts =
-              List.filteri (fun k _ -> k < 3) (List.map Xforms.describe pool)
-            in
-            Error
-              (Printf.sprintf
-                 "step %d: move %S not applicable at %s; nearest applicable: %s"
-                 step name path_s
-                 (if alts = [] then "none" else String.concat ", " alts)))
-  in
-  go 0 names

@@ -70,12 +70,3 @@ val apply_anchored :
   session -> anchor:Ir.Types.path -> transfo -> (Ir.Prog.t, Target.error) result
 (** [apply_at] with an already-resolved anchor (buffer-level transfos
     ignore it — pass [[]]). *)
-
-val replay_compat :
-  Xforms.caps -> Ir.Prog.t -> string list -> (Ir.Prog.t, string) result
-(** Replay a recorded sequence of {!Xforms.describe} strings, resolving
-    each against the applicable set at that point.  Errors carry the
-    step index, the path the failing string parses to, and up to three
-    applicable alternatives of the same transformation.  This is the
-    compatibility path that keeps schema-2 tuning DBs warm; new code
-    should record and replay scripts ({!Transfo.Script}). *)

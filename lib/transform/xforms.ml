@@ -28,7 +28,7 @@ let not_applicable msg = raise (Not_applicable msg)
 
 (* Resolve [describe] strings against an instance list through a hash
    table built once — replaces the per-name linear scans (with repeated
-   [describe] calls) in Engine.replay_compat / Stochastic.replay_skipping.
+   [describe] calls) in Stochastic.replay_skipping / replay_exact.
    First occurrence wins, matching List.find_opt. *)
 let lookup ?(filter = fun (_ : instance) -> true) (insts : instance list) :
     string -> instance option =

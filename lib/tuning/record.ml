@@ -3,6 +3,8 @@
    program fingerprint, modelled runtime, evaluation count, schema
    version.  Serialized as one canonical JSON object per line. *)
 
+open Util
+
 type t = {
   schema : int;
   kernel : string;

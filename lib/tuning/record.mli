@@ -1,10 +1,10 @@
 (** One tuning result: the best transformation sequence found for a
-    (kernel, target) pair, replayable via {!Transform.Engine.replay_compat},
+    (kernel, target) pair, replayable via {!Search.Stochastic.replay_exact},
     plus the provenance a later search needs to trust it (program
     fingerprint, modelled runtime, evaluation count, schema version).
 
     Records serialize to one JSON object per line (JSONL) with a
-    hand-rolled, canonical printer — see {!Json}. *)
+    hand-rolled, canonical printer — see {!Util.Json}. *)
 
 type t = {
   schema : int;  (** {!schema_version} at write time *)

@@ -1,33 +1,32 @@
 (* Warm-started search: seed new tuning runs from the database's best
    recorded schedule. *)
 
+(* The one rule for finding a pair's record: the fastest one whose
+   fingerprint matches the root ([Db.query] is best-first). *)
+let lookup (db : Db.t) ~kernel ~target ~keys : Record.t option =
+  List.find_opt (Record.matches_root ~keys) (Db.query ~kernel ~target db)
+
 let moves_for (db : Db.t) ~kernel ~target ~(root : Ir.Prog.t) : string list =
-  let keys = Record.root_keys root in
-  match Db.best db ~kernel ~target with
-  | Some (r : Record.t) when Record.matches_root ~keys r -> r.moves
-  | Some _ | None -> []
+  match lookup db ~kernel ~target ~keys:(Record.root_keys root) with
+  | Some r -> r.moves
+  | None -> []
 
 let replay caps prog moves = Search.Stochastic.replay_skipping caps prog moves
 
 (* Build a record by replaying the winner: the stored best_time is the
    replayed schedule's modelled runtime, so the record is reproducible
    by construction (budget-0 warm-start lands exactly on it).  Script
-   provenance is derived from the applied moves — deterministic, so a
-   record built from a resumed or re-run search carries identical
-   bytes. *)
+   provenance is derived from the moves — deterministic, so a record
+   built from a resumed or re-run search carries identical bytes. *)
 let record_of ~objective ~caps ~kernel ~target ~root ~moves ~evals :
     (Record.t, string) result =
-  let replayed, applied = replay caps root moves in
-  if List.length applied <> List.length moves then
-    Error
-      (Printf.sprintf
-         "record_of: only %d of %d moves replayed from the root"
-         (List.length applied) (List.length moves))
-  else
-    let script =
-      Transfo.Script.to_string
-        (Transfo.Script.of_moves ~kernel ~ktarget:target applied)
-    in
-    Ok
-      (Record.make ~script ~kernel ~target ~moves:applied
-         ~best_time:(objective replayed) ~evals ~root ())
+  match Search.Stochastic.replay_exact caps root moves with
+  | Error msg -> Error ("record_of: " ^ msg)
+  | Ok replayed ->
+      let script =
+        Transfo.Script.to_string
+          (Transfo.Script.of_moves ~kernel ~ktarget:target moves)
+      in
+      Ok
+        (Record.make ~script ~kernel ~target ~moves
+           ~best_time:(objective replayed) ~evals ~root ())

@@ -1,14 +1,24 @@
 (** Warm-started search: seed a new tuning run from the database's best
     recorded schedule so search resumes instead of restarting.
 
-    Sequences replay through {!Search.Stochastic.replay_skipping}; a
-    record is only offered when its fingerprint matches the root program
-    being tuned, so a stale database can never seed the wrong kernel. *)
+    A record is only offered when its fingerprint matches the root
+    program being tuned, so a stale database can never seed the wrong
+    kernel. *)
+
+val lookup :
+  Db.t ->
+  kernel:string ->
+  target:string ->
+  keys:string * string ->
+  Record.t option
+(** The fastest record for the pair whose fingerprint matches the root
+    with these {!Record.root_keys}: the one rule every reader of a
+    pair's record goes through. *)
 
 val moves_for :
   Db.t -> kernel:string -> target:string -> root:Ir.Prog.t -> string list
-(** Best recorded move sequence for the pair whose fingerprint matches
-    [root]; [[]] when the database has nothing to offer. *)
+(** {!lookup}'s move sequence for [root]; [[]] when the database has
+    nothing to offer. *)
 
 val replay :
   Transform.Xforms.caps ->
@@ -28,7 +38,8 @@ val record_of :
   evals:int ->
   (Record.t, string) result
 (** Build a database record from a search winner by {e replaying} its
-    move sequence from the root and re-timing the result — the stored
-    [best_time] is the replayed schedule's, so every record in the
-    database is reproducible by construction.  [Error] when some move no
-    longer applies. *)
+    move sequence from the root under the caps the search ran with
+    ({!Search.Stochastic.replay_exact}) and re-timing the result — the
+    stored [best_time] is the replayed schedule's, so every record in
+    the database is reproducible by construction.  [Error] when the
+    sequence does not replay exactly. *)

@@ -4,10 +4,9 @@
    Hand-rolled on purpose: the package has no yojson dependency, and the
    JSONL stores need a *canonical* printer — compact, member order
    preserved, floats rendered by the shortest %g format that round-trips
-   exactly — so that save -> load -> save is byte-identical.  Historically
-   this lived in [Tuning.Json]; it moved here so [Obs] (which the search
-   and tuning layers both depend on) can reuse the canonical encoding
-   without a dependency cycle.  [Tuning.Json] remains as an alias. *)
+   exactly — so that save -> load -> save is byte-identical.  It lives in
+   [Util] so [Obs] (which the search and tuning layers both depend on)
+   can reuse the canonical encoding without a dependency cycle. *)
 
 type t =
   | Null

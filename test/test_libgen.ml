@@ -194,6 +194,73 @@ let incremental_tests =
                 Alcotest.(check string) (e.kernel ^ " fingerprint")
                   e.fingerprint r.Tuning.Record.fingerprint)
           lib.Libgen.entries);
+    Alcotest.test_case "composite winners deposit and skip on the rerun"
+      `Quick (fun () ->
+        let db = Tuning.Db.create () in
+        let kernels = pick [ "relu_micro"; "sum2d" ] in
+        let ctx = Ctx.(default |> with_composites [ "all" ]) in
+        let d1 = fresh_dir "macro_cold" and d2 = fresh_dir "macro_warm" in
+        let cold = gen ~kernels ~strategy:strat ~db ~ctx d1 in
+        List.iter
+          (fun (e : Libgen.entry) ->
+            Alcotest.(check bool) (e.c_file ^ " recorded") true e.recorded)
+          cold.Libgen.entries;
+        Alcotest.(check int) "one record per pair" 2 (Tuning.Db.size db);
+        (* "composite(tile_and_unroll(f=8,u=8) @ [0])" -> "tile_and_unroll" *)
+        let composite_name m =
+          let p = String.length "composite(" in
+          if String.length m > p && String.sub m 0 p = "composite(" then
+            Some (String.sub m p (String.index_from m p '(' - p))
+          else None
+        in
+        let contains affix s =
+          let n = String.length affix and m = String.length s in
+          let rec go i =
+            i + n <= m && (String.sub s i n = affix || go (i + 1))
+          in
+          go 0
+        in
+        let macros =
+          List.concat_map
+            (fun (r : Tuning.Record.t) ->
+              List.filter_map
+                (fun m -> Option.map (fun n -> (r, n)) (composite_name m))
+                r.moves)
+            (Tuning.Db.records db)
+        in
+        Alcotest.(check bool) "a winner used a macro-move" true (macros <> []);
+        List.iter
+          (fun ((r : Tuning.Record.t), n) ->
+            Alcotest.(check bool)
+              (r.kernel ^ "'s script names " ^ n)
+              true
+              (contains ("do " ^ n ^ "(") (Option.value r.script ~default:"")))
+          macros;
+        let warm = gen ~kernels ~strategy:strat ~db ~ctx d2 in
+        Alcotest.(check int) "second run all skipped" 2 warm.Libgen.skipped;
+        Alcotest.(check int) "no fresh pairs" 0 warm.Libgen.fresh);
+    Alcotest.test_case "a faster foreign record does not hide the pair's own"
+      `Quick (fun () ->
+        let db = Tuning.Db.create () in
+        let kernels = pick [ "scale" ] in
+        let d1 = fresh_dir "own" and d2 = fresh_dir "foreign" in
+        let own =
+          List.hd (gen ~kernels ~strategy:strat ~db d1).Libgen.entries
+        in
+        (* same (kernel, target), faster, but tuned for another root *)
+        ignore
+          (Tuning.Db.add db
+             (Tuning.Record.make ~kernel:own.kernel ~target:own.target
+                ~moves:[ "foreign" ] ~best_time:(own.time_s /. 2.) ~evals:1
+                ~root:(Kernels.softmax ~n:8 ~m:8) ()));
+        let warm = gen ~kernels ~strategy:strat ~db d2 in
+        Alcotest.(check int) "reproduced, not re-searched" 1
+          warm.Libgen.skipped;
+        let e = List.hd warm.Libgen.entries in
+        Alcotest.(check (list string)) "the matching record's moves" own.moves
+          e.moves;
+        Alcotest.(check (float 0.0)) "the matching record's time" own.time_s
+          e.time_s);
     Alcotest.test_case "db_file checkpoints survive a reload" `Quick
       (fun () ->
         let db = Tuning.Db.create () in

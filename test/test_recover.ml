@@ -351,6 +351,43 @@ let invariance_tests =
          ~name:"annealing: resume from any kill point = uninterrupted run"
          QCheck.(int_range 1 16)
          (kill_point_invariant `Annealing));
+    Alcotest.test_case "annealing: a path that no longer replays is Corrupt"
+      `Quick (fun () ->
+        let root = Kernels.relu ~n:4 ~m:4 in
+        let ck = tmp "ck_bogus" in
+        rm ck;
+        let run ~resume =
+          Parallel.Pool.with_pool ~jobs:1 (fun pool ->
+              Stoch.simulated_annealing ~seed:11
+                ~checkpoint:{ Stoch.path = ck; every = 1; resume }
+                ~batch:Stoch.default_batch ~pool ~space:Stoch.Heuristic
+                ~budget:16 caps_cpu time root)
+        in
+        ignore (run ~resume:false);
+        let payload =
+          match R.Store.load ~path:ck with
+          | Ok p -> p
+          | Error e -> Alcotest.failf "checkpoint: %s" (R.error_message e)
+        in
+        (* rewritten through the store, so the checksum stays valid and
+           only the move path is wrong *)
+        let open Util.Json in
+        let with_member name f = function
+          | Obj fields ->
+              Obj
+                (List.map
+                   (fun (k, v) -> if k = name then (k, f v) else (k, v))
+                   fields)
+          | _ -> Alcotest.fail "checkpoint payload is not an object"
+        in
+        R.Store.save ~path:ck
+          (with_member "best"
+             (with_member "moves" (fun _ -> Arr [ Str "bogus(move)" ]))
+             payload);
+        (match run ~resume:true with
+        | _ -> Alcotest.fail "resumed from a path that does not replay"
+        | exception R.Error (R.Corrupt _) -> ());
+        rm ck);
     Alcotest.test_case
       "exhaustive: resume re-certifies the optimum, strictly cheaper"
       `Quick (fun () ->

@@ -92,7 +92,7 @@ let run_tests =
         match Script.run caps_x86 p s with
         | Ok (q, prov) ->
             Alcotest.(check int) "two atomic moves" 2 (List.length prov);
-            (match Engine.replay_compat caps_x86 p prov with
+            (match Search.Stochastic.replay_exact caps_x86 p prov with
             | Ok q' ->
                 Alcotest.(check string) "provenance replays identically"
                   (Ir.Printer.program q) (Ir.Printer.program q')
@@ -193,7 +193,7 @@ let of_moves_tests =
         let p = rowsum () in
         let moves = [ "split_scope([0,1] factor 4)"; "parallelize([0])" ] in
         let expect =
-          match Engine.replay_compat caps_x86 p moves with
+          match Search.Stochastic.replay_exact caps_x86 p moves with
           | Ok q -> q
           | Error e -> Alcotest.fail e
         in

@@ -365,7 +365,7 @@ let replay_tests =
       (fun () ->
         let p = rowsum () in
         match
-          Engine.replay_compat caps_cpu p
+          Search.Stochastic.replay_exact caps_cpu p
             [ "parallelize([0])"; "parallelize([0])" ]
         with
         | Ok _ -> Alcotest.fail "replayed an inapplicable move"
@@ -386,7 +386,9 @@ let replay_tests =
             has "nearest applicable");
     Alcotest.test_case "successful replay is unchanged" `Quick (fun () ->
         let p = rowsum () in
-        match Engine.replay_compat caps_cpu p [ "parallelize([0])" ] with
+        match
+          Search.Stochastic.replay_exact caps_cpu p [ "parallelize([0])" ]
+        with
         | Ok q ->
             Alcotest.(check bool) "applied" true
               (Ir.Printer.program q <> Ir.Printer.program p)

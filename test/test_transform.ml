@@ -516,7 +516,7 @@ let engine_tests =
         ignore (Engine.apply s (List.hd (Engine.applicable s)));
         ignore (Engine.apply s (List.hd (Engine.applicable s)));
         let names = List.map Xforms.describe (Engine.moves s) in
-        match Engine.replay_compat caps_cpu p names with
+        match Search.Stochastic.replay_exact caps_cpu p names with
         | Ok p' -> Alcotest.(check bool) "same result" true (p' = s.current)
         | Error e -> Alcotest.fail e);
   ]

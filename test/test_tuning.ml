@@ -16,7 +16,7 @@ let objective target p = Machine.time target p
 (* ------------------------------------------------------------------ *)
 
 let json_tests =
-  let module J = Tuning.Json in
+  let module J = Util.Json in
   [
     Alcotest.test_case "values round-trip" `Quick (fun () ->
         let v =
@@ -600,6 +600,32 @@ let warmstart_tests =
           "mismatched root" []
           (Tuning.Warmstart.moves_for db ~kernel:"gemv" ~target:"snitch"
              ~root:softmax));
+    Alcotest.test_case "moves_for skips a faster foreign record" `Quick
+      (fun () ->
+        (* the pair's fastest record belongs to another root: the lookup
+           must fall through to the fastest record that matches *)
+        let gemv = Kernels.gemv ~m:64 ~n:64 in
+        let softmax = Kernels.softmax ~n:64 ~m:64 in
+        let db = Tuning.Db.create () in
+        let add ~moves ~best_time root =
+          ignore
+            (Tuning.Db.add db
+               (Tuning.Record.make ~kernel:"gemv" ~target:"snitch" ~moves
+                  ~best_time ~evals:1 ~root ()))
+        in
+        add ~moves:[ "foreign" ] ~best_time:0.5 softmax;
+        add ~moves:[ "slow" ] ~best_time:2.0 gemv;
+        add ~moves:[ "m" ] ~best_time:1.0 gemv;
+        Alcotest.(check (list string))
+          "fastest matching record" [ "m" ]
+          (Tuning.Warmstart.moves_for db ~kernel:"gemv" ~target:"snitch"
+             ~root:gemv);
+        Alcotest.(check (option (list string)))
+          "lookup agrees" (Some [ "m" ])
+          (Option.map
+             (fun (r : Tuning.Record.t) -> r.moves)
+             (Tuning.Warmstart.lookup db ~kernel:"gemv" ~target:"snitch"
+                ~keys:(Tuning.Record.root_keys gemv))));
     Alcotest.test_case "record_of refuses inapplicable moves" `Quick
       (fun () ->
         let p = Kernels.scale ~n:16 in
