@@ -2036,7 +2036,7 @@ let crash () =
       tick ();
       time target_x86 p
     in
-    let checkpoint = { Stoch.path = ck; every; resume } in
+    let checkpoint = { Search.Checkpoint.path = ck; every; resume } in
     Parallel.Pool.with_pool ~jobs (fun pool ->
         match meth with
         | `Sampling ->
@@ -2045,6 +2045,15 @@ let crash () =
               caps_x86 objective root
         | `Annealing ->
             Stoch.simulated_annealing ~seed:9 ~obs ~checkpoint
+              ~batch:Stoch.default_batch ~pool ~space:Stoch.Heuristic ~budget
+              caps_x86 objective root
+        | `Annealing_learned ->
+            (* the visited set and a fresh filtering surrogate: a resumed
+               child gets its model only from the checkpoint *)
+            let m = Surrogate.Model.create () in
+            Stoch.simulated_annealing ~seed:9 ~obs ~checkpoint
+              ~visited_dedup:true
+              ~prerank:(Surrogate.Model.prerank ~filter_ratio:0.5 ~group:"g" m)
               ~batch:Stoch.default_batch ~pool ~space:Stoch.Heuristic ~budget
               caps_x86 objective root)
   in
@@ -2115,6 +2124,8 @@ let crash () =
               bench_trace := !bench_trace @ read_lines ref_trace;
             let ref_stripped = List.map strip_line (read_lines ref_trace) in
             let killed_trace = in_dir ("kill_" ^ tag ^ ".jsonl") in
+            (* a filtered run measures fewer slots than the budget *)
+            let kill_at = min kill_at (ref_evals * 5 / 8) in
             let status =
               spawn_run ~kill_at ~meth ~jobs ~ck ~resume:false
                 ~trace:killed_trace
@@ -2165,7 +2176,11 @@ let crash () =
               failwith (tag ^ ": trace splice differs from uninterrupted");
             (tag, ref_evals, sim_calls))
           [ 1; 4 ])
-      [ ("sampling", `Sampling); ("annealing", `Annealing) ]
+      [
+        ("sampling", `Sampling);
+        ("annealing", `Annealing);
+        ("annealing_learned", `Annealing_learned);
+      ]
   in
 
   (* -- 2. exhaustive: same certificate, strictly fewer evals -------- *)
@@ -2173,7 +2188,7 @@ let crash () =
   let ex_depth = 3 in
   let run_ex ~ck ~resume ~obs ~tick =
     Search.Exhaustive.run ~obs
-      ~checkpoint:{ Stoch.path = ck; every = 1; resume }
+      ~checkpoint:{ Search.Checkpoint.path = ck; every = 1; resume }
       ~depth:ex_depth caps_snitch
       (fun p ->
         tick ();

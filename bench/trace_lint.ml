@@ -35,8 +35,9 @@ let lint_schema path lineno ev fields =
   let str = field_str path lineno ev fields in
   match ev with
   | "checkpoint.write" ->
-      (* the stochastic engines add skipped/deduped/visited; filled and
-         evals are the common contract every writer honors *)
+      (* one writer, Search.Checkpoint.safe_point: filled and evals
+         from both engines, plus skipped/deduped/visited from the
+         stochastic one *)
       int "filled";
       int "evals"
   | "journal.append" ->

@@ -58,29 +58,9 @@ let target_of_string s :
           Printf.sprintf "unknown target %S (%s)" s
             (String.concat ", " known_target_names) )
 
-let strategy_of_string budget s : (strategy, bool * string) result =
-  match s with
-  | "naive" -> Ok Naive
-  | "greedy" -> Ok Greedy
-  | "heuristic" -> Ok Heuristic
-  | "sampling" -> Ok (Sampling { budget; space = Search.Stochastic.Heuristic })
-  | "sampling-edges" ->
-      Ok (Sampling { budget; space = Search.Stochastic.Edges })
-  | "annealing" ->
-      Ok (Annealing { budget; space = Search.Stochastic.Heuristic })
-  | "annealing-edges" ->
-      Ok (Annealing { budget; space = Search.Stochastic.Edges })
-  | "rl" ->
-      Ok
-        (Rl_search
-           {
-             Rl.Perfllm.default_config with
-             episodes = max 4 (budget / 24);
-             max_steps = 20;
-           })
-  | "portfolio" -> Ok (Portfolio { budget })
-  | "exhaustive" -> Ok Exhaustive
-  | s -> Error (true, Printf.sprintf "unknown strategy %S" s)
+(* an unknown strategy name is a usage error *)
+let parse_strategy budget s =
+  Result.map_error (fun msg -> (true, msg)) (strategy_of_string ~budget s)
 
 (* Tolerant load: malformed lines (a writer killed mid-append) are
    skipped by Tuning.Db.load — surface them as a warning, not a
@@ -323,11 +303,9 @@ let common_opts : common Term.t =
     $ dedup_arg $ visited_dedup_arg $ depth_arg $ checkpoint_arg
     $ checkpoint_every_arg $ resume_arg $ composites_arg)
 
-(* Validate the shared options once, load the database, open the trace
-   channel, build the run context and hand everything to [body]; close
-   the trace and print the metrics table afterwards.  A cache rides
-   along whenever a database does, so tuned runs memoize for free. *)
-let with_common (c : common) body =
+(* The checks of the shared options that [with_common] and [serve] both
+   make — retries, fault rate, filter ratio; returns the fault harness. *)
+let check_search_opts (c : common) =
   let* () =
     if c.co_max_retries < 0 then
       Error (true, "--max-retries must be non-negative")
@@ -339,13 +317,18 @@ let with_common (c : common) body =
       Ok (Robust.Faults.spread ~seed:c.co_seed c.co_fault_rate)
     else Error (true, "--fault-rate must lie in [0, 1]")
   in
-  let* () =
-    if c.co_filter_ratio <= 0. || c.co_filter_ratio > 1. then
-      Error (true, "--filter-ratio must lie in (0, 1]")
-    else if c.co_filter_ratio < 1. && c.co_surrogate = None then
-      Error (true, "--filter-ratio below 1 requires --surrogate")
-    else Ok ()
-  in
+  if c.co_filter_ratio <= 0. || c.co_filter_ratio > 1. then
+    Error (true, "--filter-ratio must lie in (0, 1]")
+  else if c.co_filter_ratio < 1. && c.co_surrogate = None then
+    Error (true, "--filter-ratio below 1 requires --surrogate")
+  else Ok faults
+
+(* Validate the shared options once, load the database, open the trace
+   channel, build the run context and hand everything to [body]; close
+   the trace and print the metrics table afterwards.  A cache rides
+   along whenever a database does, so tuned runs memoize for free. *)
+let with_common (c : common) body =
+  let* faults = check_search_opts c in
   let* () =
     if c.co_depth < 0 then Error (true, "--depth must be non-negative")
     else Ok ()
@@ -556,7 +539,7 @@ let optimize_cmd =
     to_ret
     @@ let* e = find_kernel kernel in
        let* tname, t = target_of_string target in
-       let* strat = strategy_of_string budget strategy in
+       let* strat = parse_strategy budget strategy in
        let* () =
          if warm && common.co_db = None then
            Error (true, "--warm-start needs a tuning database (--db)")
@@ -748,16 +731,20 @@ let db_best_cmd =
 
 (* Resolve a database record's (kernel, target) pair back to a root
    program and capability set — the replay context for feature
-   extraction and offline surrogate training.  Records naming kernels
-   or targets this build doesn't know are skipped, not errors: tuning
-   databases outlive binaries. *)
+   extraction and offline surrogate training.  Every composite is
+   enabled, so records deposited by a --composites search replay too.
+   Records naming kernels or targets this build doesn't know are
+   skipped, not errors: tuning databases outlive binaries. *)
 let record_root ~kernel ~target =
   match Kernels.find_entry all_kernels kernel with
   | exception Invalid_argument _ -> None
   | e -> (
       match Machine.Desc.resolve_target target with
       | None -> None
-      | Some (_, t) -> Some (e.build (), Machine.caps t))
+      | Some (_, t) ->
+          Some
+            ( e.build (),
+              Transfo.Composites.enable ~names:[ "all" ] (Machine.caps t) ))
 
 let db_export_cmd =
   let run db_file kernel target k features =
@@ -790,15 +777,8 @@ let db_export_cmd =
          let skipped = ref 0 in
          List.iter
            (fun (r : Tuning.Record.t) ->
-             match record_root ~kernel:r.kernel ~target:r.target with
-             | Some (root, caps)
-               when Tuning.Record.matches_root
-                      ~keys:(Tuning.Record.root_keys root)
-                      r
-                    && Float.is_finite r.best_time ->
-                 let prog, _ =
-                   Search.Stochastic.replay_skipping caps root r.moves
-                 in
+             match Surrogate.Model.record_features ~root_of:record_root r with
+             | Some vec ->
                  print_endline
                    (Util.Json.to_string
                       (Util.Json.Obj
@@ -806,11 +786,9 @@ let db_export_cmd =
                            ("kernel", Util.Json.Str r.kernel);
                            ("target", Util.Json.Str r.target);
                            ("time_s", Util.Json.Num r.best_time);
-                           ( "features",
-                             Surrogate.Features.to_json
-                               (Surrogate.Features.extract prog) );
+                           ("features", Surrogate.Features.to_json vec);
                          ]))
-             | _ -> incr skipped)
+             | None -> incr skipped)
            records;
          if !skipped > 0 then
            Printf.eprintf "# skipped %d unreplayable record(s)\n" !skipped
@@ -1150,7 +1128,7 @@ let analyze_cmd =
        let* _, t = target_of_string target in
        let* strat =
          if strategy = "none" then Ok None
-         else Result.map Option.some (strategy_of_string budget strategy)
+         else Result.map Option.some (parse_strategy budget strategy)
        in
        with_common common @@ fun ~ctx ~db:_ ->
        let sched =
@@ -1246,7 +1224,7 @@ let lib_generate_cmd =
        let* strat =
          match strategy with
          | None -> Ok None (* Libgen's default: annealing, budget 300 *)
-         | Some s -> Result.map Option.some (strategy_of_string budget s)
+         | Some s -> Result.map Option.some (parse_strategy budget s)
        in
        let kernels =
          (* Kernels.find_entry raises on an unknown label; describe_exn
@@ -1368,34 +1346,19 @@ let deadline_arg =
 let serve_cmd =
   let run socket pipe queue_depth deadline_ms fuel budget (c : common) =
     to_ret
-    @@ let* () =
-         if c.co_max_retries < 0 then
-           Error (true, "--max-retries must be non-negative")
-         else Ok ()
-       in
-       let* faults =
-         if c.co_fault_rate = 0. then Ok Robust.Faults.none
-         else if c.co_fault_rate >= 0. && c.co_fault_rate <= 1. then
-           Ok (Robust.Faults.spread ~seed:c.co_seed c.co_fault_rate)
-         else Error (true, "--fault-rate must lie in [0, 1]")
-       in
+    @@ let* faults = check_search_opts c in
        let* () =
          if queue_depth < 1 then Error (true, "--queue-depth must be >= 1")
          else Ok ()
        in
        let* () =
-         if c.co_filter_ratio <= 0. || c.co_filter_ratio > 1. then
-           Error (true, "--filter-ratio must lie in (0, 1]")
-         else if c.co_filter_ratio < 1. && c.co_surrogate = None then
-           Error (true, "--filter-ratio below 1 requires --surrogate")
-         else
-           match c.co_surrogate with
-           | Some f when f <> "" ->
-               Error
-                 ( true,
-                   "serve shares one fresh model across requests; \
-                    --surrogate takes no FILE here" )
-           | _ -> Ok ()
+         match c.co_surrogate with
+         | Some f when f <> "" ->
+             Error
+               ( true,
+                 "serve shares one fresh model across requests; \
+                  --surrogate takes no FILE here" )
+         | _ -> Ok ()
        in
        let* transport =
          match (socket, pipe) with

@@ -348,3 +348,14 @@ let program ?(entry = "run") (prog : Ir.Prog.t) : string =
       gen_nodes prog flavor 2 0 prog.body buf;
       Buffer.add_string buf "}\n");
   Buffer.contents buf
+
+(* A library member's entry point: the kernel label and the target name
+   reduced to C identifier characters ("layernorm 1" on x86 ->
+   perfdojo_layernorm_1_x86). *)
+let entry_symbol ~kernel ~target =
+  let ident =
+    String.map (function
+      | ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_') as c -> c
+      | _ -> '_')
+  in
+  "perfdojo_" ^ ident kernel ^ "_" ^ ident target

@@ -11,6 +11,11 @@ val program : ?entry:string -> Ir.Prog.t -> string
     [entry] names the emitted entry-point function (default ["run"]) —
     libgen gives every library member a distinct symbol. *)
 
+val entry_symbol : kernel:string -> target:string -> string
+(** That distinct symbol: [perfdojo_<kernel>_<target>], every character
+    outside [[A-Za-z0-9_]] replaced by ['_'] — the name libgen and the
+    tuning service both emit. *)
+
 val stmt_c : Ir.Prog.t -> Ir.Types.stmt -> string
 (** One statement as a C assignment (used in documentation output). *)
 

@@ -173,6 +173,32 @@ let default_portfolio ?(seed = 1) ~budget () : portfolio_member list =
     };
   ]
 
+(* The strategy names the CLI and the tuning service accept; [budget]
+   sizes the search strategies (and the RL episode count). *)
+let strategy_of_string ~budget s : (strategy, string) result =
+  match s with
+  | "naive" -> Ok Naive
+  | "greedy" -> Ok Greedy
+  | "heuristic" -> Ok Heuristic
+  | "sampling" -> Ok (Sampling { budget; space = Search.Stochastic.Heuristic })
+  | "sampling-edges" ->
+      Ok (Sampling { budget; space = Search.Stochastic.Edges })
+  | "annealing" ->
+      Ok (Annealing { budget; space = Search.Stochastic.Heuristic })
+  | "annealing-edges" ->
+      Ok (Annealing { budget; space = Search.Stochastic.Edges })
+  | "rl" ->
+      Ok
+        (Rl_search
+           {
+             Rl.Perfllm.default_config with
+             episodes = max 4 (budget / 24);
+             max_steps = 20;
+           })
+  | "portfolio" -> Ok (Portfolio { budget })
+  | "exhaustive" -> Ok Exhaustive
+  | s -> Error (Printf.sprintf "unknown strategy %S" s)
+
 (* ------------------------------------------------------------------ *)
 (* The run context                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -283,32 +309,15 @@ let rec optimize_ctx ~(ctx : Ctx.t) (strategy : strategy) (target : target)
   } =
     ctx
   in
-  (* Crash-safe checkpointing (Recover.Store): the search engines
+  (* Crash-safe checkpointing (Search.Checkpoint): the search engines
      snapshot their full state at round/level boundaries and, with
      [resume], restore it and continue the exact uninterrupted
-     trajectory.  The surrogate model rides along as the opaque
-     [snapshot_extra] payload so its weights and pairing ring survive
-     the crash too. *)
+     trajectory.  The surrogate model rides along in [prerank]. *)
   let checkpoint_cfg =
     Option.map
       (fun path ->
-        { Search.Stochastic.path; every = checkpoint_every; resume })
+        { Search.Checkpoint.path; every = checkpoint_every; resume })
       checkpoint
-  in
-  let snapshot_extra =
-    match (checkpoint_cfg, surrogate) with
-    | Some _, Some m -> Some (fun () -> Surrogate.Model.snapshot m)
-    | _ -> None
-  in
-  let restore_extra =
-    match (checkpoint_cfg, surrogate) with
-    | Some _, Some m ->
-        Some
-          (fun json ->
-            match Surrogate.Model.restore m json with
-            | Ok () -> ()
-            | Error e -> raise (Recover.Error (Recover.Corrupt e)))
-    | _ -> None
   in
   let caps = caps_of ~ctx target in
   let raw_objective p = Machine.time target p in
@@ -415,14 +424,14 @@ let rec optimize_ctx ~(ctx : Ctx.t) (strategy : strategy) (target : target)
             stochastic (fun pool batch ->
                 Search.Stochastic.random_sampling ~seed ~init:warm_start ~obs
                   ?metrics ~guard ~batch ?prerank ~dedup ~visited_dedup
-                  ?checkpoint:checkpoint_cfg ?snapshot_extra ?restore_extra
-                  ?pool ~space ~budget caps objective prog)
+                  ?checkpoint:checkpoint_cfg ?pool ~space ~budget caps
+                  objective prog)
         | Annealing { budget; space } ->
             stochastic (fun pool batch ->
                 Search.Stochastic.simulated_annealing ~seed ~init:warm_start
                   ~obs ?metrics ~guard ~batch ?prerank ~dedup ~visited_dedup
-                  ?checkpoint:checkpoint_cfg ?snapshot_extra ?restore_extra
-                  ?pool ~space ~budget caps objective prog)
+                  ?checkpoint:checkpoint_cfg ?pool ~space ~budget caps
+                  objective prog)
         | Rl_search cfg ->
             (* The RL loop evaluates through the same guard: a failed
                episode step scores +inf instead of killing training. *)

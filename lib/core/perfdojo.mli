@@ -120,6 +120,12 @@ val default_portfolio :
     heuristic-space annealing under two seeds, edges-space annealing and
     heuristic-space sampling. *)
 
+val strategy_of_string : budget:int -> string -> (strategy, string) result
+(** The strategy a CLI or service name denotes: [naive], [greedy],
+    [heuristic], [sampling], [sampling-edges], [annealing],
+    [annealing-edges], [rl] (about [budget / 24] episodes), [portfolio]
+    or [exhaustive].  An unknown name is an [Error] naming it. *)
+
 (** The run context: every cross-cutting knob of an optimization run —
     determinism ([seed]), memoization ([cache]), resumption
     ([warm_start]), parallelism ([jobs]), observability ([obs],

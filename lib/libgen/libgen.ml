@@ -73,13 +73,6 @@ let strategy_label : P.strategy -> string = function
 
 let default_kernels () = Kernels.table3 @ Kernels.snitch_micro
 
-(* C identifier fragment from a kernel label or target name ("layernorm
-   1" -> "layernorm_1"). *)
-let sanitize s =
-  String.map
-    (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_') as c -> c | _ -> '_')
-    s
-
 let dedupe_by key xs =
   let seen = Hashtbl.create 16 in
   List.filter
@@ -441,9 +434,9 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
   let entries =
     List.map
       (fun (tname, t, (e : Kernels.entry), root, fp, naive_s, item) ->
-        let base = sanitize e.label ^ "_" ^ sanitize tname in
-        let c_file = base ^ ".c" in
-        let c_entry = "perfdojo_" ^ base in
+        let c_entry = Codegen.entry_symbol ~kernel:e.label ~target:tname in
+        (* the file is named after the symbol, less its "perfdojo_" *)
+        let c_file = String.sub c_entry 9 (String.length c_entry - 9) ^ ".c" in
         let finish ~status ~strategy ~moves ~time_s ~evaluations ~failures
             ~recorded ~error sched =
           let banner =

@@ -42,68 +42,28 @@ let default_max_states = 20_000
 (* Checkpoint / resume                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The BFS checkpoints after every completed level: the frontier (as
-   forward move paths — programs replay from the root), the seen
-   fingerprint set, the best-so-far and exact accounting all travel
-   through {!Recover.Store}.  A killed run resumed from its last
-   checkpoint re-expands only the level it died in, so resume
-   re-evaluates strictly fewer states than a cold restart (the
-   checkpointed [evals] are never re-paid), and reaches the same
-   certified optimum with the same trace suffix. *)
-
-(* A checkpointed move path must replay exactly: one that no longer
-   does means the checkpoint does not match this build and is rejected
-   as corrupt. *)
-let replay_checkpointed ~filter caps root moves =
-  match Stochastic.replay_exact ~filter caps root moves with
-  | Ok p -> p
-  | Error msg ->
-      Recover.Field.corrupt "checkpointed path does not replay: %s" msg
-
-let encode_exhaustive ~depth ~max_states ~level ~unique ~total ~evals
-    ~failures ~best_time ~best_moves ~seen ~frontier ~events =
-  let open Util.Json in
-  let strs l = Arr (List.map (fun s -> Str s) l) in
-  Obj
-    [
-      ("kind", Str "exhaustive");
-      ("depth", Num (float_of_int depth));
-      ("max_states", Num (float_of_int max_states));
-      ("level", Num (float_of_int level));
-      ("unique", Num (float_of_int unique));
-      ("total", Num (float_of_int total));
-      ("evals", Num (float_of_int evals));
-      ("failures", Num (float_of_int failures));
-      ("best_time", Recover.Bits.of_float best_time);
-      ("best_moves", strs best_moves);
-      ("seen", strs (List.sort compare seen));
-      ("frontier", Arr (List.map (fun (_, path) -> strs path) frontier));
-      ("events", Num (float_of_int events));
-    ]
-
-let decode_frontier json =
-  Recover.Field.list "frontier" json
-  |> List.map (function
-       | Util.Json.Arr items ->
-           List.map
-             (function
-               | Util.Json.Str s -> s
-               | _ -> Recover.Field.corrupt "frontier path holds a non-string")
-             items
-       | _ -> Recover.Field.corrupt "frontier entry is not an array")
+(* The BFS checkpoints through {!Checkpoint} after every completed
+   level: the frontier (as forward move paths — programs replay from the
+   root), the seen fingerprint set, the best-so-far and exact accounting.
+   A killed run resumed from its last checkpoint re-expands only the
+   level it died in, so resume re-evaluates strictly fewer states than a
+   cold restart (the checkpointed [evals] are never re-paid), and
+   reaches the same certified optimum with the same trace suffix. *)
 
 let run ?filter ?(obs = Obs.Trace.null) ?metrics
     ?(guard = Robust.Guard.default) ?(max_states = default_max_states)
-    ?(checkpoint : Stochastic.checkpoint_cfg option) ~(depth : int) caps
-    (objective : Stochastic.objective) (root : Ir.Prog.t) : result =
+    ?checkpoint ~(depth : int) caps (objective : Stochastic.objective)
+    (root : Ir.Prog.t) : result =
   if depth < 0 then invalid_arg "Exhaustive.run: depth must be >= 0";
   if max_states < 1 then
     invalid_arg "Exhaustive.run: max_states must be >= 1";
   let guard = Robust.Guard.instrument ?metrics guard in
-  let obs, counted =
-    match checkpoint with
-    | None -> (obs, fun () -> 0)
-    | Some _ -> Obs.Trace.counting obs
+  let ck, obs, resumed =
+    Checkpoint.start ?metrics checkpoint obs
+      ~identity:
+        Obs.Trace.
+          [ str "kind" "exhaustive"; int "depth" depth;
+            int "max_states" max_states ]
   in
   let traced = Obs.Trace.enabled obs in
   let filter = match filter with Some f -> f | None -> fun _ -> true in
@@ -121,16 +81,7 @@ let run ?filter ?(obs = Obs.Trace.null) ?metrics
   (* frontier: (program, forward move path), discovery order *)
   let frontier = ref [] in
   let level = ref 0 in
-  let events_base = ref 0 in
-  let resume_payload =
-    match checkpoint with
-    | Some { resume = true; path; _ } when Sys.file_exists path -> (
-        match Recover.Store.load ~path with
-        | Ok payload -> Some payload
-        | Error e -> raise (Recover.Error e))
-    | _ -> None
-  in
-  (match resume_payload with
+  (match resumed with
   | None ->
       (* cold start: evaluate the root and emit the start event *)
       let root_time =
@@ -157,12 +108,6 @@ let run ?filter ?(obs = Obs.Trace.null) ?metrics
       (* resume: restore the walk at its last completed level; the
          prelude (root evaluation, start event) already happened in the
          crashed run and lives inside the restored accounting *)
-      Recover.Field.check_str json "kind" "exhaustive";
-      Recover.Field.check_int json "depth" depth;
-      Recover.Field.check_int json "max_states" max_states;
-      (match metrics with
-      | Some m -> Obs.Metrics.incr m "checkpoint.resumes"
-      | None -> ());
       level := Recover.Field.int "level" json;
       unique := Recover.Field.int "unique" json;
       total := Recover.Field.int "total" json;
@@ -170,34 +115,24 @@ let run ?filter ?(obs = Obs.Trace.null) ?metrics
       failures := Recover.Field.int "failures" json;
       best_time := Recover.Field.float_bits "best_time" json;
       best_moves := Recover.Field.str_list "best_moves" json;
-      best := replay_checkpointed ~filter caps root !best_moves;
-      List.iter
-        (fun fp -> Hashtbl.replace seen fp ())
-        (Recover.Field.str_list "seen" json);
+      let replay path =
+        Checkpoint.replayed (Stochastic.replay_exact ~filter caps root path)
+      in
+      best := replay !best_moves;
+      Checkpoint.add_fingerprints seen "seen" json;
+      let path = function
+        | Util.Json.Str s -> s
+        | _ -> Recover.Field.corrupt "frontier path holds a non-string"
+      in
       frontier :=
         List.map
-          (fun path -> (replay_checkpointed ~filter caps root path, path))
-          (decode_frontier json);
-      events_base := Recover.Field.int "events" json);
+          (function
+            | Util.Json.Arr items ->
+                let path = List.map path items in
+                (replay path, path)
+            | _ -> Recover.Field.corrupt "frontier entry is not an array")
+          (Recover.Field.list "frontier" json));
   let truncated = ref false in
-  let write_checkpoint () =
-    match checkpoint with
-    | None -> None
-    | Some ck ->
-        Obs.Trace.emit obs "checkpoint.write" (fun () ->
-            Obs.Trace.[ int "filled" !level; int "evals" !evals ]);
-        (match metrics with
-        | Some m -> Obs.Metrics.incr m "checkpoint.writes"
-        | None -> ());
-        Recover.Store.save ~path:ck.path
-          (encode_exhaustive ~depth ~max_states ~level:!level ~unique:!unique
-             ~total:!total ~evals:!evals ~failures:!failures
-             ~best_time:!best_time ~best_moves:!best_moves
-             ~seen:(Hashtbl.fold (fun k () acc -> k :: acc) seen [])
-             ~frontier:!frontier
-             ~events:(!events_base + counted ()));
-        Some ck.path
-  in
   while !level < depth && !frontier <> [] && not !truncated do
     incr level;
     let next = ref [] in
@@ -253,14 +188,22 @@ let run ?filter ?(obs = Obs.Trace.null) ?metrics
               int "frontier" (List.length !frontier);
             ]);
     (* Levels are the BFS unit of determinism, so every completed level
-       checkpoints (the [every] cadence is for per-eval engines).  A
-       truncated level ended mid-expansion and is not a resumable
-       state. *)
-    if not !truncated then begin
-      let path = write_checkpoint () in
-      if Recover.Interrupt.requested () && !level < depth && !frontier <> []
-      then raise (Recover.Interrupt.Interrupted path)
-    end
+       is a due checkpoint (the [every] cadence is for the stochastic
+       engine's rounds).  A truncated level ended mid-expansion and is
+       not a resumable state. *)
+    if not !truncated then
+      Checkpoint.safe_point ck ~due:true
+        ~finished:(!level >= depth || !frontier = [])
+        ~trace:(fun () -> Obs.Trace.[ int "filled" !level; int "evals" !evals ])
+        (fun () ->
+          Obs.Trace.
+            [ int "level" !level; int "unique" !unique; int "total" !total;
+              int "evals" !evals; int "failures" !failures ]
+          @ [ ("best_time", Recover.Bits.of_float !best_time);
+              ("best_moves", Checkpoint.moves !best_moves);
+              ("seen", Checkpoint.fingerprints seen);
+              ( "frontier",
+                Util.Json.Arr (List.map (fun (_, p) -> Checkpoint.moves p) !frontier) ) ])
   done;
   let exhausted = !frontier = [] && not !truncated in
   let certified = not !truncated in

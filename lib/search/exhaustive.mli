@@ -49,7 +49,7 @@ val run :
   ?metrics:Obs.Metrics.t ->
   ?guard:Robust.Guard.config ->
   ?max_states:int ->
-  ?checkpoint:Stochastic.checkpoint_cfg ->
+  ?checkpoint:Checkpoint.config ->
   depth:int ->
   Transform.Xforms.caps ->
   Stochastic.objective ->
@@ -62,13 +62,14 @@ val run :
     Raises [Invalid_argument] on negative [depth] or non-positive
     [max_states].
 
-    [checkpoint] snapshots the walk through {!Recover.Store} after
-    every completed BFS level (levels are the unit of determinism here,
-    so [checkpoint_cfg.every] is ignored): frontier move paths, seen
+    [checkpoint] saves the walk through {!Checkpoint} after every
+    completed BFS level (levels are the unit of determinism here, so
+    [Checkpoint.config.every] is ignored): frontier move paths, seen
     fingerprints, best-so-far and exact accounting.  Resuming a killed
     run re-expands only the level it died in — strictly fewer
     evaluations than a cold restart — and certifies the {e same}
     optimum with the same spliced trace.  A mismatched [depth] /
     [max_states] raises {!Recover.Error} ([Mismatch]); a pending
     SIGINT/SIGTERM checkpoints at the level boundary and raises
-    {!Recover.Interrupt.Interrupted}. *)
+    {!Recover.Interrupt.Interrupted}.  A run without [checkpoint]
+    ignores the interrupt flag and finishes its walk. *)

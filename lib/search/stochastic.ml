@@ -33,7 +33,8 @@ type space = Edges | Heuristic
    (higher = predicted faster) used to rank the distinct candidates of
    a round so only the top [filter_ratio] fraction pays for a real
    (simulator) evaluation; [observe] feeds every real measurement back
-   as online training signal.  The search layer treats both as abstract
+   as online training signal; [snapshot]/[restore] carry the model
+   across a checkpoint.  The search layer treats all four as abstract
    closures — the concrete model lives in [lib/surrogate], which
    depends on this library, not the reverse. *)
 type prerank = {
@@ -41,6 +42,8 @@ type prerank = {
   observe : Ir.Prog.t -> float -> unit;
       (** called with every real measurement, in slot order *)
   filter_ratio : float;  (** fraction of distinct candidates kept, (0, 1] *)
+  snapshot : unit -> Util.Json.t;  (** the model's state, for a checkpoint *)
+  restore : Util.Json.t -> unit;  (** put a [snapshot] back on resume *)
 }
 
 type result = {
@@ -396,7 +399,7 @@ let default_batch = 8
    [start]/[curve_init]/[counters_init] resume from a checkpointed round
    boundary; [round_end] fires after each round with the filled count,
    the curve and the (evals, skipped, deduped, visited) accounting so
-   far — the checkpoint writer's hook.  Returns the curve plus that
+   far — the checkpoint's safe point.  Returns the curve plus that
    accounting: budget = evals + skipped + deduped + visited +
    build-failures. *)
 
@@ -672,55 +675,20 @@ let make_visited ~visited_dedup root warm =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint / resume (crash safety)                                  *)
+(* Checkpoint fields                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The engine checkpoints at round boundaries: after each round the
-   whole search state — main RNG quadruple, candidate pool with
-   selection weights, best-so-far, the annealing chain state, the
-   best-so-far curve prefix, exact accounting, the visited fingerprint
-   set, the surrogate model (via [snapshot_extra]), and the number of
-   trace events emitted so far — is written atomically and durably
-   through {!Recover.Store}.  Because rounds are the unit of
-   determinism (parent selection, RNG splits and acceptance draws all
-   happen on the submitting thread between round boundaries), a run
-   killed at any point and resumed from its last checkpoint replays the
-   exact trajectory of the uninterrupted run: same [result], exact
-   accounting across the splice, and — since the checkpoint records the
-   event count — a stripped trace that splices byte-identically
-   (killed[0..events) ++ resumed == uninterrupted).  This is the house
-   jobs-invariance discipline extended to kill-invariance.
-
-   Floats (runtimes can be +inf for quarantined slots) cross the file
-   boundary as IEEE-754 bit patterns ({!Recover.Bits}); candidate
-   programs are not serialized — they rebuild via [replay_exact]
-   from the root, which costs transform replays but zero simulator
-   evaluations. *)
-
-type checkpoint_cfg = { path : string; every : int; resume : bool }
-
-type ckpt_state = {
-  st_filled : int;
-  st_rng : int64 array;
-  st_pool : (string list * float * float * float) array;
-      (* moves, runtime, parent_runtime, selection weight *)
-  st_best : string list * float * float;
-  st_current : (string list * float * float) option;  (* annealing chain *)
-  st_temp : float option;
-  st_curve : float array;  (* prefix of length st_filled *)
-  st_counts : int * int * int * int;  (* evals, skipped, deduped, visited *)
-  st_failures : int;
-  st_visited : string list;  (* sorted canonical fingerprints *)
-  st_events : int;  (* trace events emitted up to this checkpoint *)
-  st_extra : Util.Json.t option;  (* surrogate model state *)
-}
+(* The engine checkpoints at round boundaries through {!Checkpoint}:
+   rounds are its unit of determinism (parent selection, RNG splits and
+   acceptance draws all happen on the submitting thread between them).
+   Its fields are the whole search state: main RNG quadruple, candidate
+   pool with selection weights, best-so-far, the annealing chain, the
+   curve prefix, exact accounting, the visited set and the surrogate
+   model.  Floats (runtimes can be +inf for quarantined slots) cross the
+   file boundary as IEEE-754 bit patterns ({!Recover.Bits}). *)
 
 let ck_corrupt fmt = Recover.Field.corrupt fmt
-let ck_member = Recover.Field.member
-let ck_int = Recover.Field.int
 let ck_list = Recover.Field.list
-let ck_float = Recover.Field.float_bits
-let str_list = Recover.Field.str_list
 let hex64 v = Util.Json.Str (Printf.sprintf "%Lx" v)
 
 let ck_hex64 = function
@@ -730,75 +698,25 @@ let ck_hex64 = function
       | None -> ck_corrupt "bad 64-bit hex word %S" s)
   | _ -> ck_corrupt "RNG state word is not a string"
 
-let triple_json (moves, runtime, parent_runtime) =
-  Util.Json.Obj
-    [
-      ("moves", Util.Json.Arr (List.map (fun m -> Util.Json.Str m) moves));
-      ("rt", Recover.Bits.of_float runtime);
-      ("prt", Recover.Bits.of_float parent_runtime);
-    ]
+let cand_fields (c : candidate) =
+  [ ("moves", Checkpoint.moves c.moves);
+    ("rt", Recover.Bits.of_float c.runtime);
+    ("prt", Recover.Bits.of_float c.parent_runtime) ]
 
-let triple_of_json json =
-  (str_list "moves" json, ck_float "rt" json, ck_float "prt" json)
+(* Rebuild a candidate from its saved (moves, runtime, parent_runtime):
+   the program replays from the root through the same [filter] the
+   original run used — transform replays only, no objective call. *)
+let cand_of_json ?filter caps root json =
+  let moves = Recover.Field.str_list "moves" json in
+  let runtime = Recover.Field.float_bits "rt" json in
+  let parent_runtime = Recover.Field.float_bits "prt" json in
+  let prog = Checkpoint.replayed (replay_exact ?filter caps root moves) in
+  { moves; prog; runtime; parent_runtime }
 
-let encode_stochastic ~meth ~space ~seed ~budget ~batch (st : ckpt_state) =
-  let open Util.Json in
-  let entry (moves, rt, prt, w) =
-    Obj
-      [
-        ("moves", Arr (List.map (fun m -> Str m) moves));
-        ("rt", Recover.Bits.of_float rt);
-        ("prt", Recover.Bits.of_float prt);
-        ("w", Recover.Bits.of_float w);
-      ]
-  in
-  Obj
-    (List.concat
-       [
-         [
-           ("kind", Str "stochastic");
-           ("method", Str meth);
-           ("space", Str (space_name space));
-           ("seed", Num (float_of_int seed));
-           ("budget", Num (float_of_int budget));
-           ("batch", Num (float_of_int batch));
-           ("filled", Num (float_of_int st.st_filled));
-           ("rng", Arr (Array.to_list (Array.map hex64 st.st_rng)));
-           ("pool", Arr (Array.to_list (Array.map entry st.st_pool)));
-           ("best", triple_json st.st_best);
-         ];
-         (match st.st_current with
-         | Some c -> [ ("current", triple_json c) ]
-         | None -> []);
-         (match st.st_temp with
-         | Some t -> [ ("temp", Recover.Bits.of_float t) ]
-         | None -> []);
-         [
-           ( "curve",
-             Arr
-               (Array.to_list (Array.map Recover.Bits.of_float st.st_curve))
-           );
-           ( "counts",
-             let e, s, d, v = st.st_counts in
-             Arr (List.map (fun x -> Num (float_of_int x)) [ e; s; d; v ]) );
-           ("failures", Num (float_of_int st.st_failures));
-           ("visited", Arr (List.map (fun f -> Str f) st.st_visited));
-           ("events", Num (float_of_int st.st_events));
-         ];
-         (match st.st_extra with Some j -> [ ("model", j) ] | None -> []);
-       ])
-
-let ck_check_identity ~kind ~meth ~space ~seed ~budget ~batch json =
-  Recover.Field.check_str json "kind" kind;
-  Recover.Field.check_str json "method" meth;
-  Recover.Field.check_str json "space" (space_name space);
-  Recover.Field.check_int json "seed" seed;
-  Recover.Field.check_int json "budget" budget;
-  Recover.Field.check_int json "batch" batch
-
-let decode_stochastic ~meth ~space ~seed ~budget ~batch json : ckpt_state =
-  ck_check_identity ~kind:"stochastic" ~meth ~space ~seed ~budget ~batch json;
-  let filled = ck_int "filled" json in
+(* The round-loop fields of a checkpoint: filled count, curve prefix,
+   RNG state and (evals, skipped, deduped, visited) accounting. *)
+let round_of_json json =
+  let filled = Recover.Field.int "filled" json in
   let curve =
     ck_list "curve" json
     |> List.map (fun v ->
@@ -815,138 +733,23 @@ let decode_stochastic ~meth ~space ~seed ~budget ~batch json : ckpt_state =
     | [ _; _; _; _ ] as words -> Array.of_list (List.map ck_hex64 words)
     | l -> ck_corrupt "RNG state has %d words, expected 4" (List.length l)
   in
-  let pool =
-    ck_list "pool" json
-    |> List.map (fun e ->
-           let moves, rt, prt = triple_of_json e in
-           (moves, rt, prt, ck_float "w" e))
-    |> Array.of_list
-  in
   let counts =
     match ck_list "counts" json |> List.map Util.Json.to_int with
     | [ Some e; Some s; Some d; Some v ] -> (e, s, d, v)
     | _ -> ck_corrupt "malformed accounting counts"
   in
-  {
-    st_filled = filled;
-    st_rng = rng;
-    st_pool = pool;
-    st_best = triple_of_json (ck_member "best" json);
-    st_current =
-      Option.map triple_of_json (Util.Json.member "current" json);
-    st_temp = Option.bind (Util.Json.member "temp" json) Recover.Bits.to_float;
-    st_curve = curve;
-    st_counts = counts;
-    st_failures = ck_int "failures" json;
-    st_visited = str_list "visited" json;
-    st_events = ck_int "events" json;
-    st_extra = Util.Json.member "model" json;
-  }
-
-(* Load the resume state, if resuming was requested and a checkpoint
-   exists.  [--resume] with no checkpoint file yet is a cold start (the
-   first run of a campaign), not an error; a corrupt or mismatched file
-   is a typed {!Recover.Error} — never garbage state. *)
-let load_stochastic_resume checkpoint ~meth ~space ~seed ~budget ~batch =
-  match checkpoint with
-  | Some { resume = true; path; _ } when Sys.file_exists path -> (
-      match Recover.Store.load ~path with
-      | Ok payload ->
-          Some (decode_stochastic ~meth ~space ~seed ~budget ~batch payload)
-      | Error e -> raise (Recover.Error e))
-  | _ -> None
-
-(* Rebuild a candidate from its serialized (moves, runtime,
-   parent_runtime): the program replays from the root through the same
-   [filter] the original run used — transform replays only, no
-   simulator evaluations (this is what makes resume strictly cheaper
-   than a cold restart).  Every candidate's moves are the ones that
-   applied, so a path that no longer replays exactly means the
-   checkpoint does not match this build. *)
-let cand_of_triple ?filter caps root (moves, runtime, parent_runtime) =
-  match replay_exact ?filter caps root moves with
-  | Ok prog -> { moves; prog; runtime; parent_runtime }
-  | Error msg -> ck_corrupt "checkpointed path does not replay: %s" msg
-
-let snapshot_pool pool weights =
-  Array.init (Util.Dynarray.length pool) (fun i ->
-      let c = Util.Dynarray.get pool i in
-      (c.moves, c.runtime, c.parent_runtime, Util.Dynarray.get weights i))
-
-let snapshot_triple (c : candidate) = (c.moves, c.runtime, c.parent_runtime)
-
-let visited_to_list = function
-  | None -> []
-  | Some set ->
-      Hashtbl.fold (fun k () acc -> k :: acc) set [] |> List.sort compare
-
-let visited_of_list fps =
-  let set = Hashtbl.create 64 in
-  List.iter (fun f -> Hashtbl.replace set f ()) fps;
-  set
-
-(* The per-round hook of a checkpointed run: write a checkpoint when
-   the cadence is due (every [every] filled slots, and always at the end
-   of the run), and honor a pending SIGINT/SIGTERM by checkpointing and
-   raising {!Recover.Interrupt.Interrupted} at this safe point (the pool
-   is idle between rounds).  A run without a checkpoint has nothing to
-   write, so it ignores the flag and finishes its budget.  The
-   [checkpoint.write] trace event is emitted *before* the event counter
-   is read, so the recorded count includes it and the trace splice stays
-   exact. *)
-let make_round_hook ?metrics ~obs ~counted ~events_base ~checkpoint ~start
-    ~budget ~snapshot () =
-  match checkpoint with
-  | None -> fun ~filled:_ ~curve:_ ~stats:_ -> ()
-  | Some ck ->
-      let last = ref start in
-      let write ~filled ~curve ~stats =
-        Obs.Trace.emit obs "checkpoint.write" (fun () ->
-            let e, s, d, v = stats in
-            Obs.Trace.
-              [
-                int "filled" filled;
-                int "evals" e;
-                int "skipped" s;
-                int "deduped" d;
-                int "visited" v;
-              ]);
-        (match metrics with
-        | Some m -> Obs.Metrics.incr m "checkpoint.writes"
-        | None -> ());
-        Recover.Store.save ~path:ck.path
-          (snapshot ~filled ~curve ~stats ~events:(events_base + counted ()));
-        last := filled
-      in
-      fun ~filled ~curve ~stats ->
-        if filled > !last && (filled - !last >= ck.every || filled >= budget)
-        then write ~filled ~curve ~stats;
-        if Recover.Interrupt.requested () && filled < budget then begin
-          if filled > !last then write ~filled ~curve ~stats;
-          raise (Recover.Interrupt.Interrupted (Some ck.path))
-        end
-
-(* Wrap [obs] so every emitted event is counted (checkpoints record the
-   count for trace splicing) — only when checkpointing, so the default
-   path allocates nothing new. *)
-let maybe_counting checkpoint obs =
-  match checkpoint with
-  | None -> (obs, fun () -> 0)
-  | Some _ -> Obs.Trace.counting obs
-
-let restore_model restore_extra extra =
-  match (restore_extra, extra) with Some f, Some j -> f j | _ -> ()
+  (filled, curve, Util.Rng.of_state rng, counts)
 
 (* ------------------------------------------------------------------ *)
 (* The two methods                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Where a run starts: the cold prelude's root and warm-start
-   candidates, or a restored checkpoint — whose state already holds the
+   candidates, or a checkpoint payload — whose state already holds the
    prelude's effects (root evaluation, warm replay, start event, model
    seeding), so re-running it would re-pay evaluations and duplicate
    trace events. *)
-type origin = Cold of candidate * candidate option | Resumed of ckpt_state
+type origin = Cold of candidate * candidate option | Resumed of Util.Json.t
 
 (* The half of a run that differs between the methods, built once the
    origin is known: the best-so-far cell, a slot's parent (drawn on the
@@ -956,24 +759,28 @@ type chain = {
   best : candidate ref;
   parent : unit -> candidate;
   on_slot : slot:int -> candidate -> slot_outcome -> unit;
-  save : ckpt_state -> ckpt_state;
+  fields : unit -> (string * Util.Json.t) list;
 }
 
 let search ~meth ~seed ?filter ~init ~obs ?metrics ~guard ?pool ~batch
-    ?prerank ~dedup ~visited_dedup ?checkpoint ?snapshot_extra ?restore_extra
-    ~space ~budget caps (objective : objective) (root : Ir.Prog.t)
+    ?prerank ~dedup ~visited_dedup ?checkpoint ~space ~budget caps
+    (objective : objective) (root : Ir.Prog.t)
     (chain : Util.Rng.t -> Obs.Trace.sink -> origin -> chain) : result =
   if budget < 0 then invalid_arg "Stochastic: budget must be >= 0";
   if batch < 1 then invalid_arg "Stochastic: batch must be >= 1";
   check_prerank prerank;
   let meth = if batch > 1 then meth ^ "-parallel" else meth in
   let guard = Robust.Guard.instrument ?metrics guard in
-  let obs, counted = maybe_counting checkpoint obs in
-  let resumed =
-    load_stochastic_resume checkpoint ~meth ~space ~seed ~budget ~batch
+  let ck, obs, resumed =
+    Checkpoint.start ?metrics checkpoint obs
+      ~identity:
+        Obs.Trace.
+          [ str "kind" "stochastic"; str "method" meth;
+            str "space" (space_name space); int "seed" seed;
+            int "budget" budget; int "batch" batch ]
   in
   let failures, note = make_noter ?metrics obs in
-  let rng, origin, visited, start, curve_init, counters_init, events_base =
+  let rng, origin, visited, start, curve_init, counters_init =
     match resumed with
     | None ->
         let rng = Util.Rng.create seed in
@@ -989,41 +796,53 @@ let search ~meth ~seed ?filter ~init ~obs ?metrics ~guard ?pool ~batch
         in
         observe_seed prerank root ~root_time warm;
         ( rng, Cold (root_cand, warm), make_visited ~visited_dedup root warm,
-          0, [||], (0, 0, 0, 0), 0 )
-    | Some st ->
-        (match metrics with
-        | Some m -> Obs.Metrics.incr m "checkpoint.resumes"
-        | None -> ());
-        failures := st.st_failures;
-        restore_model restore_extra st.st_extra;
+          0, [||], (0, 0, 0, 0) )
+    | Some json ->
+        let filled, curve, rng, counts = round_of_json json in
+        failures := Recover.Field.int "failures" json;
+        (match (prerank, Util.Json.member "model" json) with
+        | Some p, Some model -> p.restore model
+        | _ -> ());
         let visited =
-          if visited_dedup then Some (visited_of_list st.st_visited) else None
+          if not visited_dedup then None
+          else begin
+            let set = Hashtbl.create 64 in
+            Checkpoint.add_fingerprints set "visited" json;
+            Some set
+          end
         in
-        ( Util.Rng.of_state st.st_rng, Resumed st, visited, st.st_filled,
-          st.st_curve, st.st_counts, st.st_events )
+        (rng, Resumed json, visited, filled, curve, counts)
   in
   let c = chain rng obs origin in
-  let snapshot ~filled ~curve ~stats ~events =
-    encode_stochastic ~meth ~space ~seed ~budget ~batch
-      (c.save
-         {
-           st_filled = filled;
-           st_rng = Util.Rng.state rng;
-           st_pool = [||];
-           st_best = snapshot_triple !(c.best);
-           st_current = None;
-           st_temp = None;
-           st_curve = Array.sub curve 0 filled;
-           st_counts = stats;
-           st_failures = !failures;
-           st_visited = visited_to_list visited;
-           st_events = events;
-           st_extra = Option.map (fun f -> f ()) snapshot_extra;
-         })
+  let fields ~filled ~curve ~stats () =
+    let e, s, d, v = stats in
+    let open Util.Json in
+    [ Obs.Trace.int "filled" filled;
+      ("rng", Arr (Array.to_list (Array.map hex64 (Util.Rng.state rng)))) ]
+    @ c.fields ()
+    @ [ ("curve", Arr (List.init filled (fun i -> Recover.Bits.of_float curve.(i))));
+        ("counts", Arr (List.map (fun x -> Num (float_of_int x)) [ e; s; d; v ]));
+        Obs.Trace.int "failures" !failures;
+        ("visited", Option.fold ~none:(Arr []) ~some:Checkpoint.fingerprints visited) ]
+    @ Option.fold ~none:[] ~some:(fun p -> [ ("model", p.snapshot ()) ]) prerank
   in
+  (* A run without a checkpoint has no safe-point work: its hook is a
+     no-op, so the round loop allocates nothing for it.  A checkpointed
+     run is due every [every] filled slots and at the end of the run. *)
   let round_end =
-    make_round_hook ?metrics ~obs ~counted ~events_base ~checkpoint ~start
-      ~budget ~snapshot ()
+    match checkpoint with
+    | None -> fun ~filled:_ ~curve:_ ~stats:_ -> ()
+    | Some { Checkpoint.every; _ } ->
+        let last = ref start in
+        fun ~filled ~curve ~stats ->
+          let due = filled - !last >= every || filled >= budget in
+          if due then last := filled;
+          Checkpoint.safe_point ck ~due ~finished:(filled >= budget)
+            ~trace:(fun () ->
+              let e, s, d, v = stats in
+              Obs.Trace.[ int "filled" filled; int "evals" e; int "skipped" s;
+                          int "deduped" d; int "visited" v ])
+            (fields ~filled ~curve ~stats)
   in
   let fold slot parent outcome =
     (match outcome with
@@ -1057,11 +876,11 @@ let search ~meth ~seed ?filter ~init ~obs ?metrics ~guard ?pool ~batch
 let random_sampling ?(seed = 1) ?filter ?(init = [])
     ?(obs = Obs.Trace.null) ?metrics ?(guard = Robust.Guard.default)
     ?(batch = 1) ?prerank ?(dedup = false) ?(visited_dedup = false)
-    ?checkpoint ?snapshot_extra ?restore_extra ?pool ~(space : space)
-    ~(budget : int) caps (objective : objective) (root : Ir.Prog.t) : result =
+    ?checkpoint ?pool ~(space : space) ~(budget : int) caps
+    (objective : objective) (root : Ir.Prog.t) : result =
   search ~meth:"random-sampling" ~seed ?filter ~init ~obs ?metrics ~guard
-    ?pool ~batch ?prerank ~dedup ~visited_dedup ?checkpoint ?snapshot_extra
-    ?restore_extra ~space ~budget caps objective root (fun rng obs origin ->
+    ?pool ~batch ?prerank ~dedup ~visited_dedup ?checkpoint ~space ~budget
+    caps objective root (fun rng obs origin ->
       let cands, weights, push_weighted = make_pool root in
       let push c = push_weighted (weight c) c in
       let best =
@@ -1072,14 +891,14 @@ let random_sampling ?(seed = 1) ?filter ?(init = [])
             match warm with
             | Some w when w.runtime < root_cand.runtime -> w
             | Some _ | None -> root_cand)
-        | Resumed st ->
+        | Resumed json ->
             (* exact saved weights, so the first resumed draw matches *)
-            Array.iter
-              (fun (moves, rt, prt, w) ->
-                push_weighted w
-                  (cand_of_triple ?filter caps root (moves, rt, prt)))
-              st.st_pool;
-            cand_of_triple ?filter caps root st.st_best
+            List.iter
+              (fun e ->
+                let c = cand_of_json ?filter caps root e in
+                push_weighted (Recover.Field.float_bits "w" e) c)
+              (Recover.Field.list "pool" json);
+            cand_of_json ?filter caps root (Recover.Field.member "best" json)
       in
       let best = ref best in
       {
@@ -1092,7 +911,15 @@ let random_sampling ?(seed = 1) ?filter ?(init = [])
             | Evaluated child ->
                 push child;
                 record_step ?metrics obs best ~slot child);
-        save = (fun st -> { st with st_pool = snapshot_pool cands weights });
+        fields =
+          (fun () ->
+            let entry i =
+              Util.Json.Obj
+                (cand_fields (Util.Dynarray.get cands i)
+                @ [ ("w", Recover.Bits.of_float (Util.Dynarray.get weights i)) ])
+            in
+            [ ("pool", Util.Json.Arr (List.init (Util.Dynarray.length cands) entry));
+              ("best", Util.Json.Obj (cand_fields !best)) ]);
       })
 
 (* Simulated annealing: every proposal of a round branches off the
@@ -1101,12 +928,11 @@ let random_sampling ?(seed = 1) ?filter ?(init = [])
 let simulated_annealing ?(seed = 1) ?filter ?(init = [])
     ?(obs = Obs.Trace.null) ?metrics ?(guard = Robust.Guard.default)
     ?(t0 = 0.5) ?(cooling = 0.995) ?(batch = 1) ?prerank ?(dedup = false)
-    ?(visited_dedup = false) ?checkpoint ?snapshot_extra ?restore_extra ?pool
-    ~(space : space) ~(budget : int) caps (objective : objective)
-    (root : Ir.Prog.t) : result =
+    ?(visited_dedup = false) ?checkpoint ?pool ~(space : space)
+    ~(budget : int) caps (objective : objective) (root : Ir.Prog.t) : result =
   search ~meth:"simulated-annealing" ~seed ?filter ~init ~obs ?metrics ~guard
-    ?pool ~batch ?prerank ~dedup ~visited_dedup ?checkpoint ?snapshot_extra
-    ?restore_extra ~space ~budget caps objective root (fun rng obs origin ->
+    ?pool ~batch ?prerank ~dedup ~visited_dedup ?checkpoint ~space ~budget
+    caps objective root (fun rng obs origin ->
       let current, best, temp =
         match origin with
         | Cold (root_cand, warm) ->
@@ -1116,18 +942,19 @@ let simulated_annealing ?(seed = 1) ?filter ?(init = [])
               | Some _ | None -> root_cand
             in
             (c, c, t0)
-        | Resumed st ->
+        | Resumed json ->
             let current =
-              match st.st_current with
-              | Some c -> cand_of_triple ?filter caps root c
+              match Util.Json.member "current" json with
+              | Some c -> cand_of_json ?filter caps root c
               | None -> ck_corrupt "annealing checkpoint missing chain state"
             in
             let temp =
-              match st.st_temp with
+              match Option.bind (Util.Json.member "temp" json) Recover.Bits.to_float with
               | Some t -> t
               | None -> ck_corrupt "annealing checkpoint missing temperature"
             in
-            (current, cand_of_triple ?filter caps root st.st_best, temp)
+            let best = Recover.Field.member "best" json in
+            (current, cand_of_json ?filter caps root best, temp)
       in
       let current = ref current and best = ref best and temp = ref temp in
       {
@@ -1157,11 +984,11 @@ let simulated_annealing ?(seed = 1) ?filter ?(init = [])
             (* cooling always advances, so the temperature is a function
                of the step index alone *)
             temp := !temp *. cooling);
-        save =
-          (fun st ->
-            {
-              st with
-              st_current = Some (snapshot_triple !current);
-              st_temp = Some !temp;
-            });
+        fields =
+          (fun () ->
+            (* an empty pool: both methods write one layout *)
+            [ ("pool", Util.Json.Arr []);
+              ("best", Util.Json.Obj (cand_fields !best));
+              ("current", Util.Json.Obj (cand_fields !current));
+              ("temp", Recover.Bits.of_float !temp) ]);
       })

@@ -44,37 +44,24 @@ type prerank = {
   filter_ratio : float;
       (** fraction of distinct candidates per round sent to the real
           objective, in (0, 1]; [1.0] keeps all (training only) *)
+  snapshot : unit -> Util.Json.t;
+      (** the model's full state, written as the [model] member of
+          every checkpoint the run saves *)
+  restore : Util.Json.t -> unit;
+      (** puts a [snapshot] back in place when the run resumes, so the
+          resumed model trains and filters exactly like the
+          uninterrupted one; raises {!Recover.Error} ([Corrupt]) when
+          the snapshot does not fit the model *)
 }
 (** A surrogate pre-ranking stage (see {!random_sampling}): [score]
     cheaply ranks the distinct candidates of a round and only the top
     [filter_ratio] fraction pays for a real evaluation; [observe]
-    receives every real measurement as online training signal.  Both are abstract closures — the concrete
-    learned model lives in [lib/surrogate], which depends on this
-    library, not the reverse.  Scoring and observation happen only on
-    the submitting thread, in slot order, so a deterministic model keeps
-    the search jobs-invariant. *)
-
-type checkpoint_cfg = { path : string; every : int; resume : bool }
-(** Crash-safe checkpointing for the stochastic engine (and, via
-    {!Exhaustive}, the BFS engine).  A checkpoint is written through
-    {!Recover.Store} — atomically and durably — at every round boundary
-    where at least [every] budget slots completed since the last write,
-    and always at the end of the run.  With [resume = true] and an
-    existing checkpoint file, the run restores the full search state
-    (RNG streams, candidate pool with weights, best-so-far, annealing
-    chain and temperature, curve prefix, exact accounting, visited
-    fingerprint set, surrogate model, trace-event count) and continues
-    the {e exact} trajectory of the uninterrupted run: same [result],
-    exact accounting across the splice, and stripped traces that splice
-    byte-identically (killed[0..events) ++ resumed == uninterrupted) —
-    kill-invariance, the jobs-invariance discipline extended across
-    process death.  A corrupt, truncated, or mismatched (different
-    method / space / seed / budget / batch) checkpoint raises
-    {!Recover.Error}; [resume] with no file yet is a cold start.
-
-    Checkpointed runs additionally honor {!Recover.Interrupt}: a
-    pending SIGINT/SIGTERM checkpoints at the next round boundary and
-    raises [Interrupted] with the checkpoint path. *)
+    receives every real measurement as online training signal.  All are
+    abstract closures — the concrete learned model lives in
+    [lib/surrogate], whose [Surrogate.Model.prerank] builds this record;
+    that library depends on this one, not the reverse.  Scoring and
+    observation happen only on the submitting thread, in slot order, so
+    a deterministic model keeps the search jobs-invariant. *)
 
 type result = {
   best : Ir.Prog.t;
@@ -165,9 +152,7 @@ val random_sampling :
   ?prerank:prerank ->
   ?dedup:bool ->
   ?visited_dedup:bool ->
-  ?checkpoint:checkpoint_cfg ->
-  ?snapshot_extra:(unit -> Util.Json.t) ->
-  ?restore_extra:(Util.Json.t -> unit) ->
+  ?checkpoint:Checkpoint.config ->
   ?pool:Parallel.Pool.t ->
   space:space ->
   budget:int ->
@@ -193,10 +178,10 @@ val random_sampling :
     [(seed, batch)] modulo {!Obs.Trace.strip_timing}.
 
     [pool] (default: none, tasks run on the caller) spreads each round's
-    building and measuring across domains.  [checkpoint] enables
-    crash-safe round-boundary snapshots (see {!checkpoint_cfg});
-    [snapshot_extra]/[restore_extra] let the caller piggy-back opaque
-    state — the surrogate model — on the checkpoint payload.
+    building and measuring across domains.  [checkpoint] saves the
+    whole search state at round boundaries through {!Checkpoint} and
+    resumes it (see {!Checkpoint.config}); with a [prerank] the
+    checkpoint also carries the surrogate model.
 
     {b Evaluation saving} (opt-in; each absent stage is an identity —
     no fingerprint, no counter, no event):
@@ -242,9 +227,7 @@ val simulated_annealing :
   ?prerank:prerank ->
   ?dedup:bool ->
   ?visited_dedup:bool ->
-  ?checkpoint:checkpoint_cfg ->
-  ?snapshot_extra:(unit -> Util.Json.t) ->
-  ?restore_extra:(Util.Json.t -> unit) ->
+  ?checkpoint:Checkpoint.config ->
   ?pool:Parallel.Pool.t ->
   space:space ->
   budget:int ->

@@ -119,35 +119,6 @@ let surrogate_model t = t.model
 let stopping t = t.state <> Running
 
 (* ------------------------------------------------------------------ *)
-(* Shared parsing                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let strategy_of_string ~budget s : (P.strategy, string) result =
-  match s with
-  | "naive" -> Ok P.Naive
-  | "greedy" -> Ok P.Greedy
-  | "heuristic" -> Ok P.Heuristic
-  | "sampling" ->
-      Ok (P.Sampling { budget; space = Search.Stochastic.Heuristic })
-  | "sampling-edges" ->
-      Ok (P.Sampling { budget; space = Search.Stochastic.Edges })
-  | "annealing" ->
-      Ok (P.Annealing { budget; space = Search.Stochastic.Heuristic })
-  | "annealing-edges" ->
-      Ok (P.Annealing { budget; space = Search.Stochastic.Edges })
-  | "rl" ->
-      Ok
-        (P.Rl_search
-           {
-             P.Rl.Perfllm.default_config with
-             episodes = max 4 (budget / 24);
-             max_steps = 20;
-           })
-  | "portfolio" -> Ok (P.Portfolio { budget })
-  | "exhaustive" -> Ok P.Exhaustive
-  | s -> Error (Printf.sprintf "unknown strategy %S" s)
-
-(* ------------------------------------------------------------------ *)
 (* Small helpers                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -160,14 +131,6 @@ let set_queue_gauge_locked t =
     (float_of_int (Queue.length t.queue))
 
 let emit t name fields = if t.traced then Obs.Trace.emit t.obs name fields
-
-let sanitize s =
-  String.map
-    (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_') as c -> c | _ -> '_')
-    s
-
-let entry_symbol ~kernel ~tname =
-  "perfdojo_" ^ sanitize kernel ^ "_" ^ sanitize tname
 
 let root_of t (e : Kernels.entry) : Ir.Prog.t * (string * string) =
   with_lock t.roots_mutex (fun () ->
@@ -309,7 +272,7 @@ let cold_optimize t ~id ~kernel ~tname ~target ~strat ~root ~keys () =
 let cold_generate t ~id ~kernel ~tname ~target ~strat ~root ~keys () =
   run_cold t ~id ~kernel ~tname ~target ~strat ~root ~keys
     (fun (o : P.outcome) (_ : Tuning.Record.t option) ->
-      let c_entry = entry_symbol ~kernel ~tname in
+      let c_entry = Codegen.entry_symbol ~kernel ~target:tname in
       Protocol.Generated
         {
           id;
@@ -646,7 +609,7 @@ let resolve_tuning t ~kernel ~target ~strategy ~budget =
   let* e = resolve_kernel t kernel in
   let* tname, tgt = resolve_target target in
   let budget = if budget <= 0 then t.cfg.default_budget else budget in
-  let* strat = strategy_of_string ~budget strategy in
+  let* strat = P.strategy_of_string ~budget strategy in
   Ok (e, tname, tgt, strat)
 
 let deadline_of t ~enqueued_at ~deadline_ms =
@@ -779,7 +742,7 @@ let submit_async t (req : Protocol.request) :
           in
           match warm_c with
           | Some (r, sched) ->
-              let c_entry = entry_symbol ~kernel:e.label ~tname in
+              let c_entry = Codegen.entry_symbol ~kernel:e.label ~target:tname in
               `Done
                 (warm_reply t ~t0
                    (Protocol.Generated

@@ -145,11 +145,3 @@ val run_socket :
     already-bound path) propagate as [Unix.Unix_error] for the CLI's
     one-line error contract.  On exit the server stops gracefully and
     the socket file is removed. *)
-
-(** {1 Shared parsing} *)
-
-val strategy_of_string :
-  budget:int -> string -> (Perfdojo.strategy, string) result
-(** The CLI strategy vocabulary (naive, greedy, heuristic,
-    sampling[-edges], annealing[-edges], rl, portfolio) — shared by the
-    request handlers and the serve/client CLI. *)

@@ -86,25 +86,31 @@ let observe t ~group ~features time =
 let observe_prog t ~group prog time =
   observe t ~group ~features:(Features.extract prog) time
 
-let prerank ?(filter_ratio = 1.0) ~group t : Search.Stochastic.prerank =
-  {
-    Search.Stochastic.score = (fun p -> score t (Features.extract p));
-    observe =
-      (fun p time -> observe t ~group ~features:(Features.extract p) time);
-    filter_ratio;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Offline training from tuning-database records                       *)
 (* ------------------------------------------------------------------ *)
 
 type offline_stats = { records : int; used : int; groups : int; pairs : int }
 
+(* A record is a training point only when its schedule is exactly the
+   one it timed: its root is known and matches, its time is finite and
+   positive, and every move replays. *)
+let record_features ~root_of (r : Tuning.Record.t) =
+  match root_of ~kernel:r.kernel ~target:r.target with
+  | Some (root, caps)
+    when Tuning.Record.matches_root ~keys:(Tuning.Record.root_keys root) r
+         && Float.is_finite r.best_time
+         && r.best_time > 0. ->
+      Result.to_option
+        (Result.map Features.extract
+           (Search.Stochastic.replay_exact caps root r.moves))
+  | _ -> None
+
 let train_offline t ~root_of (records : Tuning.Record.t list) : offline_stats
     =
-  (* replay each record into a (features, time) point, grouped by
-     (kernel, target); keys are processed sorted and points in record
-     order, so training is a pure function of the record list *)
+  (* every training point joins its (kernel, target) group; keys are
+     processed sorted and points in record order, so training is a pure
+     function of the record list *)
   let tbl : (string, (float array * float) list) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -112,31 +118,19 @@ let train_offline t ~root_of (records : Tuning.Record.t list) : offline_stats
   let used = ref 0 in
   List.iter
     (fun (r : Tuning.Record.t) ->
-      match root_of ~kernel:r.kernel ~target:r.target with
+      match record_features ~root_of r with
       | None -> ()
-      | Some (root, caps) ->
-          if
-            Tuning.Record.matches_root
-              ~keys:(Tuning.Record.root_keys root)
-              r
-            && Float.is_finite r.best_time
-            && r.best_time > 0.
-          then begin
-            let prog, _ =
-              Search.Stochastic.replay_skipping caps root r.moves
-            in
-            incr used;
-            let key = r.kernel ^ "|" ^ r.target in
-            let prev =
-              match Hashtbl.find_opt tbl key with
-              | Some l -> l
-              | None ->
-                  keys := key :: !keys;
-                  []
-            in
-            Hashtbl.replace tbl key
-              ((Features.extract prog, r.best_time) :: prev)
-          end)
+      | Some features ->
+          incr used;
+          let key = r.kernel ^ "|" ^ r.target in
+          let prev =
+            match Hashtbl.find_opt tbl key with
+            | Some l -> l
+            | None ->
+                keys := key :: !keys;
+                []
+          in
+          Hashtbl.replace tbl key ((features, r.best_time) :: prev))
     records;
   let pairs = ref 0 in
   let groups = ref 0 in
@@ -335,3 +329,17 @@ let restore t (j : Util.Json.t) : (unit, string) result =
         t.pushed <- pushed;
         Ok ()
       end)
+
+let prerank ?(filter_ratio = 1.0) ~group t : Search.Stochastic.prerank =
+  {
+    Search.Stochastic.score = (fun p -> score t (Features.extract p));
+    observe =
+      (fun p time -> observe t ~group ~features:(Features.extract p) time);
+    filter_ratio;
+    snapshot = (fun () -> snapshot t);
+    restore =
+      (fun json ->
+        match restore t json with
+        | Ok () -> ()
+        | Error e -> raise (Recover.Error (Recover.Corrupt e)));
+  }

@@ -58,18 +58,36 @@ val observe_prog : t -> group:string -> Ir.Prog.t -> float -> unit
 val prerank :
   ?filter_ratio:float -> group:string -> t -> Search.Stochastic.prerank
 (** The bridge into the search layer: a {!Search.Stochastic.prerank}
-    whose [score] extracts features and ranks with this model and whose
-    [observe] trains it online under [group].  [filter_ratio] defaults
-    to [1.0] (keep everything — training only). *)
+    whose [score] extracts features and ranks with this model, whose
+    [observe] trains it online under [group], and whose
+    [snapshot]/[restore] are {!snapshot}/{!restore} — a restore error
+    raises {!Recover.Error} ([Corrupt]).  [filter_ratio] defaults to
+    [1.0] (keep everything — training only). *)
 
 (** {1 Offline training} *)
 
 type offline_stats = {
   records : int;  (** records offered *)
-  used : int;  (** records with a resolvable root and finite time *)
+  used : int;  (** records that are training points ({!record_features}) *)
   groups : int;  (** distinct (kernel, target) groups among them *)
   pairs : int;  (** ordered training pairs fed to the ranker *)
 }
+
+val record_features :
+  root_of:
+    (kernel:string ->
+    target:string ->
+    (Ir.Prog.t * Transform.Xforms.caps) option) ->
+  Tuning.Record.t ->
+  float array option
+(** The feature vector of the schedule a tuning record timed, or [None]
+    when the record is not a training point: [root_of] does not know
+    its (kernel, target), the resolved root's fingerprint does not match
+    the record's, its time is not finite and positive, or its moves do
+    not replay exactly ({!Search.Stochastic.replay_exact}) — a stale
+    record must not label a partly replayed program with its time.  The
+    one reader of records for training data ([model train],
+    [db export --features]). *)
 
 val train_offline :
   t ->
@@ -80,12 +98,10 @@ val train_offline :
   Tuning.Record.t list ->
   offline_stats
 (** Train from tuning-database records ([perfdojo model train --db]):
-    each record's move sequence is replayed from its root (resolved by
-    [root_of]; records whose fingerprint doesn't match the resolved root
-    are skipped) and every ordered pair of distinct-time schedules
-    within one (kernel, target) group becomes a hinge pair.  Iteration
-    order is deterministic, so the trained model is a pure function of
-    the record list. *)
+    every training point ({!record_features}) joins its (kernel, target)
+    group, and every ordered pair of distinct-time schedules within one
+    group becomes a hinge pair.  Iteration order is deterministic, so
+    the trained model is a pure function of the record list. *)
 
 (** {1 Serialization}
 

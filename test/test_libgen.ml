@@ -349,10 +349,53 @@ let degradation_tests =
           lib.Libgen.entries);
   ]
 
+let interrupt_tests =
+  [
+    Alcotest.test_case
+      "an interrupt stops exhaustive pairs between pairs, all ledgered fresh"
+      `Quick (fun () ->
+        (* a per-pair search has no checkpoint of its own, so the pair in
+           flight finishes; the suite stops at the next pair boundary *)
+        let kernels = pick [ "vecsum"; "relu_micro" ] in
+        let ctx = Ctx.(default |> with_exhaustive_depth 2 |> with_jobs 1) in
+        let ledger = fresh_dir "interrupt" ^ ".journal" in
+        let run ~resume out =
+          gen ~kernels ~strategy:Exhaustive
+            ~ctx:Ctx.(ctx |> with_checkpoint ledger |> with_resume resume)
+            out
+        in
+        let uninterrupted =
+          gen ~kernels ~strategy:Exhaustive ~ctx (fresh_dir "interrupt_ref")
+        in
+        (match
+           Interrupt_flag.with_set (fun () ->
+               run ~resume:false (fresh_dir "interrupted"))
+         with
+        | _ -> Alcotest.fail "the suite ignored the interrupt"
+        | exception Recover.Interrupt.Interrupted path ->
+            Alcotest.(check (option string)) "ledger path" (Some ledger) path);
+        (match Recover.Journal.replay ledger with
+        | Ok (entries, _) ->
+            Alcotest.(check bool) "a pair was ledgered" true (entries <> []);
+            List.iter
+              (fun j ->
+                Alcotest.(check string)
+                  (Recover.Field.str "pair" j)
+                  "fresh"
+                  (Recover.Field.str "status" j))
+              entries
+        | Error e -> Alcotest.failf "ledger: %s" (Recover.error_message e));
+        let resumed = run ~resume:true (fresh_dir "interrupt_resumed") in
+        Alcotest.(check string) "resumed manifest = uninterrupted"
+          (Util.Json.to_string (Libgen.manifest_json uninterrupted))
+          (Util.Json.to_string (Libgen.manifest_json resumed)));
+  ]
+
 let () =
   Alcotest.run "libgen"
     [
       ("determinism", determinism_tests);
       ("incremental", incremental_tests);
       ("degradation", degradation_tests);
+      ("interrupt", interrupt_tests);
     ]

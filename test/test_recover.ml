@@ -296,7 +296,7 @@ let kill_point_invariant meth k =
   rm snap;
   let engine ~ck ~resume ~obs ~tick =
     Parallel.Pool.with_pool ~jobs:1 (fun pool ->
-        let checkpoint = { Stoch.path = ck; every; resume } in
+        let checkpoint = { Search.Checkpoint.path = ck; every; resume } in
         let objective p =
           tick ();
           time p
@@ -339,6 +339,67 @@ let kill_point_invariant meth k =
   rm snap;
   ok
 
+(* The same kill-point property for the state that rides in the
+   checkpoint beside the search's own: the canonical visited set and a
+   filtering surrogate.  Every engine run builds a fresh model, so the
+   resumed run gets its model only from the checkpoint. *)
+let learned_kill_point_invariant meth k =
+  let budget = 16 and every = 2 in
+  let root = Kernels.relu ~n:4 ~m:4 in
+  let name = match meth with `Sampling -> "sampling" | `Annealing -> "sa" in
+  let ck = tmp (Printf.sprintf "ck_learned_%s_%d" name k) in
+  let snap = ck ^ ".snap" in
+  rm ck;
+  rm snap;
+  let engine ~ck ~resume ~obs ~tick =
+    Parallel.Pool.with_pool ~jobs:1 (fun pool ->
+        let checkpoint = { Search.Checkpoint.path = ck; every; resume } in
+        let prerank =
+          Surrogate.Model.prerank ~filter_ratio:0.5 ~group:"g"
+            (Surrogate.Model.create ())
+        in
+        let objective p =
+          tick ();
+          time p
+        in
+        match meth with
+        | `Sampling ->
+            Stoch.random_sampling ~seed:11 ~obs ~checkpoint ~prerank
+              ~visited_dedup:true ~batch:Stoch.default_batch ~pool
+              ~space:Stoch.Heuristic ~budget caps_cpu objective root
+        | `Annealing ->
+            Stoch.simulated_annealing ~seed:11 ~obs ~checkpoint ~prerank
+              ~visited_dedup:true ~batch:Stoch.default_batch ~pool
+              ~space:Stoch.Heuristic ~budget caps_cpu objective root)
+  in
+  let obs_ref = Obs.Trace.make_buffer () in
+  let seen = ref 0 in
+  let reference =
+    engine ~ck ~resume:false ~obs:obs_ref ~tick:(fun () ->
+        incr seen;
+        if !seen = k && Sys.file_exists ck then copy_file ck snap)
+  in
+  let events =
+    match R.Store.load ~path:snap with
+    | Ok p -> R.Field.int "events" p
+    | Error (R.Missing _) -> 0 (* killed before the first checkpoint *)
+    | Error e -> Alcotest.failf "snapshot: %s" (R.error_message e)
+  in
+  let obs_res = Obs.Trace.make_buffer () in
+  let calls = ref 0 in
+  let resumed =
+    engine ~ck:snap ~resume:true ~obs:obs_res ~tick:(fun () -> incr calls)
+  in
+  let ref_stripped = strip obs_ref in
+  let ok =
+    stoch_eq (Printf.sprintf "learned %s k=%d" name k) reference resumed
+    && take events ref_stripped @ strip obs_res = ref_stripped
+    && (events = 0 || !calls < reference.evals)
+  in
+  rm ck;
+  rm snap;
+  ok
+
 let invariance_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -351,6 +412,20 @@ let invariance_tests =
          ~name:"annealing: resume from any kill point = uninterrupted run"
          QCheck.(int_range 1 16)
          (kill_point_invariant `Annealing));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:16
+         ~name:
+           "sampling with visited set and surrogate: resume from any kill \
+            point = uninterrupted run"
+         QCheck.(int_range 1 16)
+         (learned_kill_point_invariant `Sampling));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:16
+         ~name:
+           "annealing with visited set and surrogate: resume from any kill \
+            point = uninterrupted run"
+         QCheck.(int_range 1 16)
+         (learned_kill_point_invariant `Annealing));
     Alcotest.test_case "annealing: a path that no longer replays is Corrupt"
       `Quick (fun () ->
         let root = Kernels.relu ~n:4 ~m:4 in
@@ -359,7 +434,7 @@ let invariance_tests =
         let run ~resume =
           Parallel.Pool.with_pool ~jobs:1 (fun pool ->
               Stoch.simulated_annealing ~seed:11
-                ~checkpoint:{ Stoch.path = ck; every = 1; resume }
+                ~checkpoint:{ Search.Checkpoint.path = ck; every = 1; resume }
                 ~batch:Stoch.default_batch ~pool ~space:Stoch.Heuristic
                 ~budget:16 caps_cpu time root)
         in
@@ -399,7 +474,7 @@ let invariance_tests =
         rm snap;
         let run ~ck ~resume ~obs ~tick =
           Search.Exhaustive.run ~obs
-            ~checkpoint:{ Stoch.path = ck; every = 1; resume }
+            ~checkpoint:{ Search.Checkpoint.path = ck; every = 1; resume }
             ~depth caps_cpu
             (fun p ->
               tick ();
@@ -592,6 +667,26 @@ let interrupt_tests =
         Alcotest.(check bool) "flagged" true (R.Interrupt.requested ());
         R.Interrupt.reset ();
         Alcotest.(check bool) "cleared" false (R.Interrupt.requested ()));
+    Alcotest.test_case
+      "exhaustive without a checkpoint finishes despite a pending interrupt"
+      `Quick (fun () ->
+        let run () =
+          Search.Exhaustive.run ~depth:2 caps_cpu time (Kernels.scale ~n:8)
+        in
+        let plain = run () in
+        let flagged =
+          Interrupt_flag.with_set (fun () ->
+              Alcotest.(check bool) "flag set" true (R.Interrupt.requested ());
+              run ())
+        in
+        Alcotest.(check bool) "certified" true flagged.certified;
+        Alcotest.(check int64) "same optimum"
+          (Int64.bits_of_float plain.best_time)
+          (Int64.bits_of_float flagged.best_time);
+        Alcotest.(check (list string))
+          "same schedule" plain.best_moves flagged.best_moves;
+        Alcotest.(check int) "same unique" plain.unique flagged.unique;
+        Alcotest.(check int) "same evals" plain.evals flagged.evals);
   ]
 
 let () =

@@ -549,6 +549,36 @@ let pipe_tests =
               (String.concat " | " (List.map P.response_kind rs)));
   ]
 
+let interrupt_tests =
+  [
+    Alcotest.test_case
+      "a pending interrupt lets an in-flight exhaustive request finish"
+      `Quick (fun () ->
+        (* the graceful drain answers in-flight requests: a search
+           without a checkpoint ignores the flag, so it is not faulted *)
+        Interrupt_flag.with_set (fun () ->
+            let server =
+              S.create { (test_config ()) with S.exhaustive_depth = 2 }
+            in
+            let reply =
+              S.submit server
+                (P.Optimize
+                   {
+                     id = 1;
+                     kernel = "vecsum";
+                     target = "x86";
+                     strategy = "exhaustive";
+                     budget = 0;
+                     deadline_ms = 0;
+                     force = true;
+                   })
+            in
+            S.stop server;
+            match reply with
+            | P.Optimized _ -> ()
+            | r -> Alcotest.failf "answered %s" (P.response_kind r)));
+  ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -558,4 +588,5 @@ let () =
       ("admission", admission_tests);
       ("concurrency", concurrency_tests);
       ("pipe", pipe_tests);
+      ("interrupt", interrupt_tests);
     ]

@@ -161,6 +161,32 @@ let reject_bad_dim () =
       Alcotest.(check bool) "error message is non-empty" true
         (String.length e > 0)
 
+(* A record whose moves no longer replay exactly timed some other
+   program: it must not become a training point for a partial replay. *)
+let stale_record_skipped () =
+  let e = Kernels.find_entry Kernels.table3 "relu" in
+  let root = e.build_small () in
+  let m = List.hd (Transform.Xforms.all caps root) in
+  let record moves best_time =
+    Tuning.Record.make ~kernel:e.label ~target:"x86" ~moves ~best_time
+      ~evals:1 ~root ()
+  in
+  let good = record [ Transform.Xforms.describe m ] (time (m.apply root)) in
+  let stale =
+    record [ Transform.Xforms.describe m; "bogus(move)" ] (time root /. 2.)
+  in
+  let root_of ~kernel:_ ~target:_ = Some (root, caps) in
+  Alcotest.(check bool) "the good record is a training point" true
+    (Surrogate.Model.record_features ~root_of good <> None);
+  Alcotest.(check bool) "the stale record is not" true
+    (Surrogate.Model.record_features ~root_of stale = None);
+  let stats =
+    Surrogate.Model.train_offline (Surrogate.Model.create ()) ~root_of
+      [ good; stale ]
+  in
+  Alcotest.(check int) "used" 1 stats.used;
+  Alcotest.(check int) "pairs" 0 stats.pairs
+
 (* ------------------------------------------------------------------ *)
 (* The ranker learns                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -331,6 +357,8 @@ let () =
             `Quick ranker_learns;
           Alcotest.test_case "offline training is deterministic" `Quick
             offline_deterministic;
+          Alcotest.test_case "a record that does not replay is not trained on"
+            `Quick stale_record_skipped;
         ] );
       ( "engine",
         [
