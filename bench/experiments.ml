@@ -1969,8 +1969,9 @@ let script () =
       is truncated once the manifest lands.
 
    4. Serve WAL: a daemon SIGKILLed after N acknowledged deposits —
-      none of them yet in the database file — recovers all N on
-      restart via write-ahead-journal replay, with the client riding
+      none of them yet checkpointed into the database file — leaves
+      all N visible to any other process's load (the database's
+      journal) and recovers all N on restart, with the client riding
       the restart on bounded exponential-backoff reconnect. *)
 let crash () =
   Report.header
@@ -2438,6 +2439,21 @@ let crash () =
   if not (Recover.Chaos.killed st1) then
     failwith "crash/serve: server survived SIGKILL";
   rm sock;
+  (* the journal is part of the database: a load by any other process
+     sees every acknowledged deposit before a server replays it *)
+  let seen =
+    match Tuning.Db.load sdb with
+    | Error e -> failwith ("crash/serve: " ^ e)
+    | Ok d ->
+        List.filter
+          (fun k -> Tuning.Db.best d ~kernel:k ~target:"x86" <> None)
+          served
+  in
+  if List.length seen < List.length served then
+    failwith
+      (Printf.sprintf
+         "crash/serve: an outside load saw %d of %d acknowledged deposits"
+         (List.length seen) (List.length served));
   let pid2 = fork_server () in
   List.iteri
     (fun i k ->
@@ -2471,8 +2487,10 @@ let crash () =
   Printf.printf
     "\nevery killed+resumed run matched its uninterrupted twin (result, \
      accounting, spliced trace);\nlibgen manifests byte-identical after \
-     resume; serve recovered %d/%d acknowledged deposits\n"
-    (List.length served) (List.length served);
+     resume; serve recovered %d/%d acknowledged deposits (an outside \
+     load saw %d/%d before the restart)\n"
+    (List.length served) (List.length served) (List.length seen)
+    (List.length served);
   let oc = open_out "BENCH_crash_trace.jsonl" in
   List.iter
     (fun l ->

@@ -38,11 +38,7 @@ let to_ret = function
 let find_kernel name : (Kernels.entry, bool * string) result =
   match Kernels.find_entry all_kernels name with
   | e -> Ok e
-  | exception Invalid_argument _ ->
-      Error
-        ( true,
-          Printf.sprintf "unknown kernel %S; try `perfdojo kernel list`" name
-        )
+  | exception Invalid_argument msg -> Error (true, msg)
 
 let known_target_names = List.map fst Machine.Desc.known_targets
 
@@ -50,13 +46,7 @@ let known_target_names = List.map fst Machine.Desc.known_targets
    name is what tuning-database records are keyed on. *)
 let target_of_string s :
     (string * Machine.Desc.target, bool * string) result =
-  match Machine.Desc.resolve_target s with
-  | Some pair -> Ok pair
-  | None ->
-      Error
-        ( true,
-          Printf.sprintf "unknown target %S (%s)" s
-            (String.concat ", " known_target_names) )
+  Result.map_error (fun msg -> (true, msg)) (Machine.Desc.target_of_string s)
 
 (* an unknown strategy name is a usage error *)
 let parse_strategy budget s =
@@ -304,37 +294,14 @@ let common_opts : common Term.t =
     $ checkpoint_every_arg $ resume_arg $ composites_arg)
 
 (* The checks of the shared options that [with_common] and [serve] both
-   make — retries, fault rate, filter ratio; returns the fault harness. *)
+   make — retries, depth, checkpoint cadence, composite names, fault
+   rate, filter ratio; returns the fault harness. *)
 let check_search_opts (c : common) =
   let* () =
     if c.co_max_retries < 0 then
       Error (true, "--max-retries must be non-negative")
-    else Ok ()
-  in
-  let* faults =
-    if c.co_fault_rate = 0. then Ok Robust.Faults.none
-    else if c.co_fault_rate >= 0. && c.co_fault_rate <= 1. then
-      Ok (Robust.Faults.spread ~seed:c.co_seed c.co_fault_rate)
-    else Error (true, "--fault-rate must lie in [0, 1]")
-  in
-  if c.co_filter_ratio <= 0. || c.co_filter_ratio > 1. then
-    Error (true, "--filter-ratio must lie in (0, 1]")
-  else if c.co_filter_ratio < 1. && c.co_surrogate = None then
-    Error (true, "--filter-ratio below 1 requires --surrogate")
-  else Ok faults
-
-(* Validate the shared options once, load the database, open the trace
-   channel, build the run context and hand everything to [body]; close
-   the trace and print the metrics table afterwards.  A cache rides
-   along whenever a database does, so tuned runs memoize for free. *)
-let with_common (c : common) body =
-  let* faults = check_search_opts c in
-  let* () =
-    if c.co_depth < 0 then Error (true, "--depth must be non-negative")
-    else Ok ()
-  in
-  let* () =
-    if c.co_checkpoint_every < 1 then
+    else if c.co_depth < 0 then Error (true, "--depth must be non-negative")
+    else if c.co_checkpoint_every < 1 then
       Error (true, "--checkpoint-every must be >= 1")
     else if c.co_resume && c.co_checkpoint = None then
       Error (true, "--resume requires --checkpoint FILE")
@@ -355,6 +322,24 @@ let with_common (c : common) body =
               (String.concat ", " bad)
               (String.concat ", " known) )
   in
+  let* faults =
+    if c.co_fault_rate = 0. then Ok Robust.Faults.none
+    else if c.co_fault_rate >= 0. && c.co_fault_rate <= 1. then
+      Ok (Robust.Faults.spread ~seed:c.co_seed c.co_fault_rate)
+    else Error (true, "--fault-rate must lie in [0, 1]")
+  in
+  if c.co_filter_ratio <= 0. || c.co_filter_ratio > 1. then
+    Error (true, "--filter-ratio must lie in (0, 1]")
+  else if c.co_filter_ratio < 1. && c.co_surrogate = None then
+    Error (true, "--filter-ratio below 1 requires --surrogate")
+  else Ok faults
+
+(* Validate the shared options once, load the database, open the trace
+   channel, build the run context and hand everything to [body]; close
+   the trace and print the metrics table afterwards.  A cache rides
+   along whenever a database does, so tuned runs memoize for free. *)
+let with_common (c : common) body =
+  let* faults = check_search_opts c in
   let* surrogate =
     match c.co_surrogate with
     | None -> Ok None
@@ -736,15 +721,10 @@ let db_best_cmd =
    Records naming kernels or targets this build doesn't know are
    skipped, not errors: tuning databases outlive binaries. *)
 let record_root ~kernel ~target =
-  match Kernels.find_entry all_kernels kernel with
-  | exception Invalid_argument _ -> None
-  | e -> (
-      match Machine.Desc.resolve_target target with
-      | None -> None
-      | Some (_, t) ->
-          Some
-            ( e.build (),
-              Transfo.Composites.enable ~names:[ "all" ] (Machine.caps t) ))
+  match (find_kernel kernel, target_of_string target) with
+  | Ok e, Ok (_, t) ->
+      Some (e.build (), Transfo.Composites.enable ~names:[ "all" ] (Machine.caps t))
+  | _ -> None
 
 let db_export_cmd =
   let run db_file kernel target k features =
@@ -1212,26 +1192,25 @@ let analyze_cmd =
 let lib_generate_cmd =
   let run targets kernel_labels strategy budget out force common =
     to_ret
-    @@ let* resolved =
+    @@ let resolve_all f names =
          List.fold_left
            (fun acc name ->
              let* acc = acc in
-             let* pair = target_of_string name in
-             Ok (pair :: acc))
-           (Ok []) targets
+             let* x = f name in
+             Ok (x :: acc))
+           (Ok []) names
+         |> Result.map List.rev
        in
-       let _ = (resolved : (string * Machine.Desc.target) list) in
+       let* _ = resolve_all target_of_string targets in
        let* strat =
          match strategy with
          | None -> Ok None (* Libgen's default: annealing, budget 300 *)
          | Some s -> Result.map Option.some (parse_strategy budget s)
        in
-       let kernels =
-         (* Kernels.find_entry raises on an unknown label; describe_exn
-            renders it with the available labels at exit code 3 *)
-         Option.map
-           (List.map (Kernels.find_entry all_kernels))
-           kernel_labels
+       let* kernels =
+         match kernel_labels with
+         | None -> Ok None
+         | Some labels -> Result.map Option.some (resolve_all find_kernel labels)
        in
        with_common common @@ fun ~ctx ~db ->
        let lib =
@@ -1358,6 +1337,12 @@ let serve_cmd =
                ( true,
                  "serve shares one fresh model across requests; \
                   --surrogate takes no FILE here" )
+         | _ when c.co_checkpoint <> None || c.co_resume || c.co_composites <> []
+           ->
+             (* recovery is the database journal, and warm generates
+                replay records under each target's plain caps *)
+             Error
+               (true, "serve takes no --checkpoint, --resume or --composites")
          | _ -> Ok ()
        in
        let* transport =
@@ -1384,11 +1369,10 @@ let serve_cmd =
            workers = max 1 c.co_jobs;
            default_budget = budget;
            deadline_ms;
-           fuel;
            seed = c.co_seed;
            db_file = c.co_db;
            guard =
-             { Robust.Guard.default with max_retries = c.co_max_retries };
+             { Robust.Guard.default with max_retries = c.co_max_retries; fuel };
            faults;
            obs;
            metrics;
@@ -1404,8 +1388,8 @@ let serve_cmd =
           top-level one-line error handler (exit 3) *)
        let server = Serve.Server.create cfg in
        (* SIGINT and SIGTERM both stop the service gracefully on either
-          transport: drain in-flight work, checkpoint the database +
-          truncate the WAL, then exit through the Interrupted path
+          transport: drain in-flight work, checkpoint the database
+          and its journal, then exit through the Interrupted path
           (code 4).  The socket loop polls the flag between accepts;
           the pipe loop blocks in a read, so its handler raises to
           unwind the syscall and [stop] runs here. *)
@@ -1878,16 +1862,7 @@ let describe_exn = function
         ("every portfolio member failed: "
         ^ String.concat "; "
             (List.map (fun (label, e) -> label ^ ": " ^ e) members))
-  | Failure msg -> Some msg
-  | Invalid_argument msg
-    when String.length msg >= 14 && String.sub msg 0 14 = "unknown kernel" ->
-      (* Kernels.find_entry's bare error, e.g. from `lib generate
-         --kernels`: append what would have worked *)
-      Some
-        (Printf.sprintf "%s (available: %s)" msg
-           (String.concat ", "
-              (List.map (fun (e : Kernels.entry) -> e.label) all_kernels)))
-  | Invalid_argument msg -> Some msg
+  | Failure msg | Invalid_argument msg -> Some msg
   | _ -> None
 
 let () =

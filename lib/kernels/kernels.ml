@@ -777,4 +777,7 @@ let snitch_micro : entry list =
 let find_entry (entries : entry list) label =
   match List.find_opt (fun e -> e.label = label) entries with
   | Some e -> e
-  | None -> invalid_arg ("unknown kernel " ^ label)
+  | None ->
+      invalid_arg
+        (Printf.sprintf "unknown kernel %S (available: %s)" label
+           (String.concat ", " (List.map (fun e -> e.label) entries)))

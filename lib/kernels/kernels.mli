@@ -55,4 +55,5 @@ val snitch_micro : entry list
 (** Micro-kernels for the Snitch evaluation (§4.1). *)
 
 val find_entry : entry list -> string -> entry
-(** Lookup by label; raises [Invalid_argument] when unknown. *)
+(** Lookup by label; raises [Invalid_argument] naming the label and
+    the available ones when unknown. *)

@@ -89,13 +89,9 @@ let resolve_targets names =
   dedupe_by fst
     (List.map
        (fun name ->
-         match Machine.Desc.resolve_target name with
-         | Some pair -> pair
-         | None ->
-             invalid_arg
-               (Printf.sprintf "unknown target %S (known: %s)" name
-                  (String.concat ", "
-                     (List.map fst Machine.Desc.known_targets))))
+         match Machine.Desc.target_of_string name with
+         | Ok pair -> pair
+         | Error msg -> invalid_arg msg)
        names)
 
 let ensure_dir dir =
@@ -337,13 +333,9 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
     (o, (if db = None then None else record), sink)
   in
   let deposit r =
-    match db with
-    | None -> ()
-    | Some d ->
-        (* idempotent: re-applying a ledgered deposit after a crash hits
-           [Duplicate] and changes nothing *)
-        ignore (Tuning.Db.add d r);
-        (match db_file with Some f -> Tuning.Db.save d f | None -> ())
+    (* idempotent: re-applying a ledgered deposit after a crash hits
+       [Duplicate] and changes nothing *)
+    Option.iter (fun d -> ignore (Tuning.Db.deposit ?file:db_file d r)) db
   in
   let fresh_results :
       (P.outcome * Tuning.Record.t option * Obs.Trace.sink, exn) result array
@@ -396,33 +388,24 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
   if Array.length fresh_tasks > 0 then begin
     let n = Array.length fresh_tasks in
     let jobs = max 1 (min ctx.P.Ctx.jobs n) in
+    (* with a ledger, chunks of [jobs] tasks, so the ledger fills as
+       pairs complete and an interrupt has a boundary to stop at *)
+    let chunk = if ledger = None then n else jobs in
     Parallel.Pool.with_pool ~instrument:(metrics <> None) ~jobs (fun pool ->
-        (match ledger with
-        | None ->
-            let r = Parallel.Pool.map_result pool task fresh_tasks in
-            Array.blit r 0 fresh_results 0 n;
-            for k = 0 to n - 1 do
-              settle k
-            done
-        | Some _ ->
-            (* chunks of [jobs] tasks, so the ledger fills as pairs
-               complete and an interrupt has a boundary to stop at *)
-            let pos = ref 0 in
-            while !pos < n do
-              let len = min jobs (n - !pos) in
-              let r =
-                Parallel.Pool.map_result pool task
-                  (Array.sub fresh_tasks !pos len)
-              in
-              Array.blit r 0 fresh_results !pos len;
-              for k = !pos to !pos + len - 1 do
-                settle k
-              done;
-              pos := !pos + len;
-              if Recover.Interrupt.requested () && !pos < n then
-                raise
-                  (Recover.Interrupt.Interrupted ctx.P.Ctx.checkpoint)
-            done);
+        let pos = ref 0 in
+        while !pos < n do
+          let len = min chunk (n - !pos) in
+          let r =
+            Parallel.Pool.map_result pool task (Array.sub fresh_tasks !pos len)
+          in
+          Array.blit r 0 fresh_results !pos len;
+          for k = !pos to !pos + len - 1 do
+            settle k
+          done;
+          pos := !pos + len;
+          if ledger <> None && Recover.Interrupt.requested () && !pos < n then
+            raise (Recover.Interrupt.Interrupted ctx.P.Ctx.checkpoint)
+        done;
         match metrics with
         | Some m -> Parallel.Pool.export pool m
         | None -> ())
@@ -507,7 +490,7 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
                entry verbatim from the ledger (the schedule regenerates
                by replaying the recorded moves), and re-apply a recorded
                deposit idempotently in case the kill landed between the
-               ledger append and the database save *)
+               ledger append and the database deposit *)
             let status = status_of_ledger j in
             let moves = Recover.Field.str_list "moves" j in
             let time_s = Recover.Field.float_bits "time_s" j in
@@ -593,7 +576,8 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
   write_file
     (Filename.concat out "manifest.json")
     (Util.Json.to_string (manifest_json lib) ^ "\n");
-  (* a final save even without deposits keeps db_file in sync with db *)
+  (* the final checkpoint folds the journaled deposits into db_file;
+     even without deposits it keeps db_file in sync with db *)
   (match (db, db_file) with
   | Some d, Some f -> Tuning.Db.save d f
   | _ -> ());

@@ -92,7 +92,7 @@ val generate :
 (** Generate the library into directory [out] (created if missing).
 
     [targets] are short names or aliases resolved by
-    {!Machine.Desc.resolve_target} (duplicates collapse); an unknown
+    {!Machine.Desc.target_of_string} (duplicates collapse); an unknown
     name raises [Invalid_argument] listing the known targets.
     [kernels] defaults to {!default_kernels} (duplicate labels
     collapse).  [strategy] defaults to heuristic-space annealing with a
@@ -105,11 +105,12 @@ val generate :
     {!Perfdojo.optimize_recorded} admits it, under the {!Tuning.Db.add}
     improve/dedupe rules).  Records replay with
     {!Perfdojo.caps_of}[ ~ctx], so winners that use [ctx.composites]
-    deposit and skip like any other.  When [db_file] is given
-    the database is checkpointed after every deposit with the
-    crash-safe {!Tuning.Db.save}, so an interrupted suite run resumes
-    from the pairs it completed.  [force] re-optimizes pairs that would
-    otherwise skip (their records still warm-start the search).
+    deposit and skip like any other.  When [db_file] is given each
+    deposit is journaled by {!Tuning.Db.deposit} (checkpointed every 64
+    deposits and once more at the end), so every reader of the file sees
+    it at once and an interrupted suite run resumes from the pairs it
+    completed.  [force] re-optimizes pairs that would otherwise skip
+    (their records still warm-start the search).
 
     [ctx] supplies seed, shared cache, jobs, trace sink, metrics, guard
     and fault injection; [ctx.warm_start] is ignored (warm starts are

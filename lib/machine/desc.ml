@@ -187,6 +187,14 @@ let resolve_target s : (string * target) option =
   List.assoc_opt canonical known_targets
   |> Option.map (fun t -> (canonical, t))
 
+let target_of_string s : (string * target, string) result =
+  match resolve_target s with
+  | Some pair -> Ok pair
+  | None ->
+      Error
+        (Printf.sprintf "unknown target %S (known: %s)" s
+           (String.concat ", " (List.map fst known_targets)))
+
 let short_name (t : target) : string option =
   List.find_opt (fun (_, t') -> t' = t) known_targets |> Option.map fst
 

@@ -59,6 +59,10 @@ val resolve_target : string -> (string * target) option
     for [arm]) to the canonical name and descriptor; [None] when
     unknown. *)
 
+val target_of_string : string -> (string * target, string) result
+(** {!resolve_target}, with an [Error] that names [s] and lists the
+    known targets — the one message every front end reports. *)
+
 val short_name : target -> string option
 (** Reverse lookup into {!known_targets} (structural equality); [None]
     for a hand-built descriptor. *)

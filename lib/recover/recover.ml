@@ -183,9 +183,13 @@ module Journal = struct
            ("data", data);
          ])
 
+  (* Open for appending (and reading, for [read]), creating the file if
+     needed; only a creation pays the directory fsync that makes the new
+     name durable. *)
   let open_writer path =
-    let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
-    Durable.fsync_dir (Filename.dirname path);
+    let created = not (Sys.file_exists path) in
+    let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
+    if created then Durable.fsync_dir (Filename.dirname path);
     { fd; path }
 
   (* Append one entry and fsync before returning: once [append] returns
@@ -207,6 +211,23 @@ module Journal = struct
 
   let close w = Unix.close w.fd
 
+  let size w = (Unix.fstat w.fd).Unix.st_size
+
+  (* lockf excludes other processes; [lock] excludes this process's
+     other threads and domains.  The record lock drops as soon as the
+     process closes any descriptor of the file, so [f] reads through
+     [w]. *)
+  let lock = Mutex.create ()
+
+  let locked path f =
+    Mutex.protect lock (fun () ->
+        let w = open_writer path in
+        Fun.protect
+          ~finally:(fun () -> close w)
+          (fun () ->
+            Unix.lockf w.fd Unix.F_LOCK 0;
+            f w))
+
   let parse_line line =
     match Util.Json.of_string line with
     | Stdlib.Error e -> Stdlib.Error e
@@ -225,32 +246,34 @@ module Journal = struct
      torn trailing lines dropped (at most one partial line can result
      from a crash mid-append; it is expected and not an error).  A bad
      line that is *not* the last one means real corruption → [Corrupt]. *)
-  let replay path : (Util.Json.t list * int, error) result =
+  let read w : (Util.Json.t list * int, error) result =
+    ignore (Unix.lseek w.fd 0 Unix.SEEK_SET);
+    (* the channel stays open: closing it would close [w.fd] *)
+    let contents = In_channel.input_all (Unix.in_channel_of_descr w.fd) in
+    let lines =
+      String.split_on_char '\n' contents
+      |> List.filter (fun l -> String.trim l <> "")
+    in
+    let n = List.length lines in
+    let rec go i acc = function
+      | [] -> Ok (List.rev acc, 0)
+      | line :: rest -> (
+          match parse_line line with
+          | Ok data -> go (i + 1) (data :: acc) rest
+          | Stdlib.Error e ->
+              if i = n - 1 then Ok (List.rev acc, 1) (* torn tail from a crash *)
+              else corrupt "%s: line %d: %s" w.path (i + 1) e)
+    in
+    go 0 [] lines
+
+  (* under [lock]: closing the descriptor would drop another thread's
+     lockf lock *)
+  let replay path =
     if not (Sys.file_exists path) then Ok ([], 0)
-    else begin
-      let lines = ref [] in
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          try
-            while true do
-              lines := input_line ic :: !lines
-            done
-          with End_of_file -> ());
-      let lines = List.rev !lines |> List.filter (fun l -> String.trim l <> "") in
-      let n = List.length lines in
-      let rec go i acc = function
-        | [] -> Ok (List.rev acc, 0)
-        | line :: rest -> (
-            match parse_line line with
-            | Ok data -> go (i + 1) (data :: acc) rest
-            | Stdlib.Error e ->
-                if i = n - 1 then Ok (List.rev acc, 1) (* torn tail from a crash *)
-                else corrupt "%s: line %d: %s" path (i + 1) e)
-      in
-      go 0 [] lines
-    end
+    else
+      Mutex.protect lock (fun () ->
+          let w = { fd = Unix.openfile path [ Unix.O_RDONLY ] 0; path } in
+          Fun.protect ~finally:(fun () -> close w) (fun () -> read w))
 end
 
 module Interrupt = struct

@@ -76,7 +76,8 @@ module Journal : sig
   type writer
 
   val open_writer : string -> writer
-  (** Open (creating if needed) for appending. *)
+  (** Open (creating if needed, then fsyncing the directory) for
+      appending. *)
 
   val append : writer -> Util.Json.t -> unit
   (** Append one entry and [fsync] before returning. *)
@@ -87,11 +88,23 @@ module Journal : sig
 
   val close : writer -> unit
 
+  val size : writer -> int
+  (** The journal's length in bytes. *)
+
+  val locked : string -> (writer -> 'a) -> 'a
+  (** Open (like {!open_writer}), take an exclusive [Unix.lockf] lock
+      and a process-wide mutex, run [f], close.  The lockf lock drops
+      when the process closes {e any} descriptor of the file, so [f]
+      reads with {!read}, and {!replay} takes the same mutex. *)
+
   val replay : string -> (Util.Json.t list * int, error) result
   (** All verified entries in order, plus the count of torn trailing
       lines dropped (a crash mid-append can leave at most one partial
       line; that is expected, not corruption).  A missing file replays
       as [([], 0)]; an invalid line {e before} the tail is [Corrupt]. *)
+
+  val read : writer -> (Util.Json.t list * int, error) result
+  (** {!replay} through an open writer's descriptor. *)
 end
 
 (** Cooperative SIGINT/SIGTERM handling: long-running loops poll

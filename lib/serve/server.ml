@@ -29,7 +29,6 @@ type config = {
   workers : int;
   default_budget : int;
   deadline_ms : int;
-  fuel : int option;
   seed : int;
   db_file : string option;
   max_frame : int;
@@ -51,7 +50,6 @@ let default_config =
     workers = 1;
     default_budget = 300;
     deadline_ms = 0;
-    fuel = None;
     seed = 1;
     db_file = None;
     max_frame = Frame.max_payload_default;
@@ -87,14 +85,6 @@ type t = {
   ms : Obs.Metrics.t;
   tuning_db : Tuning.Db.t;
   db_mutex : Mutex.t;
-  (* write-ahead journal at [db_file ^ ".wal"] (present iff db_file
-     is): every deposit is fsync-appended there before the reply is
-     sent, the database file itself is checkpointed every
-     [wal_checkpoint_every] appends (and at [stop]), and [create]
-     replays the journal — so kill -9 loses zero acknowledged
-     deposits.  Guarded by db_mutex. *)
-  wal : Recover.Journal.writer option;
-  mutable wal_appends : int;
   cache : Tuning.Cache.t;
   (* shared learned cost model: every cold optimization trains it
      online (Surrogate.Model is internally locked), and when
@@ -148,44 +138,27 @@ let locked_lookup t ~kernel ~tname ~keys =
   with_lock t.db_mutex (fun () ->
       Tuning.Warmstart.lookup t.tuning_db ~kernel ~target:tname ~keys)
 
-let wal_checkpoint_every = 64
-
+(* Tuning.Db.deposit journals the record (fsynced) before the reply is
+   sent, so kill -9 loses no acknowledged deposit. *)
 let deposit t (record : Tuning.Record.t option) =
   match record with
   | None -> ()
   | Some r ->
       with_lock t.db_mutex (fun () ->
-          match Tuning.Db.add t.tuning_db r with
+          match Tuning.Db.deposit ?file:t.cfg.db_file t.tuning_db r with
           | `Duplicate -> ()
-          | `Inserted | `Improved -> (
+          | `Inserted | `Improved ->
               Obs.Metrics.incr t.ms "serve.deposits";
-              match t.wal with
-              | None -> ()
-              | Some w -> (
-                  (* WAL append (fsynced) makes the deposit durable
-                     before the reply; the full database file is only
-                     rewritten at checkpoint cadence *)
-                  match Util.Json.of_string (Tuning.Record.to_json r) with
-                  | Error msg -> failwith msg
-                  | Ok data ->
-                      Recover.Journal.append w data;
-                      Obs.Metrics.incr t.ms "journal.appends";
-                      emit t "journal.append" (fun () ->
-                          Obs.Trace.
-                            [
-                              str "kind" "serve";
-                              str "key"
-                                (r.Tuning.Record.kernel ^ "|"
-                               ^ r.Tuning.Record.target);
-                            ]);
-                      t.wal_appends <- t.wal_appends + 1;
-                      if t.wal_appends >= wal_checkpoint_every then begin
-                        (match t.cfg.db_file with
-                        | Some f -> Tuning.Db.save t.tuning_db f
-                        | None -> ());
-                        Recover.Journal.reset w;
-                        t.wal_appends <- 0
-                      end)))
+              if t.cfg.db_file <> None then begin
+                Obs.Metrics.incr t.ms "journal.appends";
+                emit t "journal.append" (fun () ->
+                    Obs.Trace.
+                      [
+                        str "kind" "serve";
+                        str "key"
+                          (r.Tuning.Record.kernel ^ "|" ^ r.Tuning.Record.target);
+                      ])
+              end)
 
 let err t ~id ~code ~msg : Protocol.response =
   Obs.Metrics.incr t.ms "serve.errors";
@@ -196,15 +169,10 @@ let err t ~id ~code ~msg : Protocol.response =
 (* ------------------------------------------------------------------ *)
 
 let request_ctx t sink ~warm_start =
-  let guard =
-    match t.cfg.fuel with
-    | None -> t.cfg.guard
-    | Some _ as fuel -> { t.cfg.guard with Robust.Guard.fuel }
-  in
   let ctx =
     P.Ctx.(
       default |> with_seed t.cfg.seed |> with_cache t.cache |> with_obs sink
-      |> with_metrics t.ms |> with_guard guard |> with_faults t.cfg.faults
+      |> with_metrics t.ms |> with_guard t.cfg.guard |> with_faults t.cfg.faults
       |> with_warm_start warm_start
       |> with_filter_ratio t.cfg.filter_ratio
       |> with_dedup t.cfg.dedup
@@ -391,51 +359,26 @@ let create ?(start = true) (cfg : config) : t =
   let ms =
     match cfg.metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
+  (* a crashed predecessor's acknowledged deposits are in the journal
+     Db.load replays: checkpoint them at once, so the journal never
+     grows unbounded *)
   let tuning_db =
     match cfg.db_file with
     | None -> Tuning.Db.create ()
     | Some f -> (
         match Tuning.Db.load ~obs f with
-        | Ok db -> db
-        | Error msg -> failwith msg)
-  in
-  (* WAL recovery: fold any journaled deposits a crashed predecessor
-     acknowledged but never checkpointed back into the database, then
-     checkpoint and truncate so the journal never grows unbounded. *)
-  let wal, wal_replayed =
-    match cfg.db_file with
-    | None -> (None, 0)
-    | Some f -> (
-        let path = f ^ ".wal" in
-        match Recover.Journal.replay path with
-        | Error e -> raise (Recover.Error e)
-        | Ok (entries, _torn) ->
-            let n =
-              List.fold_left
-                (fun n data ->
-                  match
-                    Tuning.Record.of_json (Util.Json.to_string data)
-                  with
-                  | Ok r ->
-                      ignore (Tuning.Db.add tuning_db r);
-                      n + 1
-                  | Error msg ->
-                      raise (Recover.Error (Recover.Corrupt msg)))
-                0 entries
-            in
-            let w = Recover.Journal.open_writer path in
-            if n > 0 then begin
-              Tuning.Db.save tuning_db f;
-              Recover.Journal.reset w
+        | Error msg -> failwith msg
+        | Ok db ->
+            let replayed = Tuning.Db.journaled db in
+            if replayed > 0 then begin
+              Tuning.Db.save db f;
+              Obs.Metrics.incr ms ~by:replayed "journal.replayed";
+              if Obs.Trace.enabled obs then
+                Obs.Trace.emit obs "journal.replay" (fun () ->
+                    Obs.Trace.[ str "kind" "serve"; int "entries" replayed ])
             end;
-            (Some w, n))
+            db)
   in
-  if wal_replayed > 0 then begin
-    Obs.Metrics.incr ms ~by:wal_replayed "journal.replayed";
-    if Obs.Trace.enabled obs then
-      Obs.Trace.emit obs "journal.replay" (fun () ->
-          Obs.Trace.[ str "kind" "serve"; int "entries" wal_replayed ])
-  end;
   let t =
     {
       cfg;
@@ -444,8 +387,6 @@ let create ?(start = true) (cfg : config) : t =
       ms;
       tuning_db;
       db_mutex = Mutex.create ();
-      wal;
-      wal_appends = 0;
       cache = Tuning.Cache.create ();
       model =
         (if cfg.surrogate then Some (P.Surrogate.Model.create ())
@@ -501,17 +442,9 @@ let stop t =
       t.dispatcher <- None;
       Mutex.unlock t.qm;
       (match disp with Some th -> Thread.join th | None -> ());
-      (match t.cfg.db_file with
-      | Some f ->
-          with_lock t.db_mutex (fun () ->
-              Tuning.Db.save t.tuning_db f;
-              (* everything journaled is now in the checkpoint *)
-              match t.wal with
-              | Some w ->
-                  Recover.Journal.reset w;
-                  Recover.Journal.close w
-              | None -> ())
-      | None -> ());
+      Option.iter
+        (fun f -> with_lock t.db_mutex (fun () -> Tuning.Db.save t.tuning_db f))
+        t.cfg.db_file;
       emit t "serve.shutdown" (fun () ->
           Obs.Trace.
             [
@@ -589,25 +522,13 @@ let ( let* ) = Result.bind
 let resolve_kernel t name : (Kernels.entry, string) result =
   match Kernels.find_entry t.cfg.kernels name with
   | e -> Ok e
-  | exception Invalid_argument _ ->
-      Error
-        (Printf.sprintf "unknown kernel %S (available: %s)" name
-           (String.concat ", "
-              (List.map (fun (e : Kernels.entry) -> e.label) t.cfg.kernels)))
-
-let resolve_target name : (string * Machine.Desc.target, string) result =
-  match Machine.Desc.resolve_target name with
-  | Some pair -> Ok pair
-  | None ->
-      Error
-        (Printf.sprintf "unknown target %S (%s)" name
-           (String.concat ", " (List.map fst Machine.Desc.known_targets)))
+  | exception Invalid_argument msg -> Error msg
 
 (* Resolve the (kernel, target, strategy) triple of a tuning request;
    any failure is the client's fault, answered [bad_request]. *)
 let resolve_tuning t ~kernel ~target ~strategy ~budget =
   let* e = resolve_kernel t kernel in
-  let* tname, tgt = resolve_target target in
+  let* tname, tgt = Machine.Desc.target_of_string target in
   let budget = if budget <= 0 then t.cfg.default_budget else budget in
   let* strat = P.strategy_of_string ~budget strategy in
   Ok (e, tname, tgt, strat)
@@ -657,7 +578,7 @@ let submit_async t (req : Protocol.request) :
   | Protocol.Query { kernel; target; _ } -> (
       match
         let* e = resolve_kernel t kernel in
-        let* tname, _ = resolve_target target in
+        let* tname, _ = Machine.Desc.target_of_string target in
         Ok (e, tname)
       with
       | Error msg -> `Done (err t ~id ~code:Protocol.Bad_request ~msg)

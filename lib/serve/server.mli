@@ -35,19 +35,16 @@ type config = {
   workers : int;  (** pool parallelism for cold requests (>= 1) *)
   default_budget : int;  (** for requests with [budget <= 0] *)
   deadline_ms : int;  (** default queueing deadline; [0] = none *)
-  fuel : int option;
-      (** per-request evaluation fuel via {!Robust.Guard} *)
   seed : int;
   db_file : string option;
-      (** checkpoint target: loaded at {!create}, saved crash-safely at
-          shutdown and every 64 deposits.  Between checkpoints each
-          deposit is appended (fsynced) to a write-ahead journal at
-          [db_file ^ ".wal"] {e before} the response is sent, and
-          {!create} replays any journal a crashed predecessor left — so
-          [kill -9] loses zero acknowledged deposits *)
+      (** the shared {!Tuning.Db}: loaded at {!create}, which checkpoints
+          a crashed predecessor's journal at once; each deposit is
+          journaled {e before} the response is sent, so [kill -9] loses
+          none and other processes see it; saved at {!stop} *)
   max_frame : int;  (** frame size limit for the transports *)
   kernels : Kernels.entry list;  (** the servable kernel registry *)
   guard : Robust.Guard.config;
+      (** per-request retries and evaluation fuel *)
   faults : Robust.Faults.config;
   obs : Obs.Trace.sink;  (** synchronized internally *)
   metrics : Obs.Metrics.t option;
@@ -71,8 +68,8 @@ type config = {
 
 val default_config : config
 (** [queue_depth 16], [workers 1], [default_budget 300], no deadline,
-    no fuel, seed 1, no database file, {!Frame.max_payload_default},
-    the full kernel suite, default guard, no faults, untraced, no
+    seed 1, no database file, {!Frame.max_payload_default}, the full
+    kernel suite, default guard (no fuel), no faults, untraced, no
     surrogate ([filter_ratio 1.0], no dedup, no visited-set,
     [exhaustive_depth 3]). *)
 
@@ -82,7 +79,8 @@ val create : ?start:bool -> config -> t
 (** Build a server: load the database (tolerantly — skipped lines
     surface as a [db.skipped_lines] trace event), create the shared
     cache, and — unless [~start:false] — launch the dispatcher.
-    Raises [Failure] when the database file exists but is unreadable. *)
+    Raises [Failure] when the database file exists but is unreadable,
+    or its journal is corrupt. *)
 
 val start : t -> unit
 (** Launch the dispatcher thread if not yet running ([create

@@ -274,6 +274,46 @@ let incremental_tests =
         | Ok reloaded ->
             Alcotest.(check int) "same size" (Tuning.Db.size db)
               (Tuning.Db.size reloaded));
+    Alcotest.test_case "lib generate skips pairs a crashed server acknowledged"
+      `Quick (fun () ->
+        let file = fresh_dir "served" ^ ".jsonl" in
+        List.iter
+          (fun f -> if Sys.file_exists f then Sys.remove f)
+          [ file; file ^ ".wal" ];
+        let server =
+          Serve.Server.create
+            { Serve.Server.default_config with db_file = Some file }
+        in
+        List.iteri
+          (fun id kernel ->
+            match
+              Serve.Server.submit server
+                (Serve.Protocol.Optimize
+                   {
+                     id;
+                     kernel;
+                     target = "x86";
+                     strategy = "annealing";
+                     budget = 8;
+                     deadline_ms = 0;
+                     force = false;
+                   })
+            with
+            | Serve.Protocol.Optimized _ -> ()
+            | r -> Alcotest.failf "optimize: %s" (Serve.Protocol.response_kind r))
+          [ "axpy"; "dot" ];
+        (* the server never stops, so it never checkpoints *)
+        match Tuning.Db.load file with
+        | Error e -> Alcotest.failf "load: %s" e
+        | Ok db ->
+            let lib =
+              gen ~kernels:(pick [ "axpy"; "dot" ])
+                ~strategy:
+                  (Annealing { budget = 8; space = Search.Stochastic.Heuristic })
+                ~db ~db_file:file (fresh_dir "served_lib")
+            in
+            Alcotest.(check int) "fresh" 0 lib.Libgen.fresh;
+            Alcotest.(check int) "skipped" 2 lib.Libgen.skipped);
   ]
 
 let degradation_tests =

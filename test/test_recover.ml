@@ -530,6 +530,51 @@ let invariance_tests =
 module S = Serve.Server
 module P = Serve.Protocol
 
+let fresh_db name =
+  let db = tmp name in
+  rm db;
+  rm (db ^ ".wal");
+  db
+
+let serve_cfg db =
+  {
+    S.default_config with
+    S.workers = 1;
+    default_budget = 4;
+    kernels = Kernels.snitch_micro;
+    db_file = Some db;
+  }
+
+let optimize server id kernel =
+  match
+    S.submit server
+      (P.Optimize
+         {
+           id;
+           kernel;
+           target = "snitch";
+           strategy = "sampling";
+           budget = 0;
+           deadline_ms = 0;
+           force = false;
+         })
+  with
+  | P.Optimized _ -> ()
+  | r -> Alcotest.failf "optimize: %s" (P.response_kind r)
+
+(* A fresh load of [db], as another process would read it, holds a
+   record for each kernel. *)
+let holds_all db kernels =
+  match Tuning.Db.load db with
+  | Error e -> Alcotest.failf "load: %s" e
+  | Ok d ->
+      List.iter
+        (fun kernel ->
+          Alcotest.(check bool)
+            (kernel ^ " visible") true
+            (Tuning.Db.best d ~kernel ~target:"snitch" <> None))
+        kernels
+
 let serve_tests =
   [
     Alcotest.test_case "journal replay restores every acknowledged deposit"
@@ -571,7 +616,7 @@ let serve_tests =
         Alcotest.(check bool) "WAL non-empty before crash" true
           (read_file (db ^ ".wal") <> "");
         Alcotest.(check bool) "db checkpoint not yet written" true
-          (not (Sys.file_exists db));
+          (read_file db = "");
         (* second server: replay must recover both deposits *)
         let server2 = S.create cfg in
         Alcotest.(check int) "replayed count" 2
@@ -589,6 +634,28 @@ let serve_tests =
         Alcotest.(check bool) "journal truncated after checkpoint" true
           (read_file (db ^ ".wal") = "");
         ignore (S.submit server2 (P.Shutdown { id = 99 }));
+        rm db;
+        rm (db ^ ".wal"));
+    Alcotest.test_case
+      "an outside reader sees acknowledged deposits before any checkpoint"
+      `Quick (fun () ->
+        let db = fresh_db "serve_reader.jsonl" in
+        let server = S.create (serve_cfg db) in
+        List.iteri (optimize server) [ "axpy"; "dot" ];
+        holds_all db [ "axpy"; "dot" ];
+        S.stop server;
+        rm db;
+        rm (db ^ ".wal"));
+    Alcotest.test_case
+      "a server's shutdown keeps another's acknowledged deposits" `Quick
+      (fun () ->
+        let db = fresh_db "serve_shared.jsonl" in
+        let a = S.create (serve_cfg db) and b = S.create (serve_cfg db) in
+        optimize a 1 "axpy";
+        optimize b 2 "dot";
+        S.stop a;
+        (* b never stops: its deposit must survive a's checkpoint *)
+        holds_all db [ "axpy"; "dot" ];
         rm db;
         rm (db ^ ".wal"));
   ]
