@@ -127,22 +127,23 @@ let fig5 () =
     ^ "6\n| z[{0}] = t[{0}] + 1\n"
   in
   let p = Ir.Parser.program text in
-  let offered prog name target =
+  let offered prog m =
     List.exists
-      (fun (i : Transform.Xforms.instance) ->
-        i.xname = name && i.target = target)
+      (fun (i : Transform.Xforms.instance) -> i.move = m)
       (Transform.Xforms.all caps_x86 prog)
   in
+  let reuse_t = Transform.Moveref.Reuse_dims ("t", 0) in
   Printf.printf "before fusion: reuse_dims(t dim 0) offered = %b\n"
-    (offered p "reuse_dims" "t dim 0");
+    (offered p reuse_t);
   let joined =
     (List.find
-       (fun (i : Transform.Xforms.instance) -> i.xname = "join_scopes")
+       (fun (i : Transform.Xforms.instance) ->
+         match i.move with Transform.Moveref.Join _ -> true | _ -> false)
        (Transform.Xforms.all caps_x86 p))
       .apply p
   in
   Printf.printf "after fusion:  reuse_dims(t dim 0) offered = %b\n"
-    (offered joined "reuse_dims" "t dim 0");
+    (offered joined reuse_t);
   (* demonstrate that the blocked application really is wrong *)
   let forced =
     Ir.Prog.replace_buffer p
@@ -356,13 +357,9 @@ let fig8 () =
         let c = frac p in
         (* TVM does not know the Snitch extensions: its template space
            has no SSR/FREP moves *)
-        let tvm_filter (i : Transform.Xforms.instance) =
-          Baselines.tvm_template i
-          && i.xname <> "enable_ssr" && i.xname <> "enable_frep"
-        in
         let tvm =
           frac
-            (Stoch.simulated_annealing ~seed:11 ~filter:tvm_filter
+            (Stoch.simulated_annealing ~seed:11 ~filter:Baselines.tvm_template
                ~space:Stoch.Edges ~budget:(budget / 2) caps_snitch
                (time target_snitch) p)
               .best

@@ -209,9 +209,11 @@ let common_opts : common Term.t =
       value & flag
       & info [ "dedup" ]
           ~doc:
-            "Deduplicate identical candidates within each search batch: \
-             structurally equal programs are simulated once and share \
-             the measurement (traced as search.batch_dedup).")
+            "Deduplicate candidates within each search batch: programs \
+             with the same canonical fingerprint (alpha-renamed or \
+             commutatively reordered spellings included) are simulated \
+             once and share the measurement (traced as \
+             search.batch_dedup).")
   in
   let visited_dedup_arg =
     Arg.(
@@ -688,24 +690,34 @@ let db_list_cmd =
     (Cmd.info "list" ~doc:"Summarize every record in the tuning database.")
     Term.(ret (const run $ db_file_arg))
 
+(* The pair's record as Warmstart.lookup finds it: the fastest one
+   whose fingerprint matches the kernel's root, so a record of another
+   program under the same label is never handed out. *)
+let best_record db_file kernel target =
+  let* db = load_db db_file in
+  let* e = find_kernel kernel in
+  let* tname, _ = target_of_string target in
+  match
+    Tuning.Warmstart.lookup db ~kernel:e.label ~target:tname
+      ~keys:(Tuning.Record.root_keys (e.build ()))
+  with
+  | Some r -> Ok r
+  | None ->
+      Error
+        ( false,
+          Printf.sprintf "no record for %s on %s in %s" e.label tname db_file
+        )
+
 let db_best_cmd =
   let run db_file kernel target =
     to_ret
-    @@ let* db = load_db db_file in
-       let* tname, _ = target_of_string target in
-       match Tuning.Db.best db ~kernel ~target:tname with
-       | None ->
-           Error
-             ( false,
-               Printf.sprintf "no record for %s on %s in %s" kernel tname
-                 db_file )
-       | Some r ->
-           (* metadata on stderr so stdout is a pure move trace, directly
-              consumable by `perfdojo replay` *)
-           Printf.eprintf "# %s on %s: %.3e s (%d evals, fingerprint %s)\n"
-             r.kernel r.target r.best_time r.evals r.fingerprint;
-           List.iter print_endline r.moves;
-           Ok ()
+    @@ let* r = best_record db_file kernel target in
+       (* metadata on stderr so stdout is a pure move trace, directly
+          consumable by `perfdojo replay` *)
+       Printf.eprintf "# %s on %s: %.3e s (%d evals, fingerprint %s)\n"
+         r.kernel r.target r.best_time r.evals r.fingerprint;
+       List.iter print_endline r.moves;
+       Ok ()
   in
   Cmd.v
     (Cmd.info "best"
@@ -1775,29 +1787,21 @@ let script_run_cmd =
 let script_export_cmd =
   let run db_file kernel target =
     to_ret
-    @@ let* db = load_db db_file in
-       let* tname, _ = target_of_string target in
-       match Tuning.Db.best db ~kernel ~target:tname with
+    @@ let* r = best_record db_file kernel target in
+       (match r.script with
+       | Some s -> print_string s
        | None ->
-           Error
-             ( false,
-               Printf.sprintf "no record for %s on %s in %s" kernel tname
-                 db_file )
-       | Some r ->
-           (match r.Tuning.Record.script with
-           | Some s -> print_string s
-           | None ->
-               (* pre-script record: derive the script from the recorded
-                  moves — same conversion the database write path uses *)
-               Printf.eprintf
-                 "note: record predates script provenance (schema %d); \
-                  deriving the script from its recorded moves\n"
-                 r.Tuning.Record.schema;
-               print_string
-                 (Transfo.Script.to_string
-                    (Transfo.Script.of_moves ~kernel:r.Tuning.Record.kernel
-                       ~ktarget:r.Tuning.Record.target r.Tuning.Record.moves)));
-           Ok ()
+           (* pre-script record: derive the script from the recorded
+              moves — same conversion the database write path uses *)
+           Printf.eprintf
+             "note: record predates script provenance (schema %d); \
+              deriving the script from its recorded moves\n"
+             r.schema;
+           print_string
+             (Transfo.Script.to_string
+                (Transfo.Script.of_moves ~kernel:r.kernel ~ktarget:r.target
+                   r.moves)));
+       Ok ()
   in
   Cmd.v
     (Cmd.info "export"

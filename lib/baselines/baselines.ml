@@ -95,9 +95,10 @@ let library_schedule ?(vectorize = true) ?(gpu_vec = false) target prog =
 let library_tune ?(budget = 80) target start =
   let caps = caps_for target in
   let filter (i : Xforms.instance) =
-    match i.xname with
-    | "split_scope" | "gpu_map" | "interchange" | "pad_scope"
-    | "parallelize" | "unroll" | "unannotate" ->
+    match i.move with
+    | Moveref.(
+        Split _ | Gpu _ | Interchange _ | Pad _ | Parallelize _ | Unroll _
+        | Unannotate _) ->
         true
     | _ -> false
   in
@@ -163,15 +164,14 @@ let pluto ~label target prog =
   let tiled =
     (* --tile with default sizes: split outer loops by 32 when divisible *)
     Search.Passes.fixpoint
-      ~pick:(fun p ->
-        List.find_opt
-          (fun (i : Xforms.instance) ->
-            i.xname = "split_scope"
-            && String.length i.target >= 9
-            && String.sub i.target (String.length i.target - 9) 9
-               = "factor 32"
-            && String.length i.target <= 20 (* outer-ish paths only *))
-          (Xforms.all caps p))
+      ~pick:
+        (Search.Passes.first_move
+           (function
+             | Moveref.Split (path, 32) ->
+                 (* outer-ish paths only *)
+                 String.length (Target.path_str path) <= 10
+             | _ -> false)
+           caps)
       fused 4
   in
   let prog' = Search.Passes.parallelize_outer caps tiled in
@@ -194,9 +194,10 @@ let pluto ~label target prog =
 (* Ansor-like template restriction: structural tiling/fusion/annotation
    moves only — no buffer-storage or layout moves, no padding. *)
 let tvm_template (i : Xforms.instance) =
-  match i.xname with
-  | "split_scope" | "join_scopes" | "interchange" | "unroll" | "vectorize"
-  | "parallelize" | "gpu_map" | "fission" ->
+  match i.move with
+  | Moveref.(
+      Split _ | Join _ | Interchange _ | Unroll _ | Vectorize _
+      | Parallelize _ | Gpu _ | Fission _) ->
       true
   | _ -> false
 

@@ -85,9 +85,7 @@ module Game = struct
   (* Play a move by its description string. *)
   let play_named (g : t) (name : string) : float =
     let insts = Transform.Engine.applicable g.session in
-    match
-      List.find_opt (fun i -> Transform.Xforms.describe i = name) insts
-    with
+    match Transform.Xforms.lookup insts name with
     | None -> invalid_arg (Printf.sprintf "Game.play_named: %S not applicable" name)
     | Some inst ->
         ignore (Transform.Engine.apply g.session inst);

@@ -64,8 +64,9 @@ type candidate = {
    presented; the plentiful structural moves (tilings, fusions, ...) fill
    the remaining slots by uniform sampling. *)
 let always_presented = function
-  | "gpu_map" | "vectorize" | "parallelize" | "enable_ssr" | "enable_frep"
-  | "reuse_dims" | "split_reduction" ->
+  | Moveref.(
+      Gpu _ | Vectorize _ | Parallelize _ | Ssr _ | Frep _ | Reuse_dims _
+      | Split_reduction _) ->
       true
   | _ -> false
 
@@ -73,7 +74,7 @@ let candidates_of rng caps (cap : int) (prog : Ir.Prog.t)
     (state_emb : float array) : candidate array =
   let insts = Xforms.all caps prog in
   let keyed, rest =
-    List.partition (fun (i : Xforms.instance) -> always_presented i.xname)
+    List.partition (fun (i : Xforms.instance) -> always_presented i.move)
       insts
   in
   let keyed = Array.of_list keyed and rest = Array.of_list rest in

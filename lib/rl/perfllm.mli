@@ -31,10 +31,10 @@ type result = {
   evaluations : int;  (** total performance-model evaluations *)
 }
 
-val always_presented : string -> bool
-(** Transformation names that are always included in the candidate
-    subset (decisive annotation moves such as gpu_map); the plentiful
-    structural moves fill the remaining slots by sampling. *)
+val always_presented : Transform.Moveref.t -> bool
+(** Moves that are always included in the candidate subset (decisive
+    annotation moves such as gpu_map); the plentiful structural moves
+    fill the remaining slots by sampling. *)
 
 (** A presented candidate action: a transformation instance ([None] is
     the stop action), the program it leads to, and the action-pair

@@ -20,9 +20,31 @@ let rec fixpoint ~(pick : Ir.Prog.t -> Xforms.instance option) prog fuel =
     | None -> prog
     | Some inst -> fixpoint ~pick (inst.apply prog) (fuel - 1)
 
-let first_of names caps prog =
-  let insts = Xforms.all caps prog in
-  List.find_opt (fun (i : Xforms.instance) -> List.mem i.xname names) insts
+(* The first offered instance whose move satisfies [pick]. *)
+let first_move pick caps prog =
+  List.find_opt
+    (fun (i : Xforms.instance) -> pick i.move)
+    (Xforms.all caps prog)
+
+let first_of names = first_move (fun m -> List.mem (Moveref.xname m) names)
+
+(* The instance of exactly this move, when it is offered. *)
+let find_move caps m = first_move (( = ) m) caps
+
+(* Outermost first: among the offered instances whose move [anchor]
+   accepts, the first with the shortest printed anchor path (the order
+   these passes have always ranked candidates in, kept so their
+   schedules stay put). *)
+let outermost anchor caps prog =
+  let len p = String.length (Target.path_str p) in
+  List.fold_left
+    (fun best (i : Xforms.instance) ->
+      match (anchor i.move, best) with
+      | Some p, Some (_, q) when len p >= len q -> best
+      | Some p, _ -> Some (i, p)
+      | None, _ -> best)
+    None (Xforms.all caps prog)
+  |> Option.map fst
 
 (* Merge scopes and reuse buffers as much as possible. *)
 let naive caps prog =
@@ -33,16 +55,13 @@ let naive caps prog =
   (* keep shrunk temporaries close: move them to the stack when offered *)
   fixpoint
     ~pick:(fun p ->
-      List.find_opt
-        (fun (i : Xforms.instance) ->
-          i.xname = "set_storage"
-          && String.length i.target > 8
-          && String.sub i.target (String.length i.target - 5) 5 = "stack"
-          &&
-          (* only buffers already shrunk by reuse *)
-          let bname = List.hd (String.split_on_char ' ' i.target) in
-          List.exists (fun r -> r) (Ir.Prog.buffer_by_name p bname).reuse)
-        (Xforms.all caps p))
+      first_move
+        (function
+          | Moveref.Set_storage (bname, "stack") ->
+              (* only buffers already shrunk by reuse *)
+              List.exists (fun r -> r) (Ir.Prog.buffer_by_name p bname).reuse
+          | _ -> false)
+        caps p)
     prog 100
 
 (* naive + hardware transformations applied exhaustively. *)
@@ -72,20 +91,7 @@ let tile_sink_unroll caps f prog =
   in
   List.fold_left
     (fun prog path ->
-      let target_of p =
-        "[" ^ String.concat "," (List.map string_of_int p) ^ "]"
-      in
-      let find_exact name target p =
-        List.find_opt
-          (fun (i : Xforms.instance) ->
-            i.xname = name && i.target = target)
-          (Xforms.all caps p)
-      in
-      match
-        find_exact "split_scope"
-          (Printf.sprintf "%s factor %d" (target_of path) f)
-          prog
-      with
+      match find_move caps (Moveref.Split (path, f)) prog with
       | None -> prog
       | Some split -> (
           let prog' = split.apply prog in
@@ -94,12 +100,12 @@ let tile_sink_unroll caps f prog =
           let rec sink p cur fuel =
             if fuel = 0 then (p, cur)
             else
-              match find_exact "interchange" (target_of p) cur with
+              match find_move caps (Moveref.Interchange p) cur with
               | Some inst -> sink (p @ [ 0 ]) (inst.apply cur) (fuel - 1)
               | None -> (p, cur)
           in
           let tile_path, prog'' = sink (path @ [ 0 ]) prog' 16 in
-          match find_exact "unroll" (target_of tile_path) prog'' with
+          match find_move caps (Moveref.Unroll tile_path) prog'' with
           | Some u -> u.apply prog''
           | None -> prog''))
     prog outer_paths
@@ -108,9 +114,6 @@ let tile_sink_unroll caps f prog =
    iteration (the inner loops produced by split_reduction): unrolled,
    their iterations form independent FP dependency chains. *)
 let unroll_partial_accumulators caps prog =
-  let target_of p =
-    "[" ^ String.concat "," (List.map string_of_int p) ^ "]"
-  in
   let rec step prog fuel =
     if fuel = 0 then prog
     else begin
@@ -138,12 +141,7 @@ let unroll_partial_accumulators caps prog =
       match candidate with
       | None -> prog
       | Some p -> (
-          match
-            List.find_opt
-              (fun (i : Xforms.instance) ->
-                i.xname = "unroll" && i.target = target_of p)
-              (Xforms.all caps prog)
-          with
+          match find_move caps (Moveref.Unroll p) prog with
           | Some u -> step (u.apply prog) (fuel - 1)
           | None -> prog)
     end
@@ -179,25 +177,15 @@ let vectorize_innermost (caps : Xforms.caps) prog =
         else begin
           (* prefer direct vectorization; otherwise split a divisible
              innermost loop and retry *)
-          match
-            List.find_opt
-              (fun (i : Xforms.instance) -> i.xname = "vectorize")
-              (Xforms.all caps prog)
-          with
+          match first_of [ "vectorize" ] caps prog with
           | Some v -> improve (v.apply prog) (fuel - 1)
           | None -> (
               let splits =
                 List.filter
                   (fun (i : Xforms.instance) ->
-                    i.xname = "split_scope"
-                    && String.length i.target
-                       >= String.length (Printf.sprintf "factor %d" lanes)
-                    &&
-                    let suffix = Printf.sprintf "factor %d" lanes in
-                    String.sub i.target
-                      (String.length i.target - String.length suffix)
-                      (String.length suffix)
-                    = suffix)
+                    match i.move with
+                    | Moveref.Split (_, f) -> f = lanes
+                    | _ -> false)
                   (Xforms.all caps prog)
               in
               (* try each split; keep the first that unlocks vectorize *)
@@ -205,11 +193,7 @@ let vectorize_innermost (caps : Xforms.caps) prog =
                 | [] -> None
                 | (s : Xforms.instance) :: rest -> (
                     let p' = s.apply prog in
-                    match
-                      List.find_opt
-                        (fun (i : Xforms.instance) -> i.xname = "vectorize")
-                        (Xforms.all caps p')
-                    with
+                    match first_of [ "vectorize" ] caps p' with
                     | Some v -> Some (v.apply p')
                     | None -> try_splits rest)
               in
@@ -222,67 +206,31 @@ let vectorize_innermost (caps : Xforms.caps) prog =
 
 (* Parallelize the outermost parallelizable loop. *)
 let parallelize_outer caps prog =
-  let pars =
-    List.filter
-      (fun (i : Xforms.instance) -> i.xname = "parallelize")
-      (Xforms.all caps prog)
-  in
-  (* shortest target path string = outermost *)
-  let best =
-    List.fold_left
-      (fun acc (i : Xforms.instance) ->
-        match acc with
-        | None -> Some i
-        | Some (j : Xforms.instance) ->
-            if String.length i.target < String.length j.target then Some i
-            else acc)
-      None pars
-  in
-  match best with Some i -> i.apply prog | None -> prog
+  match
+    outermost (function Moveref.Parallelize p -> Some p | _ -> None) caps prog
+  with
+  | Some i -> i.apply prog
+  | None -> prog
 
 (* Separate initialization statements from the loops that follow them,
    so reduction loops become interchange- and vectorization-ready. *)
 let fission_inits caps prog =
   fixpoint
     ~pick:(fun p ->
-      List.find_opt
-        (fun (i : Xforms.instance) ->
-          i.xname = "fission"
-          &&
-          (* only splits whose first part is pure initialization *)
-          match String.rindex_opt i.target ' ' with
-          | None -> false
-          | Some sp -> (
-              let k =
-                int_of_string_opt
-                  (String.sub i.target (sp + 1)
-                     (String.length i.target - sp - 1))
-              in
-              let path =
-                (* parse "[a,b,c] at k" back into a path *)
-                match String.index_opt i.target ']' with
-                | None -> None
-                | Some rb ->
-                    let inner = String.sub i.target 1 (rb - 1) in
-                    if inner = "" then Some []
-                    else
-                      Some
-                        (List.map int_of_string
-                           (String.split_on_char ',' inner))
-              in
-              match (k, path) with
-              | Some k, Some path -> (
-                  match Ir.Prog.node_at p path with
-                  | Ir.Types.Scope sc ->
-                      List.for_all
-                        (function
-                          | Ir.Types.Stmt { rhs = Ir.Types.Const _; _ } ->
-                              true
-                          | _ -> false)
-                        (List.filteri (fun j _ -> j < k) sc.body)
-                  | Ir.Types.Stmt _ -> false)
-              | _ -> false))
-        (Xforms.all caps p))
+      first_move
+        (function
+          | Moveref.Fission (path, k) -> (
+              (* only splits whose first part is pure initialization *)
+              match Ir.Prog.node_at p path with
+              | Ir.Types.Scope sc ->
+                  List.for_all
+                    (function
+                      | Ir.Types.Stmt { rhs = Ir.Types.Const _; _ } -> true
+                      | _ -> false)
+                    (List.filteri (fun j _ -> j < k) sc.body)
+              | Ir.Types.Stmt _ -> false)
+          | _ -> false)
+        caps p)
     prog 32
 
 (* Interchange reduction loops outward: when a loop whose iterator the
@@ -292,19 +240,9 @@ let fission_inits caps prog =
 let sink_reductions caps prog =
   fixpoint
     ~pick:(fun p ->
-      List.find_opt
-        (fun (i : Xforms.instance) ->
-          i.xname = "interchange"
-          &&
-          match String.index_opt i.target ']' with
-          | None -> false
-          | Some rb -> (
-              let inner = String.sub i.target 1 (rb - 1) in
-              let path =
-                if inner = "" then []
-                else
-                  List.map int_of_string (String.split_on_char ',' inner)
-              in
+      first_move
+        (function
+          | Moveref.Interchange path -> (
               match Ir.Prog.node_at p path with
               | Ir.Types.Scope outer -> (
                   match outer.body with
@@ -324,8 +262,9 @@ let sink_reductions caps prog =
                                      st.dst.idx))
                            stmts
                   | _ -> false)
-              | Ir.Types.Stmt _ -> false))
-        (Xforms.all caps p))
+              | Ir.Types.Stmt _ -> false)
+          | _ -> false)
+        caps p)
     prog 16
 
 (* Fuse first (cross-operator), then parallelize the outer loop, then
@@ -357,18 +296,7 @@ let cpu_heuristic ?(fuse = true) caps prog =
    kernel per operator). *)
 let gpu_heuristic ?(fuse = true) ?(block = 256) ?(warp = 32)
     ?(vectorize = true) ?score caps prog =
-  let find_name name p =
-    List.filter
-      (fun (i : Xforms.instance) -> i.xname = name)
-      (Xforms.all caps p)
-  in
-  let ends_with suffix (i : Xforms.instance) =
-    String.length i.target >= String.length suffix
-    && String.sub i.target
-         (String.length i.target - String.length suffix)
-         (String.length suffix)
-       = suffix
-  in
+  let grid = function Moveref.Gpu (p, "grid") -> Some p | _ -> None in
   let prog =
     if fuse then fixpoint ~pick:(first_of [ "join_scopes" ] caps) prog 1000
     else prog
@@ -379,8 +307,10 @@ let gpu_heuristic ?(fuse = true) ?(block = 256) ?(warp = 32)
     let prog = if vectorize then vectorize_innermost caps prog else prog in
     let map_blocks prog =
       fixpoint
-        ~pick:(fun p ->
-          List.find_opt (ends_with "block") (find_name "gpu_map" p))
+        ~pick:
+          (first_move
+             (function Moveref.Gpu (_, "block") -> true | _ -> false)
+             caps)
         prog 8
     in
     let prog = map_blocks prog in
@@ -396,41 +326,25 @@ let gpu_heuristic ?(fuse = true) ?(block = 256) ?(warp = 32)
     in
     let prog =
       if has_block prog then prog
-      else begin
-        let suffix = Printf.sprintf "factor %d" block in
+      else
         match
-          List.find_opt (ends_with suffix) (find_name "split_scope" prog)
+          first_move
+            (function Moveref.Split (_, f) -> f = block | _ -> false)
+            caps prog
         with
         | Some s -> map_blocks (s.apply prog)
         | None -> prog
-      end
     in
     fixpoint
-      ~pick:(fun p ->
-        List.find_opt
-          (fun (i : Xforms.instance) ->
-            i.xname = "pad_scope" && ends_with (Printf.sprintf "of %d" warp) i)
-          (Xforms.all caps p))
+      ~pick:
+        (first_move (function Moveref.Pad (_, m) -> m = warp | _ -> false) caps)
       prog 4
   in
   (* grid choice: map every outermost independent loop to the grid; with
      a [score] function, additionally consider mapping each offered loop
      and keep the completed pipeline that scores best (one-step
      lookahead, the launch-configuration heuristic of a tuned library) *)
-  let default_grids prog =
-    fixpoint
-      ~pick:(fun p ->
-        let grids = List.filter (ends_with "grid") (find_name "gpu_map" p) in
-        match
-          List.sort
-            (fun (a : Xforms.instance) b ->
-              compare (String.length a.target) (String.length b.target))
-            grids
-        with
-        | g :: _ -> Some g
-        | [] -> None)
-      prog 8
-  in
+  let default_grids prog = fixpoint ~pick:(outermost grid caps) prog 8 in
   match score with
   | None -> finish (default_grids prog)
   | Some f ->
@@ -438,10 +352,10 @@ let gpu_heuristic ?(fuse = true) ?(block = 256) ?(warp = 32)
         finish (default_grids prog)
         :: List.filter_map
              (fun (g : Xforms.instance) ->
-               if ends_with "grid" g then
+               if grid g.move <> None then
                  Some (finish (default_grids (g.apply prog)))
                else None)
-             (find_name "gpu_map" prog)
+             (Xforms.all caps prog)
       in
       List.fold_left
         (fun best cand -> if f cand < f best then cand else best)

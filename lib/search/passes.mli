@@ -9,6 +9,13 @@ val fixpoint :
 (** Apply [pick]'s choice repeatedly until it returns [None] or the fuel
     runs out. *)
 
+val first_move :
+  (Transform.Moveref.t -> bool) ->
+  Transform.Xforms.caps ->
+  Ir.Prog.t ->
+  Transform.Xforms.instance option
+(** First applicable instance whose move satisfies the predicate. *)
+
 val first_of :
   string list ->
   Transform.Xforms.caps ->

@@ -60,9 +60,8 @@ type result = {
 
 (* Replay a sequence of move names from [prog], skipping moves that are
    not applicable at their point.  Returns the final program and the
-   names that actually applied.  Resolution goes through a per-step
-   describe -> instance hash table (Xforms.lookup) rather than a linear
-   find_opt that re-describes instances until a match. *)
+   names that actually applied.  Each step resolves its name with
+   Xforms.lookup, which parses it once and compares moves. *)
 let replay_skipping ?(filter = fun (_ : Xforms.instance) -> true) caps prog
     names =
   List.fold_left
@@ -97,14 +96,14 @@ let replay_exact ?(filter = fun (_ : Xforms.instance) -> true) caps root
             let mref = Moveref.of_describe name in
             let path_s =
               match Option.bind mref Moveref.anchor with
-              | Some path -> Xforms.path_str path
+              | Some path -> Target.path_str path
               | None -> "(no path)"
             in
             let same_xname =
               match Option.map Moveref.xname mref with
               | Some xn ->
                   List.filter
-                    (fun (i : Xforms.instance) -> i.xname = xn)
+                    (fun (i : Xforms.instance) -> Moveref.xname i.move = xn)
                     offered
               | None -> []
             in

@@ -15,17 +15,20 @@ type composite = {
 (* Composites expand against the atomic action set only (never against
    caps.extra), so a macro-move can never contain another macro-move. *)
 let find_atomic caps prog (m : Moveref.t) : (Xforms.instance, string) result =
-  let d = Moveref.describe m in
-  match Xforms.lookup (Xforms.atomics caps prog) d with
+  match
+    List.find_opt
+      (fun (i : Xforms.instance) -> i.move = m)
+      (Xforms.atomics caps prog)
+  with
   | Some i -> Ok i
-  | None -> Error (d ^ ": not applicable here")
+  | None -> Error (Moveref.describe m ^ ": not applicable here")
 
 let step prog (inst : Xforms.instance) : (Ir.Prog.t, string) result =
   match inst.apply prog with
   | next -> Ok next
   | exception Xforms.Not_applicable m -> Error m
   | exception Ir.Prog.Invalid_path p ->
-      Error ("path vanished: " ^ Xforms.path_str p)
+      Error ("path vanished: " ^ Target.path_str p)
 
 (* Expand a static sequence of move references, validating each against
    the intermediate state it will actually see. *)
@@ -346,16 +349,11 @@ let macro_instances ~names:selected caps =
                   (fun anchor ->
                     match t.Engine.expand base prog ~anchor with
                     | Ok (_ :: _ as _insts) ->
-                        let args_s =
-                          String.concat ","
-                            (List.map (fun (k, v) -> k ^ "=" ^ v) args)
-                        in
                         Some
                           {
-                            Xforms.xname = "composite";
-                            target =
-                              Printf.sprintf "%s(%s) @ %s" c.cname args_s
-                                (Xforms.path_str anchor);
+                            Xforms.move =
+                              Moveref.Composite
+                                { cname = c.cname; args; anchor };
                             apply =
                               (fun p ->
                                 match t.Engine.expand base p ~anchor with

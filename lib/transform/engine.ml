@@ -127,7 +127,7 @@ let emit_refused session t anchor reason =
     Obs.Trace.emit session.obs "transfo.refused" (fun () ->
         [
           Obs.Trace.str "transfo" (transfo_label t);
-          Obs.Trace.str "anchor" (Xforms.path_str anchor);
+          Obs.Trace.str "anchor" (Target.path_str anchor);
           Obs.Trace.str "reason" reason;
         ])
 
@@ -158,7 +158,7 @@ let apply_anchored session ~anchor (t : transfo) :
             | exception Xforms.Not_applicable m -> refuse m
             | exception Invalid_argument m -> refuse m
             | exception Ir.Prog.Invalid_path p ->
-                refuse ("path vanished: " ^ Xforms.path_str p))
+                refuse ("path vanished: " ^ Target.path_str p))
       in
       go insts)
 
@@ -171,6 +171,6 @@ let apply_at session (sel : Target.t) (t : transfo) :
         Obs.Trace.emit session.obs "target.resolve" (fun () ->
             [
               Obs.Trace.str "selector" (Target.to_string sel);
-              Obs.Trace.str "path" (Xforms.path_str anchor);
+              Obs.Trace.str "path" (Target.path_str anchor);
             ]);
       apply_anchored session ~anchor t

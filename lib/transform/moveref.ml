@@ -22,7 +22,7 @@ type t =
       anchor : Ir.Types.path;
     }
 
-let path_str = Xforms.path_str
+let path_str = Target.path_str
 
 (* "[0,4]" -> Some [0;4]; "[]" -> Some [] *)
 let parse_path s =

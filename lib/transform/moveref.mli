@@ -1,13 +1,19 @@
-(** Structured references to moves.
+(** Moves: the typed action of the PerfDojo game and its wire format.
 
-    {!Xforms.describe} strings (["split_scope([0,4] factor 16)"]) are
-    the recorded wire format of schedules; this module parses them back
-    into a typed value so the script exporter, the composite expander
-    and the enriched replay diagnostics can reason about a move's name,
-    parameters and anchor path instead of string-matching.  [describe]
-    is byte-identical to what {!Xforms.all} produces, so
-    [describe (of_describe_exn d) = d] for every move the library can
-    emit. *)
+    A move is one (transformation, location) pair that discovery proves
+    legal (§2.2).  {!Xforms.all} offers every move as a value of {!t}
+    inside an {!Xforms.instance}; schedules, passes, baselines and
+    composites pick moves by matching on it.
+
+    The wire format is the describe string
+    (["split_scope([0,4] factor 16)"]): what tuning records,
+    checkpoints, journal entries, traces, libgen manifests and [.pds]
+    provenance store.  This module is its only printer ({!describe})
+    and its only parser ({!of_describe}).  The round-trip law holds for
+    every move that discovery emits, composites included:
+    [of_describe (describe m) = Some m].  The parser also accepts some
+    non-canonical spellings (a doubled space, ["[0, 4]"]), so a caller
+    that needs the canonical string checks [describe m = d] too. *)
 
 type t =
   | Split of Ir.Types.path * int  (** split_scope, factor *)
@@ -34,10 +40,10 @@ type t =
     }  (** a named composite macro-move: [composite(name(k=v) @ [p])] *)
 
 val of_describe : string -> t option
-(** Parse an {!Xforms.describe} string; [None] for unknown shapes. *)
+(** Parse a describe string; [None] for unknown shapes. *)
 
 val describe : t -> string
-(** Byte-identical to the {!Xforms.describe} of the matching instance. *)
+(** The describe string: the move's wire format. *)
 
 val xname : t -> string
 (** The transformation name as it appears in describe strings. *)

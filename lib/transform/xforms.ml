@@ -9,13 +9,9 @@
 
 open Ir.Types
 
-type instance = {
-  xname : string; (* transformation name, e.g. "split_scope" *)
-  target : string; (* human-readable location/parameters *)
-  apply : Ir.Prog.t -> Ir.Prog.t;
-}
+type instance = { move : Moveref.t; apply : Ir.Prog.t -> Ir.Prog.t }
 
-let describe i = Printf.sprintf "%s(%s)" i.xname i.target
+let describe i = Moveref.describe i.move
 
 (* Applying a stale instance (the location no longer matches after the
    program changed underneath it) raises [Not_applicable] — distinct
@@ -26,23 +22,13 @@ exception Not_applicable of string
 
 let not_applicable msg = raise (Not_applicable msg)
 
-(* Resolve [describe] strings against an instance list through a hash
-   table built once — replaces the per-name linear scans (with repeated
-   [describe] calls) in Stochastic.replay_skipping / replay_exact.
-   First occurrence wins, matching List.find_opt. *)
-let lookup ?(filter = fun (_ : instance) -> true) (insts : instance list) :
-    string -> instance option =
-  let table = lazy begin
-    let t = Hashtbl.create (2 * List.length insts + 1) in
-    List.iter
-      (fun i ->
-        if filter i then
-          let d = describe i in
-          if not (Hashtbl.mem t d) then Hashtbl.add t d i)
-      insts;
-    t
-  end in
-  fun name -> Hashtbl.find_opt (Lazy.force table) name
+(* Resolve a describe string: parse it once and compare moves.  Only the
+   canonical spelling names a move; first occurrence wins. *)
+let lookup ?(filter = fun (_ : instance) -> true) insts name =
+  match Moveref.of_describe name with
+  | Some m when Moveref.describe m = name ->
+      List.find_opt (fun i -> i.move = m && filter i) insts
+  | _ -> None
 
 (* Hardware capabilities gate which transformations are offered.  This is
    the paper's "hardware knowledge exposed to the search only as a library
@@ -111,8 +97,6 @@ let snitch_caps () =
     reduction_split = [ 4 ];
   }
 
-let path_str p = "[" ^ String.concat "," (List.map string_of_int p) ^ "]"
-
 (* ------------------------------------------------------------------ *)
 (* split_scope (tiling)                                                *)
 (* ------------------------------------------------------------------ *)
@@ -156,11 +140,7 @@ let find_split (caps : caps) (prog : Ir.Prog.t) : instance list =
           List.fold_left
             (fun acc f ->
               if f > 1 && f < sc.size && sc.size mod f = 0 then
-                {
-                  xname = "split_scope";
-                  target = Printf.sprintf "%s factor %d" (path_str p) f;
-                  apply = apply_split p depth f;
-                }
+                { move = Moveref.Split (p, f); apply = apply_split p depth f }
                 :: acc
               else acc)
             acc caps.split_factors
@@ -208,12 +188,7 @@ let find_join (prog : Ir.Prog.t) : instance list =
              && Dep.fusion_safe prog ~depth s1.body s2.body ->
           let p = parent_path @ [ i ] in
           go (i + 1)
-            ({
-               xname = "join_scopes";
-               target = path_str p;
-               apply = apply_join p;
-             }
-            :: acc)
+            ({ move = Moveref.Join p; apply = apply_join p } :: acc)
             rest
       | _ :: rest -> go (i + 1) acc rest
       | [] -> acc
@@ -259,11 +234,7 @@ let find_fission (prog : Ir.Prog.t) : instance list =
               let part2 = List.filteri (fun j _ -> j >= k) sc.body in
               if Dep.fission_safe prog ~depth part1 part2 then
                 go (k + 1)
-                  ({
-                     xname = "fission";
-                     target = Printf.sprintf "%s at %d" (path_str p) k;
-                     apply = apply_fission p k;
-                   }
+                  ({ move = Moveref.Fission (p, k); apply = apply_fission p k }
                   :: acc)
               else go (k + 1) acc
           in
@@ -313,8 +284,7 @@ let find_interchange (prog : Ir.Prog.t) : instance list =
               let depth = Ir.Prog.depth_of_path prog p in
               if Dep.interchange_safe prog ~depth inner.body then
                 {
-                  xname = "interchange";
-                  target = path_str p;
+                  move = Moveref.Interchange p;
                   apply = apply_interchange p depth;
                 }
                 :: acc
@@ -352,8 +322,7 @@ let find_reorder (prog : Ir.Prog.t) : instance list =
       if Dep.nodes_independent prog arr.(i) arr.(i + 1) then
         acc :=
           {
-            xname = "reorder";
-            target = path_str (parent_path @ [ i ]);
+            move = Moveref.Reorder (parent_path @ [ i ]);
             apply = apply_reorder parent_path i;
           }
           :: !acc
@@ -414,11 +383,7 @@ let find_unroll (caps : caps) (prog : Ir.Prog.t) : instance list =
       | Scope sc
         when sc.annot = Seq && sc.guard = None && sc.size <= caps.max_unroll
              && unroll_replication prog p sc <= 4 * caps.max_unroll ->
-          {
-            xname = "unroll";
-            target = path_str p;
-            apply = set_annot p Unroll;
-          }
+          { move = Moveref.Unroll p; apply = set_annot p Unroll }
           :: acc
       | _ -> acc)
     [] prog
@@ -475,11 +440,7 @@ let find_vectorize (caps : caps) (prog : Ir.Prog.t) : instance list =
             | [ Stmt s ] ->
                 let depth = Ir.Prog.depth_of_path prog p in
                 if vectorizable_stmt prog ~depth s then
-                  {
-                    xname = "vectorize";
-                    target = path_str p;
-                    apply = set_annot p Vec;
-                  }
+                  { move = Moveref.Vectorize p; apply = set_annot p Vec }
                   :: acc
                 else acc
             | _ -> acc)
@@ -511,11 +472,7 @@ let find_parallelize (caps : caps) (prog : Ir.Prog.t) : instance list =
               (not (List.mem Par enclosing))
               && Dep.parallel_safe prog ~depth sc.body
             then
-              {
-                xname = "parallelize";
-                target = path_str p;
-                apply = set_annot p Par;
-              }
+              { move = Moveref.Parallelize p; apply = set_annot p Par }
               :: acc
             else acc
         | _ -> acc)
@@ -548,11 +505,7 @@ let find_gpu_map (caps : caps) (prog : Ir.Prog.t) : instance list =
               go sc.body
             in
             let mk annot label =
-              {
-                xname = "gpu_map";
-                target = Printf.sprintf "%s %s" (path_str p) label;
-                apply = set_annot p annot;
-              }
+              { move = Moveref.Gpu (p, label); apply = set_annot p annot }
             in
             (* grid: iterations must be fully independent (blocks cannot
                cooperate); block: a commutative reduction is allowed —
@@ -612,11 +565,7 @@ let find_unannotate (prog : Ir.Prog.t) : instance list =
     (fun acc p node ->
       match node with
       | Scope sc when sc.annot <> Seq || sc.ssr ->
-          {
-            xname = "unannotate";
-            target = path_str p;
-            apply = apply_unannotate p;
-          }
+          { move = Moveref.Unannotate p; apply = apply_unannotate p }
           :: acc
       | _ -> acc)
     [] prog
@@ -652,11 +601,7 @@ let find_pad (caps : caps) (prog : Ir.Prog.t) : instance list =
           List.fold_left
             (fun acc m ->
               if sc.size mod m <> 0 && m > 1 then
-                {
-                  xname = "pad_scope";
-                  target = Printf.sprintf "%s to multiple of %d" (path_str p) m;
-                  apply = apply_pad p m;
-                }
+                { move = Moveref.Pad (p, m); apply = apply_pad p m }
                 :: acc
               else acc)
             acc multiples
@@ -681,8 +626,7 @@ let find_reuse_dims (prog : Ir.Prog.t) : instance list =
              if Dep.reuse_safe prog b ~dim then
                [
                  {
-                   xname = "reuse_dims";
-                   target = Printf.sprintf "%s dim %d" b.bname dim;
+                   move = Moveref.Reuse_dims (b.bname, dim);
                    apply = apply_reuse b.bname dim;
                  };
                ]
@@ -722,8 +666,7 @@ let find_set_storage (caps : caps) (prog : Ir.Prog.t) : instance list =
         List.map
           (fun loc ->
             {
-              xname = "set_storage";
-              target = Printf.sprintf "%s -> %s" b.bname (location_name loc);
+              move = Moveref.Set_storage (b.bname, location_name loc);
               apply = apply_storage b.bname loc;
             })
           options
@@ -782,8 +725,7 @@ let find_reorder_dims (prog : Ir.Prog.t) : instance list =
             in
             swaps (i + 1)
               ({
-                 xname = "reorder_buffer_dims";
-                 target = Printf.sprintf "%s swap %d,%d" b.bname i (i + 1);
+                 move = Moveref.Reorder_dims (b.bname, i);
                  apply = apply_reorder_dims b.bname perm;
                }
               :: acc)
@@ -855,11 +797,7 @@ let find_ssr (caps : caps) (prog : Ir.Prog.t) : instance list =
                      sc.body)
               in
               if straightline sc.body && List.length streamed_arrays <= 3 then
-                {
-                  xname = "enable_ssr";
-                  target = path_str p;
-                  apply = set_ssr p true;
-                }
+                { move = Moveref.Ssr p; apply = set_ssr p true }
                 :: acc
               else acc
           | _ -> acc)
@@ -878,11 +816,7 @@ let find_frep (caps : caps) (prog : Ir.Prog.t) : instance list =
       (fun acc p node ->
         match node with
         | Scope sc when sc.annot = Seq && sc.ssr && sc.guard = None ->
-            {
-              xname = "enable_frep";
-              target = path_str p;
-              apply = set_annot p Frep;
-            }
+            { move = Moveref.Frep p; apply = set_annot p Frep }
             :: acc
         | _ -> acc)
       [] prog
@@ -1059,9 +993,7 @@ let find_split_reduction (caps : caps) (prog : Ir.Prog.t) : instance list =
                       (fun acc k ->
                         if sc.size mod k = 0 && sc.size > k then
                           {
-                            xname = "split_reduction";
-                            target =
-                              Printf.sprintf "%s into %d" (path_str p) k;
+                            move = Moveref.Split_reduction (p, k);
                             apply = apply_split_reduction p depth k;
                           }
                           :: acc

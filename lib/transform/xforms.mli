@@ -8,8 +8,7 @@
     non-destructive. *)
 
 type instance = {
-  xname : string;  (** transformation name, e.g. ["split_scope"] *)
-  target : string;  (** human-readable location / parameters *)
+  move : Moveref.t;  (** which move this is: transformation and location *)
   apply : Ir.Prog.t -> Ir.Prog.t;
       (** total within applicability; raises {!Not_applicable} (or
           [Ir.Prog.Invalid_path] for a vanished path) if the location no
@@ -23,15 +22,15 @@ exception Not_applicable of string
     never swallow genuine programming errors. *)
 
 val describe : instance -> string
-(** ["name(target)"] — stable identifier used to record and replay move
-    sequences. *)
+(** [Moveref.describe i.move]: the wire format that records and replays
+    move sequences. *)
 
 val lookup :
   ?filter:(instance -> bool) -> instance list -> string -> instance option
-(** [lookup insts] builds (lazily, once) a {!describe} [->] instance
-    hash table over [insts] and returns the lookup function — the fast
-    path for replaying recorded move names.  First occurrence wins, as
-    with [List.find_opt]. *)
+(** [lookup ?filter insts name] is the first instance of [insts] that
+    passes [filter] and whose {!describe} is [name].  [name] is parsed
+    once and compared as a move; a non-canonical spelling of a move (a
+    doubled space, ["[0, 4]"]) names no instance. *)
 
 (** Hardware capabilities gate which transformations are offered: the
     paper's "hardware knowledge exposed to the search only as a library
@@ -150,7 +149,6 @@ val find_frep : caps -> Ir.Prog.t -> instance list
 
 val unroll_replication : Ir.Prog.t -> Ir.Types.path -> Ir.Types.scope -> int
 
-val path_str : Ir.Types.path -> string
 val set_annot : Ir.Types.path -> Ir.Types.annot -> Ir.Prog.t -> Ir.Prog.t
 val apply_join : Ir.Types.path -> Ir.Prog.t -> Ir.Prog.t
 val enclosing_annots : Ir.Prog.t -> Ir.Types.path -> Ir.Types.annot list

@@ -8,8 +8,8 @@
     bench's [BENCH_tuning.json].
 
     Domain-safe: the table is sharded with a mutex per shard, so a cache
-    can back the objective of a parallel search ({!Search.Stochastic}'s
-    [_parallel] variants) shared across worker domains.  The invariant
+    can back the objective of a search whose rounds run on a worker
+    pool ({!Search.Stochastic} with [~pool]) shared across domains.  The invariant
     [hits + misses = total lookups] holds exactly under concurrency;
     two workers racing on the same fresh program may both miss (the
     objective runs outside the lock), which for a deterministic

@@ -94,9 +94,9 @@ let behaviour_tests =
           (fun (i : Transform.Xforms.instance) ->
             if Baselines.tvm_template i then
               Alcotest.(check bool)
-                (i.xname ^ " allowed")
+                (Transform.Moveref.xname i.move ^ " allowed")
                 false
-                (List.mem i.xname
+                (List.mem (Transform.Moveref.xname i.move)
                    [ "set_storage"; "reuse_dims"; "reorder_buffer_dims";
                      "pad_scope"; "enable_ssr"; "enable_frep" ]))
           (Transform.Xforms.all caps p));
@@ -131,6 +131,74 @@ let behaviour_tests =
         Alcotest.(check bool) "overhead added" true (total > base));
   ]
 
+(* Every deterministic pass and baseline schedule, on every kernel and
+   three targets: one digest of the printed schedules per producer, so
+   a change in how any of them picks its moves shows here. *)
+let golden_schedules =
+  let pass f ~label:_ _ caps p = f caps p in
+  let sched f ~label:_ target _ p = (f target p : Baselines.scheduled).prog in
+  [
+    ("naive", "96e2dee8e5ea69c4d4557ab577caa99f", pass Search.Passes.naive);
+    ("greedy", "4c67ca0235d1b6b0671acf6046be4fea", pass Search.Passes.greedy);
+    ( "heuristic",
+      "acf49a0a83de932063d5a4006cc66e3b",
+      pass Search.Passes.heuristic );
+    ( "cpu_heuristic",
+      "19dba800817e25e99d55ca6c2c8dc4a1",
+      pass (fun caps p -> Search.Passes.cpu_heuristic caps p) );
+    ( "gpu_heuristic",
+      "a4c82897a2c9d88a41d4fe13b5da0723",
+      pass (fun caps p -> Search.Passes.gpu_heuristic caps p) );
+    ( "gpu_heuristic ~score",
+      "c87c805b7746e510ed523f306873af98",
+      fun ~label:_ target caps p ->
+        Search.Passes.gpu_heuristic ~score:(Machine.time target) caps p );
+    ("pytorch", "292b9804098e706651313656c37e35b6", sched Baselines.pytorch);
+    ("jax", "780a1b4d13eb2f2ff838c8c347c929f4", sched Baselines.jax);
+    ( "onnxruntime",
+      "501c04bae373ce32c998779bf1612638",
+      sched Baselines.onnxruntime );
+    ("onednn", "19dba800817e25e99d55ca6c2c8dc4a1", sched Baselines.onednn);
+    ( "pluto",
+      "face16b421f8ba1069dfbf3328a7de4a",
+      fun ~label target _ p -> (Baselines.pluto ~label target p).prog );
+    ( "tvm",
+      "eb1397eff247caa1111fb80e3bdff098",
+      fun ~label target _ p -> (Baselines.tvm ~budget:24 ~label target p).prog
+    );
+    ( "handwritten_snitch",
+      "9ed43661b6080417583adda7fd2988bf",
+      fun ~label:_ _ caps p -> (Baselines.handwritten_snitch caps p).prog );
+  ]
+
+let schedule_digest produce =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          (List.concat_map
+             (fun target ->
+               let caps = Machine.caps target in
+               List.map
+                 (fun (e : Kernels.entry) ->
+                   Ir.Printer.program
+                     (produce ~label:e.label target caps (e.build ())))
+                 (Kernels.table3 @ Kernels.snitch_micro))
+             [ x86; snitch; gh ])))
+
+let golden_tests =
+  [
+    Alcotest.test_case "every pass and baseline schedule is unchanged" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, digest, produce) ->
+            Alcotest.(check string) name digest (schedule_digest produce))
+          golden_schedules);
+  ]
+
 let () =
   Alcotest.run "baselines"
-    [ ("semantics", semantics_tests); ("behaviour", behaviour_tests) ]
+    [
+      ("semantics", semantics_tests);
+      ("behaviour", behaviour_tests);
+      ("golden", golden_tests);
+    ]

@@ -146,7 +146,8 @@ let unit_tests =
         let p = Kernels.scale ~n:64 in
         let split =
           List.find
-            (fun (i : Transform.Xforms.instance) -> i.xname = "split_scope")
+            (fun (i : Transform.Xforms.instance) ->
+              Transform.Moveref.xname i.move = "split_scope")
             (Transform.Xforms.all caps_snitch p)
         in
         Alcotest.(check bool) "differs" false

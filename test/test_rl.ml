@@ -114,7 +114,8 @@ let embed_tests =
         let caps = Transform.Xforms.cpu_caps () in
         let par =
           (List.find
-             (fun (i : Transform.Xforms.instance) -> i.xname = "parallelize")
+             (fun (i : Transform.Xforms.instance) ->
+               Transform.Moveref.xname i.move = "parallelize")
              (Transform.Xforms.all caps p))
             .apply p
         in

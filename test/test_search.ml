@@ -148,7 +148,7 @@ let stochastic_tests =
     Alcotest.test_case "filter restricts the move set" `Quick (fun () ->
         let p = Kernels.softmax ~n:16 ~m:16 in
         let filter (i : Transform.Xforms.instance) =
-          i.xname = "split_scope"
+          Transform.Moveref.xname i.move = "split_scope"
         in
         let r =
           Search.Stochastic.random_sampling ~seed:4 ~filter

@@ -299,7 +299,8 @@ let macro_tests =
         in
         let macros =
           List.filter
-            (fun (i : Xforms.instance) -> i.xname = "composite")
+            (fun (i : Xforms.instance) ->
+              Transform.Moveref.xname i.move = "composite")
             enriched
         in
         Alcotest.(check bool) "strictly more moves" true
@@ -317,7 +318,7 @@ let macro_tests =
         in
         List.iter
           (fun (i : Xforms.instance) ->
-            if i.xname = "composite" then
+            if Transform.Moveref.xname i.move = "composite" then
               match Transform.Moveref.of_describe (Xforms.describe i) with
               | Some (Transform.Moveref.Composite _) -> ()
               | Some _ | None ->
@@ -331,7 +332,8 @@ let macro_tests =
         in
         match
           List.find_opt
-            (fun (i : Xforms.instance) -> i.xname = "composite")
+            (fun (i : Xforms.instance) ->
+              Transform.Moveref.xname i.move = "composite")
             enriched
         with
         | None -> Alcotest.fail "no macro offered"
@@ -347,7 +349,7 @@ let macro_tests =
         in
         List.iter
           (fun (i : Xforms.instance) ->
-            if i.xname = "composite" then
+            if Transform.Moveref.xname i.move = "composite" then
               match Transform.Moveref.of_describe (Xforms.describe i) with
               | Some (Transform.Moveref.Composite { cname; _ }) ->
                   Alcotest.(check string) "only fuse_chain" "fuse_chain" cname

@@ -72,7 +72,7 @@ let qcheck_random_walk caps cname =
 (* -------------------------------------------------------------------- *)
 
 let find_by_name insts name =
-  List.filter (fun (i : Xforms.instance) -> i.xname = name) insts
+  List.filter (fun (i : Xforms.instance) -> Moveref.xname i.move = name) insts
 
 let split_tests =
   [
@@ -104,8 +104,9 @@ let split_tests =
         Alcotest.(check bool) "no factor of 7" true
           (List.for_all
              (fun (i : Xforms.instance) ->
-               not (String.length i.target >= 3
-                   && String.sub i.target 0 3 = "[0,"))
+               match i.move with
+               | Moveref.Split (0 :: _ :: _, _) -> false
+               | _ -> true)
              insts));
   ]
 
@@ -127,10 +128,11 @@ let fusion_tests =
         let reuses = find_by_name (Xforms.all caps_cpu p') "reuse_dims" in
         Alcotest.(check bool) "reuse offered after fusion" true
           (List.exists
-             (fun (i : Xforms.instance) -> i.target = "t dim 0")
+             (fun (i : Xforms.instance) -> i.move = Moveref.Reuse_dims ("t", 0))
              reuses);
         let p'' =
-          (List.find (fun (i : Xforms.instance) -> i.target = "t dim 0")
+          (List.find
+             (fun (i : Xforms.instance) -> i.move = Moveref.Reuse_dims ("t", 0))
              reuses)
             .apply p'
         in
@@ -146,7 +148,8 @@ let fusion_tests =
         let reuses = find_by_name (Xforms.all caps_cpu p) "reuse_dims" in
         Alcotest.(check bool) "no reuse of t" true
           (List.for_all
-             (fun (i : Xforms.instance) -> i.target <> "t dim 0")
+             (fun (i : Xforms.instance) ->
+               i.move <> Moveref.Reuse_dims ("t", 0))
              reuses));
     Alcotest.test_case "fusion rejected for misaligned accesses" `Quick
       (fun () ->
@@ -208,7 +211,7 @@ let interchange_tests =
         let inters = find_by_name (Xforms.all caps_cpu p') "interchange" in
         List.iter
           (fun (i : Xforms.instance) ->
-            check_equiv ("interchange " ^ i.target) p (i.apply p'))
+            check_equiv ("interchange " ^ Xforms.describe i) p (i.apply p'))
           inters);
     Alcotest.test_case "dependent iteration blocks interchange" `Quick
       (fun () ->
@@ -262,9 +265,13 @@ let annotation_tests =
         let p = Kernels.softmax ~n:4 ~m:8 in
         let pars = find_by_name (Xforms.all caps_cpu p) "parallelize" in
         Alcotest.(check bool) "offered" true
-          (List.exists (fun (i : Xforms.instance) -> i.target = "[0]") pars);
+          (List.exists
+             (fun (i : Xforms.instance) -> i.move = Moveref.Parallelize [ 0 ])
+             pars);
         let inst =
-          List.find (fun (i : Xforms.instance) -> i.target = "[0]") pars
+          List.find
+            (fun (i : Xforms.instance) -> i.move = Moveref.Parallelize [ 0 ])
+            pars
         in
         check_equiv "parallelized" p (inst.apply p));
     Alcotest.test_case "gpu mapping discipline" `Quick (fun () ->
@@ -274,12 +281,11 @@ let annotation_tests =
         Alcotest.(check bool) "grid offered" true
           (List.exists
              (fun (i : Xforms.instance) ->
-               String.length i.target > 4
-               && String.sub i.target (String.length i.target - 4) 4 = "grid")
+               match i.move with Moveref.Gpu (_, "grid") -> true | _ -> false)
              grids);
         let grid =
           List.find
-            (fun (i : Xforms.instance) -> i.target = "[0] grid")
+            (fun (i : Xforms.instance) -> i.move = Moveref.Gpu ([ 0 ], "grid"))
             grids
         in
         let p' = grid.apply p in
@@ -288,16 +294,13 @@ let annotation_tests =
         Alcotest.(check bool) "block offered under grid" true
           (List.exists
              (fun (i : Xforms.instance) ->
-               String.length i.target > 5
-               && String.sub i.target (String.length i.target - 5) 5
-                  = "block")
+               match i.move with Moveref.Gpu (_, "block") -> true | _ -> false)
              blocks));
     Alcotest.test_case "unannotate reverses annotations" `Quick (fun () ->
         let p = Kernels.relu ~n:8 ~m:8 in
         let par =
           (List.find
-             (fun (i : Xforms.instance) ->
-               i.xname = "parallelize" && i.target = "[0]")
+             (fun (i : Xforms.instance) -> i.move = Moveref.Parallelize [ 0 ])
              (Xforms.all caps_cpu p))
             .apply p
         in
@@ -310,23 +313,20 @@ let annotation_tests =
         let warp_insts q =
           List.filter
             (fun (i : Xforms.instance) ->
-              i.xname = "gpu_map"
-              && String.length i.target >= 4
-              && String.sub i.target (String.length i.target - 4) 4 = "warp")
+              match i.move with Moveref.Gpu (_, "warp") -> true | _ -> false)
             (Xforms.all caps_gpu q)
         in
         Alcotest.(check int) "no warp at root" 0 (List.length (warp_insts p));
         let grid =
           List.find
-            (fun (i : Xforms.instance) ->
-              i.xname = "gpu_map" && i.target = "[0] grid")
+            (fun (i : Xforms.instance) -> i.move = Moveref.Gpu ([ 0 ], "grid"))
             (Xforms.all caps_gpu p)
         in
         let p1 = grid.apply p in
         let block =
           List.find
             (fun (i : Xforms.instance) ->
-              i.xname = "gpu_map" && i.target = "[0,0] block")
+              i.move = Moveref.Gpu ([ 0; 0 ], "block"))
             (Xforms.all caps_gpu p1)
         in
         let p2 = block.apply p1 in
@@ -334,7 +334,7 @@ let annotation_tests =
         Alcotest.(check bool) "warp offered under block" true (ws <> []);
         List.iter
           (fun (i : Xforms.instance) ->
-            check_equiv ("warp " ^ i.target) p (i.apply p2))
+            check_equiv ("warp " ^ Xforms.describe i) p (i.apply p2))
           ws);
     Alcotest.test_case "pad_scope masks correctly" `Quick (fun () ->
         let p = Kernels.relu ~n:5 ~m:3 in
@@ -342,7 +342,7 @@ let annotation_tests =
         Alcotest.(check bool) "offered" true (pads <> []);
         List.iter
           (fun (i : Xforms.instance) ->
-            check_equiv ("pad " ^ i.target) p (i.apply p))
+            check_equiv ("pad " ^ Xforms.describe i) p (i.apply p))
           pads);
     Alcotest.test_case "snitch ssr then frep" `Quick (fun () ->
         let p = Kernels.dot ~n:16 in
@@ -368,12 +368,12 @@ let storage_tests =
         List.iter
           (fun (i : Xforms.instance) ->
             Alcotest.(check bool)
-              ("not io: " ^ i.target)
+              ("not io: " ^ Xforms.describe i)
               false
-              (String.length i.target > 1
-              && (String.sub i.target 0 2 = "x " || String.sub i.target 0 2
-                                                    = "z "));
-            check_equiv ("storage " ^ i.target) p (i.apply p))
+              (match i.move with
+              | Moveref.Set_storage (b, _) -> b = "x" || b = "z"
+              | _ -> true);
+            check_equiv ("storage " ^ Xforms.describe i) p (i.apply p))
           insts);
     Alcotest.test_case "layout reorder preserves semantics" `Quick (fun () ->
         let p = Kernels.softmax ~n:3 ~m:4 in
@@ -382,11 +382,13 @@ let storage_tests =
         Alcotest.(check bool) "offered for e" true
           (List.exists
              (fun (i : Xforms.instance) ->
-               String.length i.target > 1 && String.sub i.target 0 1 = "e")
+               match i.move with
+               | Moveref.Reorder_dims (b, _) -> b.[0] = 'e'
+               | _ -> false)
              insts);
         List.iter
           (fun (i : Xforms.instance) ->
-            check_equiv ("layout " ^ i.target) p (i.apply p))
+            check_equiv ("layout " ^ Xforms.describe i) p (i.apply p))
           insts);
   ]
 
@@ -399,7 +401,7 @@ let split_reduction_tests =
         Alcotest.(check bool) "offered" true (insts <> []);
         List.iter
           (fun (i : Xforms.instance) ->
-            check_equiv ("split_reduction " ^ i.target) p (i.apply p))
+            check_equiv ("split_reduction " ^ Xforms.describe i) p (i.apply p))
           insts;
         (* elementwise kernels have no reduction: not offered *)
         let q = Kernels.relu ~n:16 ~m:16 in
@@ -415,7 +417,7 @@ let split_reduction_tests =
         Alcotest.(check bool) "offered" true (insts <> []);
         List.iter
           (fun (i : Xforms.instance) ->
-            check_equiv ("max " ^ i.target) p (i.apply p))
+            check_equiv ("max " ^ Xforms.describe i) p (i.apply p))
           insts);
     Alcotest.test_case "partials break the dependency chain" `Quick
       (fun () ->
@@ -451,15 +453,14 @@ let split_reduction_tests =
         let p = Kernels.relu ~n:16 ~m:16 in
         let u1 =
           List.find
-            (fun (i : Xforms.instance) ->
-              i.xname = "unroll" && i.target = "[0,0]")
+            (fun (i : Xforms.instance) -> i.move = Moveref.Unroll [ 0; 0 ])
             (Xforms.all caps_cpu p)
         in
         let p' = u1.apply p in
         let remaining = find_by_name (Xforms.all caps_cpu p') "unroll" in
         Alcotest.(check bool) "outer unroll now too big" true
           (List.for_all
-             (fun (i : Xforms.instance) -> i.target <> "[0]")
+             (fun (i : Xforms.instance) -> i.move <> Moveref.Unroll [ 0 ])
              remaining));
   ]
 
@@ -480,17 +481,15 @@ let engine_tests =
            second: non-destructive history in action *)
         let p = Kernels.relu ~n:8 ~m:8 in
         let s = Engine.start caps_cpu p in
-        let split_of target =
-          List.find
-            (fun (i : Xforms.instance) ->
-              i.xname = "split_scope" && i.target = target)
+        let split_of m =
+          List.find (fun (i : Xforms.instance) -> i.move = m)
             (Engine.applicable s)
         in
         (* first split the inner (m) loop, then the outer (n) loop; the
            outer split's location is unaffected when the first move is
            removed, so replay succeeds *)
-        ignore (Engine.apply s (split_of "[0,0] factor 2"));
-        ignore (Engine.apply s (split_of "[0] factor 2"));
+        ignore (Engine.apply s (split_of (Moveref.Split ([ 0; 0 ], 2))));
+        ignore (Engine.apply s (split_of (Moveref.Split ([ 0 ], 2))));
         let two = s.current in
         (match Engine.undo_at s 1 with
         | Some p' ->
@@ -500,14 +499,12 @@ let engine_tests =
         | None -> Alcotest.fail "undo_at failed");
         (* removing a move whose successors depended on it is refused *)
         let s2 = Engine.start caps_cpu p in
-        let split2_of target =
-          List.find
-            (fun (i : Xforms.instance) ->
-              i.xname = "split_scope" && i.target = target)
+        let split2_of m =
+          List.find (fun (i : Xforms.instance) -> i.move = m)
             (Engine.applicable s2)
         in
-        ignore (Engine.apply s2 (split2_of "[0] factor 2"));
-        ignore (Engine.apply s2 (split2_of "[0,0,0] factor 2"));
+        ignore (Engine.apply s2 (split2_of (Moveref.Split ([ 0 ], 2))));
+        ignore (Engine.apply s2 (split2_of (Moveref.Split ([ 0; 0; 0 ], 2))));
         Alcotest.(check bool) "dependent removal refused" true
           (Engine.undo_at s2 1 = None));
     Alcotest.test_case "replay by move names" `Quick (fun () ->
@@ -521,9 +518,157 @@ let engine_tests =
         | Error e -> Alcotest.fail e);
   ]
 
+(* -------------------------------------------------------------------- *)
+(* The move vocabulary and its wire format                               *)
+(* -------------------------------------------------------------------- *)
+
+let walk_caps =
+  List.map
+    (fun tname -> Machine.caps (List.assoc tname Machine.Desc.known_targets))
+    [ "x86"; "snitch"; "gh200" ]
+
+(* Seeded random walks of [states] states from every kernel's root on
+   every walk target: the instances offered at each visited state.  The
+   walk draws by index, so it pins the order of [all]. *)
+let walk_states ?(composites = false) ~states entries =
+  List.concat
+    (List.mapi
+       (fun ti caps ->
+         let caps =
+           if composites then Transfo.Composites.enable ~names:[ "all" ] caps
+           else caps
+         in
+         List.concat
+           (List.mapi
+              (fun ki (e : Kernels.entry) ->
+                let rng = Util.Rng.create ((31 * ki) + ti + 1) in
+                let rec go k p acc =
+                  let insts = Xforms.all caps p in
+                  let acc = insts :: acc in
+                  if k = 1 || insts = [] then List.rev acc
+                  else
+                    let i =
+                      List.nth insts (Util.Rng.int rng (List.length insts))
+                    in
+                    go (k - 1) (i.apply p) acc
+                in
+                go states (e.build ()) [])
+              entries))
+       walk_caps)
+
+let atomic_walks =
+  lazy (walk_states ~states:13 (Kernels.table3 @ Kernels.snitch_micro))
+
+let composite_walks =
+  lazy (walk_states ~composites:true ~states:3 Kernels.snitch_micro)
+
+let walk_digest walks =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n\n"
+          (List.map
+             (fun insts -> String.concat "\n" (List.map Xforms.describe insts))
+             walks)))
+
+(* [lookup]'s rule spelled out: the oracle the parse-once lookup must
+   reproduce. *)
+let lookup_oracle ~filter insts name =
+  List.find_opt
+    (fun (i : Xforms.instance) -> filter i && Xforms.describe i = name)
+    insts
+
+(* Spellings that [Moveref.of_describe] may accept but that are not
+   canonical: a doubled space, ["[0, 4]"], ["[ 0]"]. *)
+let respellings d =
+  List.filter_map
+    (fun (c, by) ->
+      Option.map
+        (fun k ->
+          String.sub d 0 k ^ by
+          ^ String.sub d (k + 1) (String.length d - k - 1))
+        (String.index_opt d c))
+    [ (' ', "  "); (',', ", "); ('[', "[ ") ]
+
+let qcheck_lookup =
+  let states =
+    lazy
+      (Array.of_list (Lazy.force atomic_walks @ Lazy.force composite_walks))
+  in
+  let composites =
+    lazy
+      (Array.of_list
+         (List.concat_map
+            (List.filter
+                (fun (i : Xforms.instance) ->
+                  match i.move with Moveref.Composite _ -> true | _ -> false))
+            (Lazy.force composite_walks)))
+  in
+  let filters =
+    [|
+      (fun (_ : Xforms.instance) -> true);
+      (fun (i : Xforms.instance) ->
+        match i.move with Moveref.Split _ -> false | _ -> true);
+      (fun (i : Xforms.instance) -> Hashtbl.hash (Xforms.describe i) mod 2 = 0);
+    |]
+  in
+  QCheck.Test.make ~count:500
+    ~name:"lookup is the first filtered instance with that describe"
+    QCheck.(
+      quad (int_bound 100_000) (int_bound 100_000) (int_bound 10_000)
+        (int_bound 2))
+    (fun (si, oi, k, fi) ->
+      let states = Lazy.force states and composites = Lazy.force composites in
+      let nth l = Xforms.describe (List.nth l (k mod List.length l)) in
+      let insts = states.(si mod Array.length states) in
+      let others = states.(oi mod Array.length states) in
+      let own = if insts = [] then [] else [ nth insts ] in
+      let names =
+        own
+        @ (if others = [] then [] else [ nth others ])
+        @ [ Xforms.describe composites.(k mod Array.length composites) ]
+      in
+      let filter = filters.(fi) in
+      let same a b =
+        match (a, b) with
+        | Some a, Some b -> a == b
+        | None, None -> true
+        | _ -> false
+      in
+      List.for_all
+        (fun name ->
+          same
+            (Xforms.lookup ~filter insts name)
+            (lookup_oracle ~filter insts name))
+        names
+      && List.for_all
+           (fun name -> Option.is_none (Xforms.lookup insts name))
+           (List.concat_map respellings own))
+
+let move_tests =
+  [
+    Alcotest.test_case "offered move lists are byte-identical" `Quick
+      (fun () ->
+        Alcotest.(check string) "atomic walks"
+          "2ccaf60aa02cfc6978b2168e1a888023"
+          (walk_digest (Lazy.force atomic_walks));
+        Alcotest.(check string) "composite walks"
+          "b32a45886479af029a5785ab142b9bc7"
+          (walk_digest (Lazy.force composite_walks)));
+    Alcotest.test_case "every offered move round-trips its describe" `Quick
+      (fun () ->
+        List.iter
+          (List.iter
+              (fun (i : Xforms.instance) ->
+                if Moveref.of_describe (Xforms.describe i) <> Some i.move then
+                  Alcotest.failf "%s does not parse back" (Xforms.describe i)))
+          (Lazy.force atomic_walks @ Lazy.force composite_walks));
+    QCheck_alcotest.to_alcotest qcheck_lookup;
+  ]
+
 let () =
   Alcotest.run "transform"
     [
+      ("moves", move_tests);
       ("one-step-exhaustive", one_step_suites);
       ("split", split_tests);
       ("fusion", fusion_tests);
