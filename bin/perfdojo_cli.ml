@@ -608,13 +608,13 @@ let optimize_cmd =
        | Some d, Some f, Some r ->
            Obs.Span.run ?metrics:ctx.Ctx.metrics ~trace:ctx.Ctx.obs "db-write"
              (fun () ->
-               let verdict =
+               let changed, verdict =
                  match Tuning.Db.add d r with
-                 | `Inserted -> "new record"
-                 | `Improved -> "improved record"
-                 | `Duplicate -> "no improvement over recorded best"
+                 | `Inserted -> (true, "new record")
+                 | `Improved -> (true, "improved record")
+                 | `Duplicate -> (false, "no improvement over recorded best")
                in
-               Tuning.Db.save d f;
+               if changed then Tuning.Db.save d f;
                Printf.printf "db:         %s (%s, %d records)\n" f verdict
                  (Tuning.Db.size d))
        | _ -> ());

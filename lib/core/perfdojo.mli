@@ -231,8 +231,9 @@ val caps_of : ctx:Ctx.t -> target -> Transform.Xforms.caps
 val optimize_ctx : ctx:Ctx.t -> strategy -> target -> Ir.Prog.t -> outcome
 (** One-call optimization of a kernel for a target under a run context —
     the primary entry point.  Deterministic given [ctx.seed].  [cache]
-    memoizes the performance model by program fingerprint (repeated
-    candidates cost zero evaluations; counters in the outcome).
+    memoizes the performance model by the program's exact structure
+    (repeated candidates cost zero evaluations; counters in the
+    outcome; see {!Tuning.Cache}).
     [warm_start] seeds search strategies with a recorded move sequence —
     typically {!Tuning.Warmstart.moves_for} — so tuning resumes from a
     database's best instead of restarting.

@@ -61,12 +61,14 @@ type result = {
 (* Replay a sequence of move names from [prog], skipping moves that are
    not applicable at their point.  Returns the final program and the
    names that actually applied.  Each step resolves its name with
-   Xforms.lookup, which parses it once and compares moves. *)
+   Xforms.resolve, which parses it once and runs only the finder of
+   that move: the instance lookup over Xforms.all would return, without
+   rediscovering every other move of the state. *)
 let replay_skipping ?(filter = fun (_ : Xforms.instance) -> true) caps prog
     names =
   List.fold_left
     (fun (p, applied) name ->
-      match Xforms.lookup ~filter (Xforms.all caps p) name with
+      match Xforms.resolve ~filter caps p name with
       | Some inst -> (inst.apply p, name :: applied)
       | None -> (p, applied))
     (prog, []) names
@@ -88,11 +90,10 @@ let replay_exact ?(filter = fun (_ : Xforms.instance) -> true) caps root
               ^ String.concat "; " (List.map Ir.Validate.error_to_string errs)
               ))
     | name :: rest -> (
-        let offered = Xforms.all caps p in
-        match Xforms.lookup ~filter offered name with
+        match Xforms.resolve ~filter caps p name with
         | Some inst -> go (step + 1) (inst.apply p) rest
         | None ->
-            let offered = List.filter filter offered in
+            let offered = List.filter filter (Xforms.all caps p) in
             let mref = Moveref.of_describe name in
             let path_s =
               match Option.bind mref Moveref.anchor with

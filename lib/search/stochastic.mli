@@ -99,7 +99,8 @@ val replay_skipping :
   Ir.Prog.t * string list
 (** Replay a sequence of {!Transform.Xforms.describe} strings from a
     root, skipping entries not applicable at their point; returns the
-    final program and the names that actually applied. *)
+    final program and the names that actually applied.  Each step is
+    {!Transform.Xforms.resolve}: only the named move's own finder runs. *)
 
 val replay_exact :
   ?filter:(Transform.Xforms.instance -> bool) ->
@@ -108,9 +109,10 @@ val replay_exact :
   string list ->
   (Ir.Prog.t, string) Stdlib.result
 (** Replay a recorded sequence exactly: every entry must apply at its
-    point and the final program must validate; [[]] is [Ok root].  An
-    [Error] names the failing step, the path its string anchors to and
-    up to three applicable alternatives of the same transformation. *)
+    point and the final program must validate; [[]] is [Ok root].  Each
+    step is {!Transform.Xforms.resolve}.  An [Error] names the failing
+    step, the path its string anchors to and up to three applicable
+    alternatives of the same transformation (from {!Transform.Xforms.all}). *)
 
 val mutate :
   ?filter:(Transform.Xforms.instance -> bool) ->

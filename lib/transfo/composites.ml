@@ -12,14 +12,17 @@ type composite = {
 (* Expansion plumbing                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Composites expand against the atomic action set only (never against
-   caps.extra), so a macro-move can never contain another macro-move. *)
+(* Composites expand against atomic moves only (never against
+   caps.extra), so a macro-move can never contain another macro-move.
+   An atomic move is found by its own finder (Xforms.resolve_move), not
+   by enumerating every atomic move of the state. *)
 let find_atomic caps prog (m : Moveref.t) : (Xforms.instance, string) result =
-  match
-    List.find_opt
-      (fun (i : Xforms.instance) -> i.move = m)
-      (Xforms.atomics caps prog)
-  with
+  let found =
+    match m with
+    | Moveref.Composite _ -> None
+    | _ -> Xforms.resolve_move caps prog m
+  in
+  match found with
   | Some i -> Ok i
   | None -> Error (Moveref.describe m ^ ": not applicable here")
 

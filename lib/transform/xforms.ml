@@ -22,13 +22,20 @@ exception Not_applicable of string
 
 let not_applicable msg = raise (Not_applicable msg)
 
-(* Resolve a describe string: parse it once and compare moves.  Only the
-   canonical spelling names a move; first occurrence wins. *)
-let lookup ?(filter = fun (_ : instance) -> true) insts name =
+(* The move a describe string names: parsed once, and only the canonical
+   spelling names a move. *)
+let named name =
   match Moveref.of_describe name with
-  | Some m when Moveref.describe m = name ->
-      List.find_opt (fun i -> i.move = m && filter i) insts
+  | Some m when Moveref.describe m = name -> Some m
   | _ -> None
+
+let first_match ~filter m insts =
+  List.find_opt (fun i -> i.move = m && filter i) insts
+
+(* Resolve a describe string against an enumerated list; first
+   occurrence wins. *)
+let lookup ?(filter = fun (_ : instance) -> true) insts name =
+  Option.bind (named name) (fun m -> first_match ~filter m insts)
 
 (* Hardware capabilities gate which transformations are offered.  This is
    the paper's "hardware knowledge exposed to the search only as a library
@@ -48,7 +55,8 @@ type caps = {
          which named composite transformations (Transfo) become
          macro-moves visible to every search engine.  Must close over a
          caps value whose own [extra] is empty, or enumeration would
-         recurse. *)
+         recurse, and must offer only [Composite] moves, or [resolve]
+         would miss them. *)
 }
 
 let no_extra (_ : Ir.Prog.t) : instance list = []
@@ -1008,7 +1016,11 @@ let find_split_reduction (caps : caps) (prog : Ir.Prog.t) : instance list =
 (* Aggregation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let atomics (caps : caps) (prog : Ir.Prog.t) : instance list =
+(* The action set of the game: every finder's instances, then whatever
+   macro-moves the capabilities carry (appended last so atomic
+   enumeration order — and hence recorded schedules — is unchanged when
+   no composites are on). *)
+let all (caps : caps) (prog : Ir.Prog.t) : instance list =
   List.concat
     [
       find_split caps prog;
@@ -1028,10 +1040,35 @@ let atomics (caps : caps) (prog : Ir.Prog.t) : instance list =
       find_split_reduction caps prog;
       find_ssr caps prog;
       find_frep caps prog;
+      caps.extra prog;
     ]
 
-(* The action set of the game: atomic instances plus whatever macro-moves
-   the capabilities carry (appended last so atomic enumeration order — and
-   hence recorded schedules — is unchanged when no composites are on). *)
-let all (caps : caps) (prog : Ir.Prog.t) : instance list =
-  match caps.extra prog with [] -> atomics caps prog | m -> atomics caps prog @ m
+(* The one finder that can offer a move.  Each atomic constructor is
+   emitted by exactly one finder of [all] and [extra] offers only
+   [Composite] moves, so the first match in the move's own family is the
+   first match in [all]: replay costs one finder, not seventeen. *)
+let family (caps : caps) : Moveref.t -> Ir.Prog.t -> instance list = function
+  | Split _ -> find_split caps
+  | Join _ -> find_join
+  | Fission _ -> find_fission
+  | Interchange _ -> find_interchange
+  | Reorder _ -> find_reorder
+  | Unroll _ -> find_unroll caps
+  | Vectorize _ -> find_vectorize caps
+  | Parallelize _ -> find_parallelize caps
+  | Gpu _ -> find_gpu_map caps
+  | Pad _ -> find_pad caps
+  | Unannotate _ -> find_unannotate
+  | Reuse_dims _ -> find_reuse_dims
+  | Set_storage _ -> find_set_storage caps
+  | Reorder_dims _ -> find_reorder_dims
+  | Split_reduction _ -> find_split_reduction caps
+  | Ssr _ -> find_ssr caps
+  | Frep _ -> find_frep caps
+  | Composite _ -> caps.extra
+
+let resolve_move ?(filter = fun (_ : instance) -> true) caps prog m =
+  first_match ~filter m (family caps m prog)
+
+let resolve ?filter caps prog name =
+  Option.bind (named name) (resolve_move ?filter caps prog)

@@ -49,8 +49,10 @@ type caps = {
   extra : Ir.Prog.t -> instance list;
       (** additional instances offered at every state — the hook through
           which named composite transformations ([Transfo.Composites])
-          appear as macro-moves in every search engine.  The three
-          builders install the empty hook; {!with_extra} replaces it. *)
+          appear as macro-moves in every search engine.  It offers only
+          {!Moveref.Composite} moves: {!resolve} looks for those here and
+          for every other move in its own finder.  The three builders
+          install the empty hook; {!with_extra} replaces it. *)
 }
 
 val cpu_caps : ?vec_lanes:int list -> ?max_unroll:int -> unit -> caps
@@ -59,16 +61,35 @@ val snitch_caps : unit -> caps
 
 val with_extra : (Ir.Prog.t -> instance list) -> caps -> caps
 (** The hook must enumerate against a caps value whose own [extra] is
-    empty (close over the base caps), or {!all} would recurse. *)
+    empty (close over the base caps), or {!all} would recurse, and it
+    must offer only {!Moveref.Composite} moves, or {!resolve} would
+    disagree with {!lookup} over {!all}. *)
 
 val all : caps -> Ir.Prog.t -> instance list
 (** Every applicable instance of every transformation at the given
     program state — the action set of the PerfDojo game.  Atomic
     instances first, then [caps.extra] macro-moves. *)
 
-val atomics : caps -> Ir.Prog.t -> instance list
-(** {!all} without the [extra] hook — what composite expansion
-    enumerates against so macro-moves never contain macro-moves. *)
+val resolve_move :
+  ?filter:(instance -> bool) -> caps -> Ir.Prog.t -> Moveref.t -> instance option
+(** [resolve_move ?filter caps p m] is the first instance that passes
+    [filter] and whose [move] is [m], found by running only the finder
+    that emits [m]'s constructor ([caps.extra] for a
+    {!Moveref.Composite}).  This is how a recorded move is replayed:
+    one finder instead of the seventeen {!all} runs. *)
+
+val resolve :
+  ?filter:(instance -> bool) -> caps -> Ir.Prog.t -> string -> instance option
+(** [resolve ?filter caps p name] is {!resolve_move} on the move [name]
+    names, under {!lookup}'s rule: [name] is parsed once, and a
+    non-canonical spelling names nothing.
+
+    {b Law.}  [resolve ?filter caps p name] and
+    [lookup ?filter (all caps p) name] return instances with the same
+    [move], and those instances produce the same program.  It holds
+    because no finder emits another finder's constructor and
+    [caps.extra] offers only {!Moveref.Composite} moves, so the first
+    match in the move's own finder is the first match in {!all}. *)
 
 (** {1 Individual transformations}
 

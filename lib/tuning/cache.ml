@@ -1,12 +1,22 @@
-(* Memoized objective evaluation, keyed on the program fingerprint.
+(* Memoized objective evaluation, keyed on the program's exact
+   structure: the 16-byte MD5 of [Marshal.to_string p [No_sharing]].
 
-   Domain-safe: the table is sharded by fingerprint hash and every shard
+   Why not the canonical fingerprint (Record.fingerprint)?  It costs
+   about twenty model calls to spare one, and it answers a program with
+   its canonical twin's time, which a model may time 1 ulp apart.
+   A hit under the exact key is exactly the model's answer, since the
+   models are pure; a canonical respelling (a renamed temporary, swapped
+   commutative operands) misses and is timed.  Record.fingerprint stays
+   the identity of database records, warm starts and dedup.  The table
+   lives as long as the cache value and stores digests, not programs.
+
+   Domain-safe: the table is sharded by key hash and every shard
    carries its own mutex, so concurrent search workers (Parallel.Pool)
    share memoization without races and without serializing on a single
    lock.  The objective itself runs *outside* the shard lock — it is the
    expensive part, and holding the lock there would serialize the very
    evaluations the pool exists to overlap.  Two workers racing on the
-   same fresh fingerprint may thus both evaluate it (both count as
+   same fresh program may thus both evaluate it (both count as
    misses — for a deterministic objective they store the same value);
    what is guaranteed is hits + misses = total lookups, exactly. *)
 
@@ -33,7 +43,7 @@ let create () : t =
         contended = 0;
       })
 
-let shard_of (cache : t) fp = cache.(Hashtbl.hash fp land (shard_count - 1))
+let shard_of (cache : t) k = cache.(Hashtbl.hash k land (shard_count - 1))
 
 (* Lock the shard, counting contention: a failed try_lock means another
    domain held this shard at that instant.  The counter is written after
@@ -44,11 +54,11 @@ let lock_shard (s : shard) =
     s.contended <- s.contended + 1
   end
 
-let memoize_key (cache : t) (fp : string) (objective : Ir.Prog.t -> float)
+let memoize_key (cache : t) (k : string) (objective : Ir.Prog.t -> float)
     (p : Ir.Prog.t) : float =
-  let s = shard_of cache fp in
+  let s = shard_of cache k in
   lock_shard s;
-  match Hashtbl.find_opt s.table fp with
+  match Hashtbl.find_opt s.table k with
   | Some time ->
       s.hits <- s.hits + 1;
       Mutex.unlock s.lock;
@@ -62,18 +72,19 @@ let memoize_key (cache : t) (fp : string) (objective : Ir.Prog.t -> float)
          evaluation must not poison warm restarts — a transient fault
          would otherwise be remembered as "this schedule is infinitely
          slow" for the lifetime of the cache. *)
-      if Float.is_finite time && not (Hashtbl.mem s.table fp) then
-        Hashtbl.add s.table fp time;
+      if Float.is_finite time && not (Hashtbl.mem s.table k) then
+        Hashtbl.add s.table k time;
       Mutex.unlock s.lock;
       time
 
-let memoize (cache : t) objective p =
-  memoize_key cache (Record.fingerprint p) objective p
+let key (p : Ir.Prog.t) = Digest.string (Marshal.to_string p [ No_sharing ])
 
-(* The scope joins the key with a byte no fingerprint (hex) or scope
-   name contains, so distinct (scope, program) pairs never collide. *)
+let memoize (cache : t) objective p = memoize_key cache (key p) objective p
+
+(* The digest is always 16 bytes, so [scope ^ "\x00" ^ digest] splits
+   back into one (scope, program) pair: distinct pairs never collide. *)
 let memoize_scoped (cache : t) ~scope objective p =
-  memoize_key cache (scope ^ "\x00" ^ Record.fingerprint p) objective p
+  memoize_key cache (scope ^ "\x00" ^ key p) objective p
 
 let sum (cache : t) f = Array.fold_left (fun acc s -> acc + f s) 0 cache
 let hits (c : t) = sum c (fun s -> s.hits)

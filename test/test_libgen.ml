@@ -99,6 +99,24 @@ let determinism_tests =
         Alcotest.(check bool) "cache was exercised" true
           (Tuning.Cache.misses cache > 0);
         ignore plain);
+    Alcotest.test_case "the default strategy's library is pinned" `Quick
+      (fun () ->
+        (* the default strategy on three targets through one shared
+           cache: a search, replay or cache change that moves any
+           winner, time or evaluation count changes this digest *)
+        let kernels =
+          pick
+            [ "relu"; "mul"; "reducemean"; "softmax"; "axpy"; "gemv"; "sum2d" ]
+        in
+        let lib =
+          gen ~kernels
+            ~ctx:Ctx.(default |> with_cache (Tuning.Cache.create ()))
+            ~targets:[ "x86"; "snitch"; "gh200" ] (fresh_dir "pinned")
+        in
+        Alcotest.(check string) "manifest digest"
+          "c3d5536f660c79e8ea8bce6aa31360d9"
+          (Digest.to_hex
+             (Digest.string (Util.Json.to_string (Libgen.manifest_json lib)))));
     Alcotest.test_case "alias targets collapse to one canonical pair" `Quick
       (fun () ->
         let d = fresh_dir "alias" in

@@ -528,8 +528,9 @@ let walk_caps =
     [ "x86"; "snitch"; "gh200" ]
 
 (* Seeded random walks of [states] states from every kernel's root on
-   every walk target: the instances offered at each visited state.  The
-   walk draws by index, so it pins the order of [all]. *)
+   every walk target: each visited state as [(caps, p, offered)], where
+   [offered] is [all caps p].  The walk draws by index, so it pins the
+   order of [all]. *)
 let walk_states ?(composites = false) ~states entries =
   List.concat
     (List.mapi
@@ -544,7 +545,7 @@ let walk_states ?(composites = false) ~states entries =
                 let rng = Util.Rng.create ((31 * ki) + ti + 1) in
                 let rec go k p acc =
                   let insts = Xforms.all caps p in
-                  let acc = insts :: acc in
+                  let acc = (caps, p, insts) :: acc in
                   if k = 1 || insts = [] then List.rev acc
                   else
                     let i =
@@ -556,11 +557,15 @@ let walk_states ?(composites = false) ~states entries =
               entries))
        walk_caps)
 
-let atomic_walks =
+let atomic_visits =
   lazy (walk_states ~states:13 (Kernels.table3 @ Kernels.snitch_micro))
 
-let composite_walks =
+let composite_visits =
   lazy (walk_states ~composites:true ~states:3 Kernels.snitch_micro)
+
+let offered visits = List.map (fun (_, _, insts) -> insts) (Lazy.force visits)
+let atomic_walks = lazy (offered atomic_visits)
+let composite_walks = lazy (offered composite_visits)
 
 let walk_digest walks =
   Digest.to_hex
@@ -589,28 +594,30 @@ let respellings d =
         (String.index_opt d c))
     [ (' ', "  "); (',', ", "); ('[', "[ ") ]
 
+(* Every composite macro-move offered along the composite walks. *)
+let composite_moves =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (List.filter
+              (fun (i : Xforms.instance) ->
+                match i.move with Moveref.Composite _ -> true | _ -> false))
+          (Lazy.force composite_walks)))
+
+let lookup_filters =
+  [|
+    (fun (_ : Xforms.instance) -> true);
+    (fun (i : Xforms.instance) ->
+      match i.move with Moveref.Split _ -> false | _ -> true);
+    (fun (i : Xforms.instance) -> Hashtbl.hash (Xforms.describe i) mod 2 = 0);
+  |]
+
 let qcheck_lookup =
   let states =
     lazy
       (Array.of_list (Lazy.force atomic_walks @ Lazy.force composite_walks))
   in
-  let composites =
-    lazy
-      (Array.of_list
-         (List.concat_map
-            (List.filter
-                (fun (i : Xforms.instance) ->
-                  match i.move with Moveref.Composite _ -> true | _ -> false))
-            (Lazy.force composite_walks)))
-  in
-  let filters =
-    [|
-      (fun (_ : Xforms.instance) -> true);
-      (fun (i : Xforms.instance) ->
-        match i.move with Moveref.Split _ -> false | _ -> true);
-      (fun (i : Xforms.instance) -> Hashtbl.hash (Xforms.describe i) mod 2 = 0);
-    |]
-  in
+  let composites = composite_moves and filters = lookup_filters in
   QCheck.Test.make ~count:500
     ~name:"lookup is the first filtered instance with that describe"
     QCheck.(
@@ -644,6 +651,46 @@ let qcheck_lookup =
            (fun name -> Option.is_none (Xforms.lookup insts name))
            (List.concat_map respellings own))
 
+(* [resolve] runs the move's own finder; the oracle, [lookup] over
+   [all], runs every finder (so a finder that raised on a walk state
+   fails here too).  Names come from the state, from another state
+   (mostly inapplicable), from composites (which an atomic-only state
+   never offers) and as non-canonical respellings. *)
+let qcheck_resolve =
+  let visits =
+    lazy
+      (Array.of_list (Lazy.force atomic_visits @ Lazy.force composite_visits))
+  in
+  QCheck.Test.make ~count:500 ~name:"resolve finds what lookup over all finds"
+    QCheck.(
+      quad (int_bound 100_000) (int_bound 100_000) (int_bound 10_000)
+        (int_bound 2))
+    (fun (si, oi, k, fi) ->
+      let visits = Lazy.force visits
+      and composites = Lazy.force composite_moves in
+      let nth l = Xforms.describe (List.nth l (k mod List.length l)) in
+      let caps, p, insts = visits.(si mod Array.length visits) in
+      let _, _, others = visits.(oi mod Array.length visits) in
+      let own = if insts = [] then [] else [ nth insts ] in
+      let names =
+        own
+        @ (if others = [] then [] else [ nth others ])
+        @ [ Xforms.describe composites.(k mod Array.length composites) ]
+        @ List.concat_map respellings own
+      in
+      let filter = lookup_filters.(fi) in
+      let move = Option.map (fun (i : Xforms.instance) -> i.move) in
+      let program =
+        Option.map (fun (i : Xforms.instance) ->
+            Ir.Printer.program (i.apply p))
+      in
+      List.for_all
+        (fun name ->
+          let r = Xforms.resolve ~filter caps p name
+          and l = Xforms.lookup ~filter (Xforms.all caps p) name in
+          move r = move l && program r = program l)
+        names)
+
 let move_tests =
   [
     Alcotest.test_case "offered move lists are byte-identical" `Quick
@@ -663,6 +710,30 @@ let move_tests =
                   Alcotest.failf "%s does not parse back" (Xforms.describe i)))
           (Lazy.force atomic_walks @ Lazy.force composite_walks));
     QCheck_alcotest.to_alcotest qcheck_lookup;
+    QCheck_alcotest.to_alcotest qcheck_resolve;
+    Alcotest.test_case "an atomic script statement expands to its own move"
+      `Quick (fun () ->
+        (* the script surface of a move ([split(factor=16)] at its
+           anchor) resolves through Composites.find_atomic: it must find
+           exactly the offered atomic move, never a macro-move *)
+        List.iter
+          (fun (caps, p, insts) ->
+            List.iter
+              (fun (i : Xforms.instance) ->
+                let anchor, sname, args = Moveref.script_stmt i.move in
+                let expanded =
+                  Result.bind (Transfo.Composites.resolve sname args)
+                    (fun (t : Engine.transfo) ->
+                      t.expand caps p ~anchor:(Option.value anchor ~default:[]))
+                in
+                match expanded with
+                | Ok [ j ] when j.move = i.move -> ()
+                | Ok js ->
+                    Alcotest.failf "%s expands to [%s]" (Xforms.describe i)
+                      (String.concat "; " (List.map Xforms.describe js))
+                | Error e -> Alcotest.failf "%s: %s" (Xforms.describe i) e)
+              insts)
+          (Lazy.force atomic_visits));
   ]
 
 let () =

@@ -479,6 +479,42 @@ let cache_tests =
         ignore (time_for target_sn);
         ignore (time_for target_cpu);
         Alcotest.(check int) "scoped hits" 2 (Tuning.Cache.hits cache));
+    Alcotest.test_case "the key is the exact program, not its canonical form"
+      `Quick (fun () ->
+        let cache = Tuning.Cache.create () in
+        let calls = ref 0 in
+        let raw p =
+          incr calls;
+          objective target_cpu p
+        in
+        let memo = Tuning.Cache.memoize_scoped cache ~scope:"x86" raw in
+        let p = Kernels.add ~n:16 ~m:32 in
+        (* a rebuilt copy: a distinct value with the same structure *)
+        let copy = Kernels.add ~n:16 ~m:32 in
+        (* a canonical respelling: the commutative operands swapped *)
+        let rec swap : Ir.Types.node -> Ir.Types.node = function
+          | Stmt ({ rhs = Bin (op, a, b); _ } as s) ->
+              Stmt { s with rhs = Bin (op, b, a) }
+          | Stmt _ as n -> n
+          | Scope sc -> Scope { sc with body = List.map swap sc.body }
+        in
+        let respelled = { p with body = List.map swap p.body } in
+        Alcotest.(check bool) "the copy is another value" true (copy != p);
+        Alcotest.(check bool) "the respelling is a different program" true
+          (respelled <> p);
+        Alcotest.(check bool) "the respelling is canonically equal" true
+          (Canon.equal p respelled);
+        let t = memo p in
+        Alcotest.(check (float 0.0)) "the copy hits" t (memo copy);
+        Alcotest.(check int) "one model call so far" 1 !calls;
+        Alcotest.(check (float 0.0)) "the respelling gets the model's time"
+          (objective target_cpu respelled) (memo respelled);
+        Alcotest.(check int) "the respelling was timed" 2 !calls;
+        ignore (memo respelled);
+        Alcotest.(check int) "hits" 2 (Tuning.Cache.hits cache);
+        Alcotest.(check int) "misses" 2 (Tuning.Cache.misses cache);
+        Alcotest.(check int) "hits + misses = lookups" 4
+          (Tuning.Cache.hits cache + Tuning.Cache.misses cache));
   ]
 
 (* The cache backs the objective of the parallel search, so several
