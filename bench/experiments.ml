@@ -1840,7 +1840,11 @@ let script () =
           | Error e ->
               failwith (label ^ ": winner is not move-replayable: " ^ e)
         in
-        let pds = Transfo.Script.of_moves ~kernel:label macro.best_moves in
+        let pds =
+          match Transfo.Script.of_moves ~kernel:label macro.best_moves with
+          | Ok s -> s
+          | Error e -> failwith (label ^ ": " ^ e)
+        in
         (match Transfo.Script.parse (Transfo.Script.to_string pds) with
         | Error e -> failwith (label ^ ": emitted script unparseable: " ^ e)
         | Ok reparsed -> (

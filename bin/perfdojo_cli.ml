@@ -52,10 +52,12 @@ let target_of_string s :
 let parse_strategy budget s =
   Result.map_error (fun msg -> (true, msg)) (strategy_of_string ~budget s)
 
-(* Tolerant load: malformed lines (a writer killed mid-append) are
-   skipped by Tuning.Db.load — surface them as a warning, not a
-   failure, so a torn database never blocks tuning.  With a trace sink
-   open they also land as a [db.skipped_lines] event. *)
+(* Tuning.Db.load skips a line that is not JSON (a writer killed
+   mid-append): surface it as a warning, not a failure, so a torn
+   database never blocks tuning.  With a trace sink open it also lands
+   as a [db.skipped_lines] event.  A complete line that is not a record
+   fails the load, naming the file and line, and the file is left
+   untouched. *)
 let load_db ?obs path : (Tuning.Db.t, bool * string) result =
   match Tuning.Db.load ?obs path with
   | Ok db ->
@@ -486,11 +488,10 @@ let moves_cmd =
        let render d =
          if not script then d
          else
-           (* each describe string round-trips to one script statement;
-              anything unparseable falls back to the raw spelling *)
-           match (Transfo.Script.of_moves [ d ]).Transfo.Script.stmts with
-           | [ (_, st) ] -> Transfo.Script.stmt_to_string st
-           | _ -> d
+           (* each discovered move is one script statement *)
+           match Transfo.Script.of_moves [ d ] with
+           | Ok { stmts = [ (_, st) ]; _ } -> Transfo.Script.stmt_to_string st
+           | Ok _ | Error _ -> invalid_arg ("kernel moves: " ^ d)
        in
        List.iter
          (fun (i, d) -> Printf.printf "%3d  %s\n" i (render d))
@@ -543,25 +544,14 @@ let optimize_cmd =
            | Some d -> (
                match
                  Tuning.Warmstart.lookup d ~kernel:e.label ~target:tname
-                   ~keys:(Tuning.Record.root_keys p)
+                   ~fingerprint:(Tuning.Record.fingerprint p)
                with
                | None ->
                    Printf.eprintf
                      "note: no matching record for %s on %s; starting cold\n"
                      e.label tname;
                    []
-               | Some r ->
-                   (* pre-script records (schema <= 2) replay through the
-                      deprecated describe-string path; nudge toward the
-                      script format without blocking the run *)
-                   if r.Tuning.Record.script = None then
-                     Printf.eprintf
-                       "warning: record for %s on %s has no script \
-                        provenance (schema %d); replaying raw move \
-                        strings, which is deprecated — re-tune with \
-                        --db to upgrade the record\n"
-                       e.label tname r.Tuning.Record.schema;
-                   r.Tuning.Record.moves)
+               | Some r -> r.Tuning.Record.moves)
        in
        let ctx = Ctx.with_warm_start warm_start ctx in
        let outcome, record =
@@ -699,7 +689,7 @@ let best_record db_file kernel target =
   let* tname, _ = target_of_string target in
   match
     Tuning.Warmstart.lookup db ~kernel:e.label ~target:tname
-      ~keys:(Tuning.Record.root_keys (e.build ()))
+      ~fingerprint:(Tuning.Record.fingerprint (e.build ()))
   with
   | Some r -> Ok r
   | None ->
@@ -1700,7 +1690,7 @@ let script_run_cmd =
                  let* db = load_db f in
                  match
                    Tuning.Warmstart.lookup db ~kernel:e.label ~target:tname
-                     ~keys:(Tuning.Record.root_keys p)
+                     ~fingerprint:(Tuning.Record.fingerprint p)
                  with
                  | None ->
                      Printf.printf
@@ -1788,19 +1778,19 @@ let script_export_cmd =
   let run db_file kernel target =
     to_ret
     @@ let* r = best_record db_file kernel target in
-       (match r.script with
-       | Some s -> print_string s
-       | None ->
-           (* pre-script record: derive the script from the recorded
-              moves — same conversion the database write path uses *)
-           Printf.eprintf
-             "note: record predates script provenance (schema %d); \
-              deriving the script from its recorded moves\n"
-             r.schema;
-           print_string
-             (Transfo.Script.to_string
-                (Transfo.Script.of_moves ~kernel:r.kernel ~ktarget:r.target
-                   r.moves)));
+       (* a schema-2 record has no script: derive it from the moves, the
+          same conversion the database write path uses *)
+       let* script =
+         match r.script with
+         | Some s -> Ok s
+         | None ->
+             Result.map_error
+               (fun msg -> (false, msg))
+               (Result.map Transfo.Script.to_string
+                  (Transfo.Script.of_moves ~kernel:r.kernel ~ktarget:r.target
+                     r.moves))
+       in
+       print_string script;
        Ok ()
   in
   Cmd.v

@@ -17,28 +17,24 @@ module Composites = Transfo.Composites
    modelled runtime.  This is exactly what Transfo.Script.run does for
    a whole file — stepping statement-by-statement is the Figure-2 loop. *)
 let step target session stext =
-  let stmt =
+  let { Script.sel; name; args } =
     match Script.parse ("pds 1\n" ^ stext ^ "\n") with
     | Ok { stmts = [ (_, s) ]; _ } -> s
     | Ok _ | Error _ -> failwith ("bad statement: " ^ stext)
   in
-  match stmt with
-  | Script.Raw _ -> failwith "journey uses targeted statements only"
-  | Script.Apply { sel; name; args } -> (
-      let transfo =
-        match Composites.resolve name args with
-        | Ok t -> t
-        | Error e -> failwith e
-      in
-      let r =
-        match sel with
-        | Some sel -> Engine.apply_at session sel transfo
-        | None -> Engine.apply_anchored session ~anchor:[] transfo
-      in
-      match r with
-      | Ok q ->
-          Printf.printf "  %-52s -> %.3e s\n" stext (Machine.time target q)
-      | Error e -> failwith (Target.error_to_string e))
+  let transfo =
+    match Composites.resolve name args with
+    | Ok t -> t
+    | Error e -> failwith e
+  in
+  let r =
+    match sel with
+    | Some sel -> Engine.apply_at session sel transfo
+    | None -> Engine.apply_anchored session ~anchor:[] transfo
+  in
+  match r with
+  | Ok q -> Printf.printf "  %-52s -> %.3e s\n" stext (Machine.time target q)
+  | Error e -> failwith (Target.error_to_string e)
 
 let () =
   let target = Machine.Desc.Cpu Machine.Desc.avx512_cpu in
@@ -85,7 +81,9 @@ let () =
      the session's atomic provenance to targeted statements. *)
   let describes = List.map Transform.Xforms.describe (Engine.moves session) in
   let script =
-    Script.of_moves ~kernel:"softmax" ~ktarget:"avx512" describes
+    match Script.of_moves ~kernel:"softmax" ~ktarget:"avx512" describes with
+    | Ok s -> s
+    | Error e -> failwith e
   in
   print_endline "\nthe journey as a schedule script:";
   print_string (Script.to_string script);

@@ -122,9 +122,11 @@ let entry_json (e : entry) : Util.Json.t =
          crash-resumed runs emit byte-identical manifests *)
       ( "script",
         Str
-          (Transfo.Script.to_string
-             (Transfo.Script.of_moves ~kernel:e.kernel ~ktarget:e.target
-                e.moves)) );
+          (match
+             Transfo.Script.of_moves ~kernel:e.kernel ~ktarget:e.target e.moves
+           with
+          | Ok script -> Transfo.Script.to_string script
+          | Error msg -> invalid_arg msg) );
       ("naive_s", Num e.naive_s);
       ("time_s", Num e.time_s);
       ("speedup", Num (if e.time_s > 0. then e.naive_s /. e.time_s else 0.));
@@ -244,10 +246,19 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
       | Error e -> raise (Recover.Error e))
   | _ -> ());
   let ledger = Option.map Recover.Journal.open_writer ctx.P.Ctx.checkpoint in
+  (* each kernel's root is built and fingerprinted once: IR programs
+     are immutable, so its pairs share it across targets *)
+  let roots =
+    List.map
+      (fun (e : Kernels.entry) ->
+        let root = e.build () in
+        (e, root, Tuning.Record.fingerprint root))
+      kernels
+  in
   let pairs =
     List.concat_map
       (fun (tname, t) ->
-        List.map (fun (e : Kernels.entry) -> (tname, t, e)) kernels)
+        List.map (fun (e, root, fp) -> (tname, t, e, root, fp)) roots)
       targets
   in
   if traced then
@@ -259,20 +270,18 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
             int "pairs" (List.length pairs);
             str "strategy" strat_label;
           ]);
-  (* Plan phase (sequential, cheap): build each root, fingerprint it,
-     and decide skip vs optimize against the database.  All database
-     reads happen here, so the parallel phase touches no shared mutable
-     state beyond the ctx cache (which is domain-safe). *)
+  (* Plan phase (sequential, cheap): time each pair's root and decide
+     skip vs optimize against the database.  All database reads happen
+     here, so the parallel phase touches no shared mutable state beyond
+     the ctx cache (which is domain-safe). *)
   let plan =
     List.map
-      (fun (tname, t, (e : Kernels.entry)) ->
-        let root = e.build () in
-        let keys = Tuning.Record.root_keys root in
-        let fp = fst keys in
+      (fun (tname, t, (e : Kernels.entry), root, fp) ->
         let naive_s = Machine.time t root in
         let record =
           Option.bind db (fun d ->
-              Tuning.Warmstart.lookup d ~kernel:e.label ~target:tname ~keys)
+              Tuning.Warmstart.lookup d ~kernel:e.label ~target:tname
+                ~fingerprint:fp)
         in
         let item =
           (* a ledgered pair completed before the crash: its entry wins

@@ -333,13 +333,7 @@ let decode_response line : (response, string) result =
       let* warm = field "warm" to_bool obj in
       let* time_s = field "time_s" J.to_float obj in
       let* moves = field "moves" to_strings obj in
-      (* absent on replies from pre-script servers; tolerated so mixed
-         deployments keep talking *)
-      let script =
-        match Option.bind (J.member "script" obj) J.to_str with
-        | Some s -> s
-        | None -> ""
-      in
+      let* script = field "script" J.to_str obj in
       let* evaluations = field "evaluations" J.to_int obj in
       let* failures = field "failures" J.to_int obj in
       Ok

@@ -67,8 +67,8 @@ type response =
       time_s : float;
       moves : string list;
       script : string;
-          (** the schedule as a [pds] script (schema-3 provenance);
-              [""] when replying from a record that predates scripts *)
+          (** the schedule as a [pds] script; [""] when replying from a
+              schema-2 record, which has none *)
       evaluations : int;
       failures : int;
     }

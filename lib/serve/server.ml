@@ -90,9 +90,9 @@ type t = {
      online (Surrogate.Model is internally locked), and when
      cfg.filter_ratio < 1 it pre-ranks candidate batches *)
   model : P.Surrogate.Model.t option;
-  (* kernel label -> (root program, dual fingerprint keys), built once:
-     the warm path must not pay a program construction per lookup *)
-  roots : (string, Ir.Prog.t * (string * string)) Hashtbl.t;
+  (* kernel label -> (root program, its fingerprint), built once: the
+     warm path must not pay a program construction per lookup *)
+  roots : (string, Ir.Prog.t * string) Hashtbl.t;
   roots_mutex : Mutex.t;
   qm : Mutex.t;
   qcv : Condition.t;
@@ -122,21 +122,21 @@ let set_queue_gauge_locked t =
 
 let emit t name fields = if t.traced then Obs.Trace.emit t.obs name fields
 
-let root_of t (e : Kernels.entry) : Ir.Prog.t * (string * string) =
+let root_of t (e : Kernels.entry) : Ir.Prog.t * string =
   with_lock t.roots_mutex (fun () ->
       match Hashtbl.find_opt t.roots e.label with
       | Some pair -> pair
       | None ->
           let root = e.build () in
-          let keys = Tuning.Record.root_keys root in
-          Hashtbl.replace t.roots e.label (root, keys);
-          (root, keys))
+          let fingerprint = Tuning.Record.fingerprint root in
+          Hashtbl.replace t.roots e.label (root, fingerprint);
+          (root, fingerprint))
 
 (* The pair's record ({!Tuning.Warmstart.lookup}) under the database
    lock: the only record the warm path may answer from. *)
-let locked_lookup t ~kernel ~tname ~keys =
+let locked_lookup t ~kernel ~tname ~fingerprint =
   with_lock t.db_mutex (fun () ->
-      Tuning.Warmstart.lookup t.tuning_db ~kernel ~target:tname ~keys)
+      Tuning.Warmstart.lookup t.tuning_db ~kernel ~target:tname ~fingerprint)
 
 (* Tuning.Db.deposit journals the record (fsynced) before the reply is
    sent, so kill -9 loses no acknowledged deposit. *)
@@ -187,11 +187,11 @@ let request_ctx t sink ~warm_start =
    the buffer back, degrade any failure — a raising strategy, an
    all-evaluations-quarantined (+inf) outcome — to a typed error
    response with the guard's fault class. *)
-let run_cold t ~id ~kernel ~tname ~target ~strat ~root ~keys finish :
+let run_cold t ~id ~kernel ~tname ~target ~strat ~root ~fingerprint finish :
     Protocol.response =
   let sink = if t.traced then Obs.Trace.make_buffer () else Obs.Trace.null in
   let warm_start =
-    match locked_lookup t ~kernel ~tname ~keys with
+    match locked_lookup t ~kernel ~tname ~fingerprint with
     | Some r -> r.Tuning.Record.moves
     | None -> []
   in
@@ -221,8 +221,8 @@ let record_script (record : Tuning.Record.t option) =
   | Some r -> Option.value r.Tuning.Record.script ~default:""
   | None -> ""
 
-let cold_optimize t ~id ~kernel ~tname ~target ~strat ~root ~keys () =
-  run_cold t ~id ~kernel ~tname ~target ~strat ~root ~keys
+let cold_optimize t ~id ~kernel ~tname ~target ~strat ~root ~fingerprint () =
+  run_cold t ~id ~kernel ~tname ~target ~strat ~root ~fingerprint
     (fun (o : P.outcome) record ->
       Protocol.Optimized
         {
@@ -237,8 +237,8 @@ let cold_optimize t ~id ~kernel ~tname ~target ~strat ~root ~keys () =
           failures = o.failures;
         })
 
-let cold_generate t ~id ~kernel ~tname ~target ~strat ~root ~keys () =
-  run_cold t ~id ~kernel ~tname ~target ~strat ~root ~keys
+let cold_generate t ~id ~kernel ~tname ~target ~strat ~root ~fingerprint () =
+  run_cold t ~id ~kernel ~tname ~target ~strat ~root ~fingerprint
     (fun (o : P.outcome) (_ : Tuning.Record.t option) ->
       let c_entry = Codegen.entry_symbol ~kernel ~target:tname in
       Protocol.Generated
@@ -583,8 +583,8 @@ let submit_async t (req : Protocol.request) :
       with
       | Error msg -> `Done (err t ~id ~code:Protocol.Bad_request ~msg)
       | Ok (e, tname) -> (
-          let _, keys = root_of t e in
-          match locked_lookup t ~kernel:e.label ~tname ~keys with
+          let _, fingerprint = root_of t e in
+          match locked_lookup t ~kernel:e.label ~tname ~fingerprint with
           | Some r ->
               `Done
                 (warm_reply t ~t0
@@ -616,10 +616,10 @@ let submit_async t (req : Protocol.request) :
       match resolve_tuning t ~kernel ~target ~strategy ~budget with
       | Error msg -> `Done (err t ~id ~code:Protocol.Bad_request ~msg)
       | Ok (e, tname, tgt, strat) -> (
-          let root, keys = root_of t e in
+          let root, fingerprint = root_of t e in
           match
             if force then None
-            else locked_lookup t ~kernel:e.label ~tname ~keys
+            else locked_lookup t ~kernel:e.label ~tname ~fingerprint
           with
           | Some r ->
               `Done
@@ -641,15 +641,15 @@ let submit_async t (req : Protocol.request) :
               queued
                 (ticket
                    (cold_optimize t ~id ~kernel:e.label ~tname ~target:tgt
-                      ~strat ~root ~keys)
+                      ~strat ~root ~fingerprint)
                    deadline_ms)))
   | Protocol.Generate { kernel; target; strategy; budget; deadline_ms; _ } -> (
       match resolve_tuning t ~kernel ~target ~strategy ~budget with
       | Error msg -> `Done (err t ~id ~code:Protocol.Bad_request ~msg)
       | Ok (e, tname, tgt, strat) -> (
-          let root, keys = root_of t e in
+          let root, fingerprint = root_of t e in
           let warm_c =
-            match locked_lookup t ~kernel:e.label ~tname ~keys with
+            match locked_lookup t ~kernel:e.label ~tname ~fingerprint with
             | None -> None
             | Some r -> (
                 (* replay the recorded schedule; a stale record that no
@@ -680,7 +680,7 @@ let submit_async t (req : Protocol.request) :
               queued
                 (ticket
                    (cold_generate t ~id ~kernel:e.label ~tname ~target:tgt
-                      ~strat ~root ~keys)
+                      ~strat ~root ~fingerprint)
                    deadline_ms)))
 
 let submit t req =

@@ -98,7 +98,7 @@ type offline_stats = { records : int; used : int; groups : int; pairs : int }
 let record_features ~root_of (r : Tuning.Record.t) =
   match root_of ~kernel:r.kernel ~target:r.target with
   | Some (root, caps)
-    when Tuning.Record.matches_root ~keys:(Tuning.Record.root_keys root) r
+    when String.equal r.fingerprint (Tuning.Record.fingerprint root)
          && Float.is_finite r.best_time
          && r.best_time > 0. ->
       Result.to_option

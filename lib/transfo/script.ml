@@ -2,13 +2,11 @@ open Transform
 
 let version = 1
 
-type stmt =
-  | Apply of {
-      sel : Target.t option;
-      name : string;
-      args : (string * string) list;
-    }
-  | Raw of string
+type stmt = {
+  sel : Target.t option;
+  name : string;
+  args : (string * string) list;
+}
 
 type t = {
   kernel : string option;
@@ -28,10 +26,18 @@ let call_str name args =
     ^ ")"
 
 let stmt_to_string = function
-  | Apply { sel = Some sel; name; args } ->
+  | { sel = Some sel; name; args } ->
       "at " ^ Target.to_string sel ^ " do " ^ call_str name args
-  | Apply { sel = None; name; args } -> "do " ^ call_str name args
-  | Raw d -> "move " ^ d
+  | { sel = None; name; args } -> "do " ^ call_str name args
+
+(* The statement a recorded describe string becomes; [None] when it is
+   not a move. *)
+let stmt_of_move d =
+  Option.map
+    (fun m ->
+      let anchor, name, args = Moveref.script_stmt m in
+      { sel = Option.map (fun p -> Target.Path p) anchor; name; args })
+    (Moveref.of_describe d)
 
 let to_string s =
   let buf = Buffer.create 256 in
@@ -150,10 +156,14 @@ let parse text =
                 (Some (String.trim (String.sub l 7 (String.length l - 7))))
                 acc tail
             else if String.length l > 5 && String.sub l 0 5 = "move " then
-              go kernel ktarget
-                ((lineno, Raw (String.trim (String.sub l 5 (String.length l - 5))))
-                :: acc)
-                tail
+              let hint =
+                match
+                  stmt_of_move (String.trim (String.sub l 5 (String.length l - 5)))
+                with
+                | Some st -> "write: " ^ stmt_to_string st
+                | None -> "write an 'at SELECTOR do NAME(ARGS)' statement"
+              in
+              err lineno ("the 'move' statement was removed; " ^ hint)
             else if String.length l > 3 && String.sub l 0 3 = "at " then
               match split_at_do (String.sub l 3 (String.length l - 3)) with
               | None -> err lineno "'at' statement without ' do '"
@@ -165,15 +175,14 @@ let parse text =
                       | Error e -> err lineno e
                       | Ok (name, args) ->
                           go kernel ktarget
-                            ((lineno, Apply { sel = Some sel; name; args })
-                            :: acc)
+                            ((lineno, { sel = Some sel; name; args }) :: acc)
                             tail))
             else if String.length l > 3 && String.sub l 0 3 = "do " then
               match parse_call (String.sub l 3 (String.length l - 3)) with
               | Error e -> err lineno e
               | Ok (name, args) ->
                   go kernel ktarget
-                    ((lineno, Apply { sel = None; name; args }) :: acc)
+                    ((lineno, { sel = None; name; args }) :: acc)
                     tail
             else err lineno ("unrecognized statement: " ^ l))
       in
@@ -184,19 +193,14 @@ let parse text =
 (* ------------------------------------------------------------------ *)
 
 let of_moves ?kernel ?ktarget moves =
-  let stmt_of d =
-    match Moveref.of_describe d with
-    | None -> Raw d
-    | Some m ->
-        let anchor, name, args = Moveref.script_stmt m in
-        let sel = Option.map (fun p -> Target.Path p) anchor in
-        Apply { sel; name; args }
+  let rec go line acc = function
+    | [] -> Ok { kernel; ktarget; stmts = List.rev acc }
+    | d :: rest -> (
+        match stmt_of_move d with
+        | Some st -> go (line + 1) ((line, st) :: acc) rest
+        | None -> Error (Printf.sprintf "of_moves: %S is not a move" d))
   in
-  {
-    kernel;
-    ktarget;
-    stmts = List.mapi (fun i d -> (i + 1, stmt_of d)) moves;
-  }
+  go 1 [] moves
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -221,43 +225,19 @@ let run ?(obs = Obs.Trace.null) caps prog (s : t) =
     | [] ->
         Ok (session.Engine.current,
             List.map Xforms.describe (Engine.moves session))
-    | (line, st) :: rest -> (
-        match st with
-        | Raw d -> (
-            match Xforms.lookup (Engine.applicable session) d with
-            | Some inst -> (
-                match Engine.apply session inst with
-                | _ -> go rest
-                | exception Invalid_argument m ->
-                    fail line st
-                      (Target.Refused
-                         { transfo = "move " ^ d; anchor = []; reason = m }))
-            | None ->
-                let anchor =
-                  match Option.bind (Moveref.of_describe d) Moveref.anchor with
-                  | Some p -> p
-                  | None -> []
-                in
-                fail line st
-                  (Target.Refused
-                     {
-                       transfo = "move " ^ d;
-                       anchor;
-                       reason = "not applicable at this state";
-                     }))
-        | Apply { sel; name; args } -> (
-            match Composites.resolve name args with
-            | Error m ->
-                fail line st
-                  (Target.Refused { transfo = name; anchor = []; reason = m })
-            | Ok transfo -> (
-                let outcome =
-                  match sel with
-                  | Some sel -> Engine.apply_at session sel transfo
-                  | None -> Engine.apply_anchored session ~anchor:[] transfo
-                in
-                match outcome with
-                | Ok _ -> go rest
-                | Error err -> fail line st err)))
+    | (line, ({ sel; name; args } as st)) :: rest -> (
+        match Composites.resolve name args with
+        | Error m ->
+            fail line st
+              (Target.Refused { transfo = name; anchor = []; reason = m })
+        | Ok transfo -> (
+            let outcome =
+              match sel with
+              | Some sel -> Engine.apply_at session sel transfo
+              | None -> Engine.apply_anchored session ~anchor:[] transfo
+            in
+            match outcome with
+            | Ok _ -> go rest
+            | Error err -> fail line st err))
   in
   go s.stmts

@@ -10,7 +10,7 @@
     at size 256 & nested do split(factor=16)
     at path [0,4,0] do vectorize
     do storage(buffer=acc, loc=register)
-    move split_scope([0,2] factor 8)        # deprecated raw escape
+    at path [0,2] do split(factor=8)
     v}
 
     Statements run through {!Target.resolve} and
@@ -18,22 +18,20 @@
     stops at the first statement with a typed error carrying its line
     number.  [of_moves] converts recorded describe-string sequences to
     scripts ([run (of_moves ms)] reproduces the replayed program
-    byte-for-byte), which is how schema-2 tuning DBs gain script
+    byte-for-byte), which is how tuning records carry script
     provenance. *)
 
 val version : int
 (** Current format version (1); the first line of a script is
     [pds <version>]. *)
 
-type stmt =
-  | Apply of {
-      sel : Target.t option;  (** [None]: buffer-level, no anchor *)
-      name : string;
-      args : (string * string) list;
-    }
-  | Raw of string
-      (** [move <describe-string>] — the deprecated compatibility escape;
-          resolved against the full applicable set. *)
+type stmt = {
+  sel : Target.t option;  (** [None]: buffer-level, no anchor *)
+  name : string;
+  args : (string * string) list;
+}
+(** [at SELECTOR do NAME(ARGS)], or [do NAME(ARGS)] without a
+    selector: the one statement form. *)
 
 type t = {
   kernel : string option;  (** [kernel NAME] header, informational *)
@@ -42,13 +40,18 @@ type t = {
 }
 
 val parse : string -> (t, string) result
+(** [Error] names the offending line.  A [move DESCRIBE] line, the
+    removed raw escape, is an error that spells out its replacement
+    statement when [DESCRIBE] is a move. *)
+
 val to_string : t -> string
 val stmt_to_string : stmt -> string
 
-val of_moves : ?kernel:string -> ?ktarget:string -> string list -> t
+val of_moves :
+  ?kernel:string -> ?ktarget:string -> string list -> (t, string) result
 (** Script equivalent of a recorded {!Transform.Xforms.describe}
-    sequence: parseable moves become [at path [..] do name(...)]
-    statements, the rest stay [move] escapes. *)
+    sequence: each move becomes an [at path [..] do name(...)]
+    statement.  [Error] names the first string that is not a move. *)
 
 type run_error = {
   line : int;

@@ -40,24 +40,31 @@ let records (db : t) : Record.t list =
 
 let ( let* ) = Result.bind
 
-(* Fold the file's lines into [db] and return the count of malformed
-   lines — typically the torn final line of a writer killed mid-append —
-   skipped rather than bricking the whole database (and with it every
-   future warm start).  Raises [Sys_error] when the file is unreadable. *)
-let read_lines (db : t) path =
+(* Fold the file's lines into [db] and return the count of lines that
+   are not JSON at all — typically the torn final line of a writer
+   killed mid-append — skipped rather than bricking the whole database
+   (and with it every future warm start).  A complete line that is not a
+   record this build reads is an [Error] naming the file and line:
+   skipping it would let the next save delete it.  Raises [Sys_error]
+   when the file is unreadable. *)
+let read_lines (db : t) path : (int, string) result =
   In_channel.with_open_text path (fun ic ->
-      let rec loop skipped =
+      let rec loop lineno skipped =
         match In_channel.input_line ic with
-        | None -> skipped
+        | None -> Ok skipped
         | Some line -> (
-            match Record.of_json (String.trim line) with
+            let line = String.trim line in
+            match Record.of_json line with
             | Ok r ->
                 ignore (add db r);
-                loop skipped
-            | Error _ when String.trim line = "" -> loop skipped
-            | Error _ -> loop (skipped + 1))
+                loop (lineno + 1) skipped
+            | Error _ when line = "" -> loop (lineno + 1) skipped
+            | Error _ when Result.is_error (Util.Json.of_string line) ->
+                loop (lineno + 1) (skipped + 1)
+            | Error msg ->
+                Error (Printf.sprintf "%s: line %d: %s" path lineno msg))
       in
-      loop 0)
+      loop 1 0)
 
 (* Fold replayed journal entries (each a Record.to_json object) into
    [db], counting them as journaled. *)
@@ -87,7 +94,8 @@ let load ?(obs = Obs.Trace.null) (path : string) : (t, string) result =
     let db = create () in
     match read_lines db path with
     | exception Sys_error msg -> Error msg
-    | skipped ->
+    | Error msg -> Error msg
+    | Ok skipped ->
         db.skipped <- skipped;
         if skipped > 0 then
           Obs.Trace.emit obs "db.skipped_lines" (fun () ->
@@ -110,14 +118,18 @@ let load ?(obs = Obs.Trace.null) (path : string) : (t, string) result =
    side knew — and truncates the journal only after merging it, under
    the journal lock [deposit] also appends under.  A torn trailing line
    of the file is dropped: the intact records survive and the rewritten
-   file is clean again.  An unreadable file or journal is not merged
+   file is clean again.  A complete line that is not a record raises
+   [Failure] before anything is written, so no save deletes a record
+   this build cannot read.  An unreadable file or journal is not merged
    (and that journal is kept): save still persists this database's
    records rather than losing the run's work.  The merge also flows
    back into [db] itself, keeping the in-memory view consistent with
    what was written. *)
 let save (db : t) (path : string) : unit =
   let checkpoint w =
-    (try ignore (read_lines db path) with Sys_error _ -> ());
+    (match read_lines db path with
+    | Ok _ | (exception Sys_error _) -> ()
+    | Error msg -> failwith msg);
     let merged =
       Option.map (fun w -> fold_journal db path (Recover.Journal.read w)) w
     in

@@ -21,10 +21,13 @@ val load : ?obs:Obs.Trace.sink -> string -> (t, string) result
     entries).  A missing file is an empty database after one [stat]
     (first run bootstraps it); no journal is read next to it.
 
-    Malformed lines — typically the torn final line of a writer killed
-    mid-append — are skipped and counted ({!skipped_lines}), so a crash
-    never bricks future warm starts.  An unreadable file (permissions,
-    I/O) or a corrupt journal is an [Error].
+    A line that is not JSON — typically the torn final line of a writer
+    killed mid-append — is skipped and counted ({!skipped_lines}), so a
+    crash never bricks future warm starts.  A complete JSON line that is
+    not a record {!Record.of_json} reads (another schema, a missing or
+    ill-typed member) is an [Error] naming the file, the 1-based line
+    number and the reason, and the file is left as it is.  An unreadable
+    file (permissions, I/O) or a corrupt journal is also an [Error].
 
     A load that skipped anything emits one [db.skipped_lines] trace
     event ([path], [skipped]) on [obs] — the uniform signal every
@@ -32,7 +35,7 @@ val load : ?obs:Obs.Trace.sink -> string -> (t, string) result
     the CLI additionally prints its stderr warning. *)
 
 val skipped_lines : t -> int
-(** Malformed lines tolerated by the {!load} that produced this
+(** Non-JSON lines tolerated by the {!load} that produced this
     database; [0] for a clean load.  Callers surface it as a warning
     (the CLI does). *)
 
@@ -66,7 +69,12 @@ val save : t -> string -> unit
     the fastest schedule either writer found.  Then a non-empty journal
     is truncated and {!journaled} is [0].  All of it runs under the
     journal's lock, which {!deposit} also takes, so no process truncates
-    an entry it has not merged. *)
+    an entry it has not merged.
+
+    No save deletes a record: a non-JSON line of the file is dropped,
+    but a complete line that {!load} would refuse raises [Failure] with
+    {!load}'s message before anything is written, leaving the file and
+    its journal byte-identical. *)
 
 val add : t -> Record.t -> [ `Inserted | `Improved | `Duplicate ]
 (** Insert with dedup: a record whose {!Record.key} is already present

@@ -1,12 +1,11 @@
 (* One tuning result: the best move sequence found for a
    (kernel, target) pair, with the provenance needed to reuse it —
-   program fingerprint, modelled runtime, evaluation count, schema
-   version.  Serialized as one canonical JSON object per line. *)
+   program fingerprint, modelled runtime, evaluation count.  Serialized
+   as one canonical JSON object per line. *)
 
 open Util
 
 type t = {
-  schema : int;
   kernel : string;
   target : string;
   moves : string list;
@@ -18,46 +17,29 @@ type t = {
 
 let schema_version = 3
 
-(* Canonical program identity (schema >= 2): digest of the canonicalized
-   program, so alpha-renamed and commutatively-reordered spellings of
-   the same root share their records. *)
+(* Canonical program identity: digest of the canonicalized program, so
+   alpha-renamed and commutatively-reordered spellings of the same root
+   share their records. *)
 let fingerprint (p : Ir.Prog.t) : string = Canon.fingerprint p
 
-(* Schema-1 identity: digest of the raw printed text.  Kept so databases
-   written before the canonical fingerprint stay warm — lookups match
-   either key (see [root_keys]/[matches_root]). *)
-let fingerprint_legacy (p : Ir.Prog.t) : string =
-  Digest.to_hex (Digest.string (Ir.Printer.program p))
-
 let root_keys (p : Ir.Prog.t) : string * string =
-  (fingerprint p, fingerprint_legacy p)
+  let f = fingerprint p in
+  (f, f)
 
-let matches_root ~keys:(canonical, legacy) (r : t) =
-  String.equal r.fingerprint canonical || String.equal r.fingerprint legacy
+let matches_root ~keys:(f, _) (r : t) = String.equal r.fingerprint f
 
 let make ?script ~kernel ~target ~moves ~best_time ~evals ~root () =
-  {
-    schema = schema_version;
-    kernel;
-    target;
-    moves;
-    best_time;
-    evals;
-    fingerprint = fingerprint root;
-    script;
-  }
+  { kernel; target; moves; best_time; evals; fingerprint = fingerprint root;
+    script }
 
 let to_json (r : t) : string =
-  (* the member is absent, not null, on script-less records, so schema-2
-     readers of a schema-3 line fail on the schema number alone and older
-     writers' bytes stay untouched *)
   let script_member =
     match r.script with None -> [] | Some s -> [ ("script", Json.Str s) ]
   in
   Json.to_string
     (Json.Obj
        ([
-          ("schema", Json.Num (float_of_int r.schema));
+          ("schema", Json.Num (float_of_int schema_version));
           ("kernel", Json.Str r.kernel);
           ("target", Json.Str r.target);
           ("moves", Json.Arr (List.map (fun m -> Json.Str m) r.moves));
@@ -98,23 +80,33 @@ let of_json (line : string) : (t, string) result =
                 | _, (Error _ as e) -> e)
               items (Ok [])
       in
+      (* optional, but a present member must be a string *)
+      let script_field () =
+        match Json.member "script" v with
+        | None -> Ok None
+        | Some (Json.Str s) -> Ok (Some s)
+        | Some _ -> Error "record: ill-typed string \"script\""
+      in
       let ( let* ) = Result.bind in
       let* schema = int_field "schema" in
-      (* schema 1 records carry legacy printed-text fingerprints; they
-         parse fine and stay warm through the dual-key lookups *)
-      if schema <> 1 && schema <> 2 && schema <> schema_version then
-        Error (Printf.sprintf "record: unsupported schema version %d" schema)
-      else
-        let* kernel = str_field "kernel" in
-        let* target = str_field "target" in
-        let* moves = moves_field () in
-        let* best_time = float_field "best_time" in
-        let* evals = int_field "evals" in
-        let* fingerprint = str_field "fingerprint" in
-        let script = Option.bind (Json.member "script" v) Json.to_str in
-        Ok
-          { schema; kernel; target; moves; best_time; evals; fingerprint;
-            script })
+      (* schema 2 is schema 3 without the optional script *)
+      let* () =
+        if schema = 2 || schema = schema_version then Ok ()
+        else if schema = 1 then
+          Error
+            "record: unsupported schema version 1 (the record predates \
+             canonical fingerprints: re-tune its pair or delete the line)"
+        else
+          Error (Printf.sprintf "record: unsupported schema version %d" schema)
+      in
+      let* kernel = str_field "kernel" in
+      let* target = str_field "target" in
+      let* moves = moves_field () in
+      let* best_time = float_field "best_time" in
+      let* evals = int_field "evals" in
+      let* fingerprint = str_field "fingerprint" in
+      let* script = script_field () in
+      Ok { kernel; target; moves; best_time; evals; fingerprint; script })
 
 let key (r : t) : string =
   r.kernel ^ "|" ^ r.fingerprint ^ "|" ^ r.target ^ "|"

@@ -3,11 +3,13 @@
 
 (* The one rule for finding a pair's record: the fastest one whose
    fingerprint matches the root ([Db.query] is best-first). *)
-let lookup (db : Db.t) ~kernel ~target ~keys : Record.t option =
-  List.find_opt (Record.matches_root ~keys) (Db.query ~kernel ~target db)
+let lookup (db : Db.t) ~kernel ~target ~fingerprint : Record.t option =
+  List.find_opt
+    (fun (r : Record.t) -> String.equal r.fingerprint fingerprint)
+    (Db.query ~kernel ~target db)
 
 let moves_for (db : Db.t) ~kernel ~target ~(root : Ir.Prog.t) : string list =
-  match lookup db ~kernel ~target ~keys:(Record.root_keys root) with
+  match lookup db ~kernel ~target ~fingerprint:(Record.fingerprint root) with
   | Some r -> r.moves
   | None -> []
 
@@ -22,11 +24,10 @@ let record_of ~objective ~caps ~kernel ~target ~root ~moves ~evals :
     (Record.t, string) result =
   match Search.Stochastic.replay_exact caps root moves with
   | Error msg -> Error ("record_of: " ^ msg)
-  | Ok replayed ->
-      let script =
-        Transfo.Script.to_string
-          (Transfo.Script.of_moves ~kernel ~ktarget:target moves)
-      in
-      Ok
-        (Record.make ~script ~kernel ~target ~moves
-           ~best_time:(objective replayed) ~evals ~root ())
+  | Ok replayed -> (
+      match Transfo.Script.of_moves ~kernel ~ktarget:target moves with
+      | Error msg -> Error ("record_of: " ^ msg)
+      | Ok script ->
+          Ok
+            (Record.make ~script:(Transfo.Script.to_string script) ~kernel
+               ~target ~moves ~best_time:(objective replayed) ~evals ~root ()))

@@ -9,11 +9,11 @@ val lookup :
   Db.t ->
   kernel:string ->
   target:string ->
-  keys:string * string ->
+  fingerprint:string ->
   Record.t option
-(** The fastest record for the pair whose fingerprint matches the root
-    with these {!Record.root_keys}: the one rule every reader of a
-    pair's record goes through. *)
+(** The fastest record for the pair whose fingerprint is the root's
+    {!Record.fingerprint}: the one rule every reader of a pair's record
+    goes through. *)
 
 val moves_for :
   Db.t -> kernel:string -> target:string -> root:Ir.Prog.t -> string list
@@ -42,4 +42,5 @@ val record_of :
     ({!Search.Stochastic.replay_exact}) and re-timing the result — the
     stored [best_time] is the replayed schedule's, so every record in
     the database is reproducible by construction.  [Error] when the
-    sequence does not replay exactly. *)
+    sequence does not replay exactly or {!Transfo.Script.of_moves}
+    refuses it. *)

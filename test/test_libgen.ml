@@ -11,13 +11,24 @@ let pick labels = List.map (Kernels.find_entry all) labels
 let small = pick [ "axpy"; "scale"; "sum2d"; "softmax_micro" ]
 let strat = Annealing { budget = 30; space = Search.Stochastic.Heuristic }
 
-(* each test binary runs in its own dune sandbox, so plain relative
-   directories are private to this run *)
+(* every path a test writes lives under one temporary directory that is
+   removed at exit, so a run from any working directory leaves nothing
+   behind *)
+let scratch = Filename.temp_dir "perfdojo_test_libgen" ""
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> remove_tree (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let () = at_exit (fun () -> remove_tree scratch)
 let counter = ref 0
 
 let fresh_dir name =
   incr counter;
-  Printf.sprintf "libgen_%s_%d" name !counter
+  Filename.concat scratch (Printf.sprintf "libgen_%s_%d" name !counter)
 
 let read_file path =
   let ic = open_in_bin path in

@@ -23,7 +23,7 @@ let literal =
   ^ "at size 256 & nested do split(factor=16)\n"
   ^ "do storage(buffer=acc, loc=stack)\n"
   ^ "at path [0,1] do tile_and_unroll(f=8, u=4) # trailing comment\n"
-  ^ "move split_scope([0,2] factor 8)\n"
+  ^ "at path [0,2] do split(factor=8)\n"
 
 let parse_ok src =
   match Script.parse src with
@@ -68,6 +68,23 @@ let syntax_tests =
             "pds 1\ndo split(factor)\n" (* arg without value *);
             "pds 1\ndo split(factor=4\n" (* unclosed args *);
           ]);
+    Alcotest.test_case "move line is a parse error naming its line" `Quick
+      (fun () ->
+        let check src expect =
+          match Script.parse src with
+          | Error e -> Alcotest.(check string) "message" expect e
+          | Ok _ -> Alcotest.failf "accepted %S" src
+        in
+        (* a move spells out the statement that replaces it *)
+        check "pds 1\n# c\nmove parallelize([0])\n"
+          "line 3: the 'move' statement was removed; write: at path [0] do \
+           parallelize";
+        check "pds 1\nmove split_scope([0,2] factor 8)  # old\n"
+          "line 2: the 'move' statement was removed; write: at path [0,2] \
+           do split(factor=8)";
+        check "pds 1\ndo unroll\nmove weird()\n"
+          "line 3: the 'move' statement was removed; write an 'at SELECTOR \
+           do NAME(ARGS)' statement");
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -122,16 +139,6 @@ let run_tests =
             Alcotest.(check bool) "reason" true (reason <> "")
         | Error e -> Alcotest.fail (Script.run_error_to_string e)
         | Ok _ -> Alcotest.fail "fused without a sibling");
-    Alcotest.test_case "raw move escape still works" `Quick (fun () ->
-        let p = rowsum () in
-        let s = parse_ok "pds 1\nmove parallelize([0])\n" in
-        match Script.run caps_x86 p s with
-        | Ok (q, prov) ->
-            Alcotest.(check (list string)) "provenance"
-              [ "parallelize([0])" ] prov;
-            Alcotest.(check bool) "applied" true
-              (Ir.Printer.program q <> Ir.Printer.program p)
-        | Error e -> Alcotest.fail (Script.run_error_to_string e));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -164,8 +171,10 @@ let roundtrip_qcheck =
        with Exit -> ());
       let walked = session.Engine.current in
       let describes = List.map Xforms.describe (Engine.moves session) in
-      let script = Script.of_moves ~kernel:entry.Kernels.label describes in
-      match Script.parse (Script.to_string script) with
+      match
+        Result.bind (Script.of_moves ~kernel:entry.Kernels.label describes)
+          (fun script -> Script.parse (Script.to_string script))
+      with
       | Error e -> QCheck.Test.fail_reportf "reparse failed: %s" e
       | Ok script' -> (
           match Script.run caps p script' with
@@ -181,13 +190,18 @@ let of_moves_tests =
   [
     Alcotest.test_case "parseable moves become targeted statements" `Quick
       (fun () ->
-        let s =
-          Script.of_moves ~kernel:"rowsum"
-            [ "split_scope([0,1] factor 4)"; "parallelize([0])"; "weird()" ]
-        in
-        match List.map snd s.Script.stmts with
-        | [ Script.Apply _; Script.Apply _; Script.Raw "weird()" ] -> ()
-        | _ -> Alcotest.failf "unexpected shape:\n%s" (Script.to_string s));
+        let moves = [ "split_scope([0,1] factor 4)"; "parallelize([0])" ] in
+        (match Script.of_moves ~kernel:"rowsum" moves with
+        | Ok s ->
+            Alcotest.(check (list string)) "statements"
+              [ "at path [0,1] do split(factor=4)"; "at path [0] do parallelize" ]
+              (List.map (fun (_, st) -> Script.stmt_to_string st) s.stmts)
+        | Error e -> Alcotest.fail e);
+        (* the first string that is not a move is named *)
+        match Script.of_moves (moves @ [ "weird()"; "bogus" ]) with
+        | Error e ->
+            Alcotest.(check string) "error" "of_moves: \"weird()\" is not a move" e
+        | Ok s -> Alcotest.failf "accepted a non-move:\n%s" (Script.to_string s));
     Alcotest.test_case "of_moves output runs to the replayed program"
       `Quick (fun () ->
         let p = rowsum () in
@@ -197,7 +211,9 @@ let of_moves_tests =
           | Ok q -> q
           | Error e -> Alcotest.fail e
         in
-        match Script.run caps_x86 p (Script.of_moves moves) with
+        match
+          Script.run caps_x86 p (Result.get_ok (Script.of_moves moves))
+        with
         | Ok (q, _) ->
             Alcotest.(check string) "byte-identical"
               (Ir.Printer.program expect) (Ir.Printer.program q)

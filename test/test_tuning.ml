@@ -70,8 +70,7 @@ let arbitrary_record =
       let* fp_seed = int_bound 1_000_000 in
       return
         {
-          Tuning.Record.schema = Tuning.Record.schema_version;
-          kernel;
+          Tuning.Record.kernel;
           target;
           moves;
           best_time;
@@ -94,6 +93,20 @@ let prop_record_stable =
       | Ok r' -> Tuning.Record.to_json r' = line
       | Error _ -> false)
 
+(* A record line with one member replaced (or appended), or removed. *)
+let edit_members f line =
+  match Util.Json.of_string line with
+  | Ok (Util.Json.Obj ms) -> Util.Json.to_string (Util.Json.Obj (f ms))
+  | _ -> Alcotest.failf "not a JSON object: %s" line
+
+let with_member name v =
+  edit_members (fun ms ->
+      if List.mem_assoc name ms then
+        List.map (fun (k, x) -> (k, if k = name then v else x)) ms
+      else ms @ [ (name, v) ])
+
+let without_member name = edit_members (List.remove_assoc name)
+
 let record_tests =
   [
     Alcotest.test_case "unknown schema version rejected" `Quick (fun () ->
@@ -101,13 +114,17 @@ let record_tests =
           Tuning.Record.make ~kernel:"k" ~target:"t" ~moves:[]
             ~best_time:1.0 ~evals:1 ~root:(Kernels.scale ~n:8) ()
         in
-        let line = Tuning.Record.to_json { r with schema = 99 } in
+        let line =
+          with_member "schema" (Util.Json.Num 99.) (Tuning.Record.to_json r)
+        in
         match Tuning.Record.of_json line with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "accepted schema 99");
     Alcotest.test_case "missing field rejected" `Quick (fun () ->
-        match Tuning.Record.of_json "{\"schema\":1,\"kernel\":\"k\"}" with
-        | Error _ -> ()
+        match Tuning.Record.of_json "{\"schema\":3,\"kernel\":\"k\"}" with
+        | Error e ->
+            Alcotest.(check string) "names the member"
+              "record: missing string \"target\"" e
         | Ok _ -> Alcotest.fail "accepted truncated record");
   ]
 
@@ -651,7 +668,7 @@ let warmstart_tests =
           (Option.map
              (fun (r : Tuning.Record.t) -> r.moves)
              (Tuning.Warmstart.lookup db ~kernel:"gemv" ~target:"snitch"
-                ~keys:(Tuning.Record.root_keys gemv))));
+                ~fingerprint:(Tuning.Record.fingerprint gemv))));
     Alcotest.test_case "record_of refuses inapplicable moves" `Quick
       (fun () ->
         let p = Kernels.scale ~n:16 in
@@ -836,6 +853,95 @@ let journal_tests =
         cleanup f);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Refusal: a database never deletes a record it cannot read           *)
+(* ------------------------------------------------------------------ *)
+
+let refusal_tests =
+  let root = Kernels.scale ~n:16 in
+  let line i =
+    Tuning.Record.to_json
+      (mk_record ~moves:[ string_of_int i ] ~best_time:(float_of_int (i + 1))
+         ~root ())
+  in
+  (* a database file of three lines whose middle one is [mid] *)
+  let file_with mid =
+    let f = Filename.temp_file "tunedb" ".jsonl" in
+    Out_channel.with_open_bin f (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) [ line 0; mid; line 2 ]);
+    f
+  in
+  let cleanup f =
+    List.iter
+      (fun p -> if Sys.file_exists p then Sys.remove p)
+      [ f; f ^ ".wal"; f ^ ".tmp" ]
+  in
+  let slurp f = In_channel.with_open_bin f In_channel.input_all in
+  (* each middle line with the Record.of_json message refusing it *)
+  let unreadable =
+    Util.Json.
+      [
+        ( with_member "schema" (Num 1.) (line 1),
+          "record: unsupported schema version 1 (the record predates \
+           canonical fingerprints: re-tune its pair or delete the line)" );
+        ( with_member "schema" (Num 4.) (line 1),
+          "record: unsupported schema version 4" );
+        ( with_member "script" (Num 5.) (line 1),
+          "record: ill-typed string \"script\"" );
+        (without_member "target" (line 1), "record: missing string \"target\"");
+      ]
+  in
+  let names_line f why msg =
+    Alcotest.(check string) "file, line and reason" (f ^ ": line 2: " ^ why) msg
+  in
+  [
+    Alcotest.test_case "a complete line that is not a record refuses the load"
+      `Quick (fun () ->
+        List.iter
+          (fun (mid, why) ->
+            let f = file_with mid in
+            (match Tuning.Db.load f with
+            | Error e -> names_line f why e
+            | Ok _ -> Alcotest.failf "loaded a file holding %s" mid);
+            cleanup f)
+          unreadable);
+    Alcotest.test_case "save onto a refused file raises and changes nothing"
+      `Quick (fun () ->
+        List.iter
+          (fun (mid, why) ->
+            let f = file_with mid in
+            let db = Tuning.Db.create () in
+            ignore
+              (Tuning.Db.deposit ~file:f db
+                 (mk_record ~moves:[ "7" ] ~best_time:8.0 ~root ()));
+            let file = slurp f and wal = slurp (f ^ ".wal") in
+            (match Tuning.Db.save db f with
+            | () -> Alcotest.failf "saved over %s" mid
+            | exception Failure e -> names_line f why e);
+            Alcotest.(check string) "file unchanged" file (slurp f);
+            Alcotest.(check string) "journal unchanged" wal (slurp (f ^ ".wal"));
+            Alcotest.(check bool) "no tmp left" false
+              (Sys.file_exists (f ^ ".tmp"));
+            cleanup f)
+          unreadable);
+    Alcotest.test_case "a schema-2 line loads and is saved back as schema 3"
+      `Quick (fun () ->
+        let f = file_with (with_member "schema" (Util.Json.Num 2.) (line 1)) in
+        (match Tuning.Db.load f with
+        | Ok db ->
+            Alcotest.(check (list (option string)))
+              "no scripts" [ None; None; None ]
+              (List.map
+                 (fun (r : Tuning.Record.t) -> r.script)
+                 (Tuning.Db.records db));
+            Tuning.Db.save db f
+        | Error e -> Alcotest.failf "load: %s" e);
+        Alcotest.(check string) "rewritten as schema 3"
+          (String.concat "" (List.map (fun i -> line i ^ "\n") [ 0; 1; 2 ]))
+          (slurp f);
+        cleanup f);
+  ]
+
 let () =
   Alcotest.run "tuning"
     [
@@ -847,6 +953,7 @@ let () =
       ("fingerprint", fingerprint_tests);
       ("db", db_tests);
       ("journal", journal_tests);
+      ("refusal", refusal_tests);
       ("cache", cache_tests);
       ( "cache-qcheck",
         List.map QCheck_alcotest.to_alcotest [ prop_cache_domain_safe ] );
