@@ -1385,10 +1385,14 @@ let serve_cmd =
            exhaustive_depth = c.co_depth;
          }
        in
-       (* create raises Failure on an unreadable database and run_socket
-          raises Unix_error on an unbindable path — both reach the
+       (* a refused database is reported like load_db's; run_socket
+          raises Unix_error on an unbindable path, which reaches the
           top-level one-line error handler (exit 3) *)
-       let server = Serve.Server.create cfg in
+       let* server =
+         match Serve.Server.create cfg with
+         | server -> Ok server
+         | exception Serve.Server.Database_refused msg -> Error (false, msg)
+       in
        (* SIGINT and SIGTERM both stop the service gracefully on either
           transport: drain in-flight work, checkpoint the database
           and its journal, then exit through the Interrupted path

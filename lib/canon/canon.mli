@@ -27,6 +27,14 @@
       of the program's meaning;
     - buffer declarations are sorted by canonical name.
 
+    Cost: each of the two sorting passes prints every node once.  A
+    node's text (its sort key) is built from its operands' or children's
+    texts with {!Ir.Printer}'s bottom-up pieces, and {!fingerprint}
+    digests the text the last pass built, so it never prints the
+    program again.  {!Ir.Printer} is the only place a formatting rule
+    lives, so the canonical text is exactly what [Ir.Printer.program]
+    prints for {!canonicalize}'s result.
+
     The construction is {e sound} for deduplication: it never merges two
     programs that differ in anything but the incidental choices above.
     It is deliberately not a decision procedure for semantic equivalence

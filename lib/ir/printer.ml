@@ -7,7 +7,12 @@
      buffer_name dtype [dim1, dim2:N] location -> array1, array2
 
    The output of {!program} parses back with {!Parser.program}
-   (round-trip property tested in the suite). *)
+   (round-trip property tested in the suite).
+
+   Every rule is written once, bottom-up: an expression's text is built
+   from its operands' texts and a scope's text from its children's, so a
+   caller that already holds those texts (Canon's sort keys) assembles
+   the parent's without printing the subtree again. *)
 
 open Types
 
@@ -34,39 +39,59 @@ let float_str f =
   else if f = Float.infinity then "inf"
   else Printf.sprintf "%.17g" f
 
-let access_str (a : access) =
-  if a.idx = [] then a.array
-  else
-    Printf.sprintf "%s[%s]" a.array
-      (String.concat "," (List.map Index.to_string a.idx))
+let access_named name (a : access) =
+  if a.idx = [] then name
+  else name ^ "[" ^ String.concat "," (List.map Index.to_string a.idx) ^ "]"
 
-(* Operator precedence: additive 1, multiplicative 2, atoms 3. *)
-let rec expr_str ?(prec = 0) (e : expr) =
+let access_str (a : access) = access_named a.array a
+
+(* ------------------------------------------------------------------ *)
+(* Expressions                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* An expression's text at precedence 0 with its own precedence:
+   additive 1, multiplicative 2, atoms (leaves, calls, max/min) never
+   take parentheses. *)
+type expr_text = { text : string; prec : int }
+
+let text_of (t : expr_text) = t.text
+let atom text = { text; prec = max_int }
+let at prec (t : expr_text) =
+  if t.prec < prec then "(" ^ t.text ^ ")" else t.text
+
+let un_text op (a : expr_text) = atom (unop_str op ^ "(" ^ a.text ^ ")")
+
+let bin_text op (a : expr_text) (b : expr_text) =
+  match op with
+  | Max | Min -> atom (binop_str op ^ "(" ^ a.text ^ "," ^ b.text ^ ")")
+  | Add | Sub | Mul | Div ->
+      let prec = match op with Add | Sub -> 1 | _ -> 2 in
+      { text = at prec a ^ " " ^ binop_str op ^ " " ^ at (prec + 1) b; prec }
+
+let rec expr_text ?(name = Fun.id) (e : expr) =
   match e with
-  | Ref a -> access_str a
+  | Ref a -> atom (access_named (name a.array) a)
   | IterVal i -> (
       (* A plain iterator reference prints as {d} (the paper's "index as
          value"); a general affine index uses the idx(...) function form
          so the parser can reconstruct it. *)
       match (i.terms, i.offset) with
-      | [ (1, d) ], 0 -> Printf.sprintf "{%d}" d
-      | _ -> Printf.sprintf "idx(%s)" (Index.to_string i))
-  | Const c -> float_str c
-  | Un (op, e) -> Printf.sprintf "%s(%s)" (unop_str op) (expr_str e)
-  | Bin ((Max | Min) as op, e1, e2) ->
-      Printf.sprintf "%s(%s,%s)" (binop_str op) (expr_str e1) (expr_str e2)
-  | Bin (op, e1, e2) ->
-      let my_prec = match op with Add | Sub -> 1 | _ -> 2 in
-      let s =
-        Printf.sprintf "%s %s %s"
-          (expr_str ~prec:my_prec e1)
-          (binop_str op)
-          (expr_str ~prec:(my_prec + 1) e2)
-      in
-      if my_prec < prec then "(" ^ s ^ ")" else s
+      | [ (1, d) ], 0 -> atom ("{" ^ string_of_int d ^ "}")
+      | _ -> atom ("idx(" ^ Index.to_string i ^ ")"))
+  | Const c -> atom (float_str c)
+  | Un (op, a) -> un_text op (expr_text ~name a)
+  | Bin (op, a, b) -> bin_text op (expr_text ~name a) (expr_text ~name b)
 
-let stmt_str (s : stmt) =
-  Printf.sprintf "%s = %s" (access_str s.dst) (expr_str s.rhs)
+let expr_str ?(prec = 0) e = at prec (expr_text e)
+
+(* ------------------------------------------------------------------ *)
+(* Statements, scopes and programs                                     *)
+(* ------------------------------------------------------------------ *)
+
+let stmt_text ?(name = Fun.id) (dst : access) (rhs : expr_text) =
+  access_named (name dst.array) dst ^ " = " ^ rhs.text
+
+let stmt_str (s : stmt) = stmt_text s.dst (expr_text s.rhs)
 
 let scope_header (s : scope) =
   let flags =
@@ -81,6 +106,39 @@ let scope_header (s : scope) =
   | None -> base
   | Some n -> Printf.sprintf "%s/%d" base n
 
+(* A scope is its header line, then every line of every child prefixed
+   by one bar. *)
+let bar = "| "
+
+let scope_text (s : scope) (children : string list) =
+  let header = scope_header s in
+  let b =
+    Buffer.create
+      (List.fold_left
+         (fun n t -> n + 3 + String.length t)
+         (String.length header) children)
+  in
+  Buffer.add_string b header;
+  let rec lines t i =
+    match String.index_from_opt t i '\n' with
+    | None -> Buffer.add_substring b t i (String.length t - i)
+    | Some j ->
+        Buffer.add_substring b t i (j + 1 - i);
+        Buffer.add_string b bar;
+        lines t (j + 1)
+  in
+  List.iter
+    (fun t ->
+      Buffer.add_char b '\n';
+      Buffer.add_string b bar;
+      lines t 0)
+    children;
+  Buffer.contents b
+
+let rec node_text = function
+  | Stmt s -> stmt_str s
+  | Scope sc -> scope_text sc (List.map node_text sc.body)
+
 let buffer_str (b : buffer) =
   let dim_str d r = if r then string_of_int d ^ ":N" else string_of_int d in
   let shape = String.concat ", " (List.map2 dim_str b.shape b.reuse) in
@@ -91,18 +149,7 @@ let buffer_str (b : buffer) =
   if b.arrays = [ b.bname ] then base
   else base ^ " -> " ^ String.concat ", " b.arrays
 
-let body_lines (nodes : node list) : string list =
-  let rec go indent nodes =
-    List.concat_map
-      (fun n ->
-        match n with
-        | Stmt s -> [ indent ^ stmt_str s ]
-        | Scope sc -> (indent ^ scope_header sc) :: go (indent ^ "| ") sc.body)
-      nodes
-  in
-  go "" nodes
-
-let program (p : program) : string =
+let program_text (p : program) (body : string list) : string =
   let buffers = List.map buffer_str p.buffers in
   let io =
     [
@@ -110,10 +157,14 @@ let program (p : program) : string =
       "outputs: " ^ String.concat ", " p.outputs;
     ]
   in
-  String.concat "\n" (buffers @ io @ body_lines p.body) ^ "\n"
+  String.concat "\n" (buffers @ io @ body) ^ "\n"
+
+let program (p : program) : string =
+  program_text p (List.map node_text p.body)
 
 (* Body-only rendering, used as the state text fed to the PerfLLM
    embedding and in progress displays. *)
-let body (p : program) : string = String.concat "\n" (body_lines p.body)
+let body (p : program) : string =
+  String.concat "\n" (List.map node_text p.body)
 
 let pp fmt p = Format.pp_print_string fmt (program p)

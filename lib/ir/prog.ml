@@ -244,3 +244,8 @@ let enclosing_sizes (prog : t) (p : path) : int array =
         | Some (Stmt _) | None -> raise (Invalid_path p))
   in
   Array.of_list (go prog.body p [])
+
+(* The exact-structure digest: what the marshaled bytes of the value
+   are, so two programs share it exactly when they are the same tree. *)
+let digest (prog : t) : Digest.t =
+  Digest.string (Marshal.to_string prog [ No_sharing ])

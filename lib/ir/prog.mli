@@ -85,3 +85,13 @@ val total_flops : t -> int
 
 val enclosing_sizes : t -> path -> int array
 (** Sizes of the scopes enclosing a node, indexed by depth. *)
+
+(** {1 Identity} *)
+
+val digest : t -> Digest.t
+(** 16-byte MD5 of [Marshal.to_string p [No_sharing]]: the program's
+    exact structure, names, operand order and float bits included, so a
+    renamed temporary or a swapped commutative operand is a different
+    digest.  A few microseconds, where [Canon.fingerprint] costs tens.
+    It keys [Tuning.Cache]'s memo table and [Search.Exhaustive]'s set of
+    exact repeats. *)

@@ -18,7 +18,13 @@
 
     Deterministic and sequential: instance enumeration order is fixed,
     nothing draws randomness.  Every evaluation (and every instance
-    application) runs under the {!Robust.Guard}. *)
+    application) runs under the {!Robust.Guard}.
+
+    Cost: a child whose exact structure ({!Ir.Prog.digest}) the run has
+    already fingerprinted is an exact repeat of a known state; it counts
+    in [total] and skips canonicalization.  The set of digests lives for
+    one run and is not checkpointed.  States found at the depth bound
+    are never expanded, so the walk keeps only their move paths. *)
 
 type result = {
   best : Ir.Prog.t;
@@ -65,7 +71,9 @@ val run :
     [checkpoint] saves the walk through {!Checkpoint} after every
     completed BFS level (levels are the unit of determinism here, so
     [Checkpoint.config.every] is ignored): frontier move paths, seen
-    fingerprints, best-so-far and exact accounting.  Resuming a killed
+    fingerprints, best-so-far and exact accounting.  A resume replays
+    the frontier's paths only when it will expand them, not after the
+    final level.  Resuming a killed
     run re-expands only the level it died in — strictly fewer
     evaluations than a cold restart — and certifies the {e same}
     optimum with the same spliced trace.  A mismatched [depth] /

@@ -354,6 +354,8 @@ let start t =
       if t.dispatcher = None && t.state = Running then
         t.dispatcher <- Some (Thread.create dispatcher_loop t))
 
+exception Database_refused of string
+
 let create ?(start = true) (cfg : config) : t =
   let obs = Obs.Trace.synchronized cfg.obs in
   let ms =
@@ -367,7 +369,7 @@ let create ?(start = true) (cfg : config) : t =
     | None -> Tuning.Db.create ()
     | Some f -> (
         match Tuning.Db.load ~obs f with
-        | Error msg -> failwith msg
+        | Error msg -> raise (Database_refused msg)
         | Ok db ->
             let replayed = Tuning.Db.journaled db in
             if replayed > 0 then begin

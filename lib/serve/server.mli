@@ -75,12 +75,19 @@ val default_config : config
 
 type t
 
+exception Database_refused of string
+(** {!create}'s refusal of [config.db_file]: the {!Tuning.Db.load} error,
+    which names the file and, for a complete line that is not a record
+    this build reads, its 1-based line and the reason.  The file is left
+    as it is. *)
+
 val create : ?start:bool -> config -> t
 (** Build a server: load the database (tolerantly — skipped lines
     surface as a [db.skipped_lines] trace event), create the shared
     cache, and — unless [~start:false] — launch the dispatcher.
-    Raises [Failure] when the database file exists but is unreadable,
-    or its journal is corrupt. *)
+    Raises {!Database_refused} when {!Tuning.Db.load} refuses the
+    database: an unreadable file, a line it cannot read, or a corrupt
+    journal. *)
 
 val start : t -> unit
 (** Launch the dispatcher thread if not yet running ([create

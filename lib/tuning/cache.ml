@@ -1,5 +1,6 @@
 (* Memoized objective evaluation, keyed on the program's exact
-   structure: the 16-byte MD5 of [Marshal.to_string p [No_sharing]].
+   structure: Ir.Prog.digest, the 16-byte MD5 of
+   [Marshal.to_string p [No_sharing]].
 
    Why not the canonical fingerprint (Record.fingerprint)?  It costs
    about twenty model calls to spare one, and it answers a program with
@@ -77,14 +78,13 @@ let memoize_key (cache : t) (k : string) (objective : Ir.Prog.t -> float)
       Mutex.unlock s.lock;
       time
 
-let key (p : Ir.Prog.t) = Digest.string (Marshal.to_string p [ No_sharing ])
-
-let memoize (cache : t) objective p = memoize_key cache (key p) objective p
+let memoize (cache : t) objective p =
+  memoize_key cache (Ir.Prog.digest p) objective p
 
 (* The digest is always 16 bytes, so [scope ^ "\x00" ^ digest] splits
    back into one (scope, program) pair: distinct pairs never collide. *)
 let memoize_scoped (cache : t) ~scope objective p =
-  memoize_key cache (scope ^ "\x00" ^ key p) objective p
+  memoize_key cache (scope ^ "\x00" ^ Ir.Prog.digest p) objective p
 
 let sum (cache : t) f = Array.fold_left (fun acc s -> acc + f s) 0 cache
 let hits (c : t) = sum c (fun s -> s.hits)

@@ -6,8 +6,10 @@
     every revisit free.  Hit/miss counters quantify the saving — they
     feed the CLI report and the tuning bench's [BENCH_tuning.json].
 
-    {b The key} is the program's exact structure: a 16-byte digest of
-    [Marshal.to_string p [No_sharing]], a few microseconds, where the
+    {b The key} is the program's exact structure: {!Ir.Prog.digest}, a
+    16-byte digest of [Marshal.to_string p [No_sharing]] that
+    {!Search.Exhaustive} also uses to spot exact repeats, a few
+    microseconds, where the
     canonical {!Record.fingerprint} costs about twenty model calls.  The
     models are pure, so a hit returns exactly what the model would.  A
     canonical respelling of a program (a renamed temporary, swapped

@@ -521,6 +521,53 @@ let invariance_tests =
           (!calls < reference.evals);
         rm ck;
         rm snap);
+    Alcotest.test_case
+      "exhaustive: resuming from the final checkpoint returns the run"
+      `Quick (fun () ->
+        let root = Kernels.scale ~n:8 in
+        let ck = tmp "ck_final" in
+        rm ck;
+        let run ~resume objective =
+          Search.Exhaustive.run
+            ~checkpoint:{ Search.Checkpoint.path = ck; every = 1; resume }
+            ~depth:3 caps_cpu objective root
+        in
+        let reference = run ~resume:false time in
+        (* the last level's states are never expanded and the file keeps
+           only their move paths, byte for byte as recorded when the walk
+           still held their programs *)
+        Alcotest.(check string) "final checkpoint bytes"
+          "54d87c670671e685c83f76fb4d35d393"
+          (Digest.to_hex (Digest.file ck));
+        let calls = ref 0 in
+        let resumed =
+          run ~resume:true (fun p ->
+              incr calls;
+              time p)
+        in
+        Alcotest.(check int) "nothing re-evaluated" 0 !calls;
+        Alcotest.(check int64) "same optimum"
+          (Int64.bits_of_float reference.best_time)
+          (Int64.bits_of_float resumed.best_time);
+        Alcotest.(check (list string))
+          "same schedule" reference.best_moves resumed.best_moves;
+        Alcotest.(check string) "same program"
+          (Ir.Printer.program reference.best)
+          (Ir.Printer.program resumed.best);
+        List.iter
+          (fun (what, a, b) -> Alcotest.(check int) what a b)
+          [
+            ("unique", reference.unique, resumed.unique);
+            ("total", reference.total, resumed.total);
+            ("evals", reference.evals, resumed.evals);
+            ("failures", reference.failures, resumed.failures);
+            ("reached_depth", reference.reached_depth, resumed.reached_depth);
+          ];
+        Alcotest.(check (pair bool bool))
+          "same certificate"
+          (reference.certified, reference.exhausted)
+          (resumed.certified, resumed.exhausted);
+        rm ck);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -382,6 +382,68 @@ let golden_tests =
           let root_time = objective target p in
           Alcotest.(check bool) "no point above the root" true
             (Array.for_all (fun v -> v <= root_time) r.curve));
+      Alcotest.test_case "exhaustive depth 2 on the Snitch micro-kernels"
+        `Quick (fun () ->
+          (* recorded from a walk that fingerprinted every child and
+             held every level: skipping exact repeats and dropping the
+             last level's programs must not move a certificate by a
+             state or a bit *)
+          List.iter
+            (fun (label, tname, unique, total, evals, failures, best_time,
+                  best_moves) ->
+              let k =
+                List.find
+                  (fun (k : Kernels.entry) -> k.label = label)
+                  Kernels.snitch_micro
+              in
+              let target = resolve tname in
+              let r =
+                Search.Exhaustive.run ~depth:2 (Desc.caps_of target)
+                  (objective target) (k.build ())
+              in
+              let name what = Printf.sprintf "%s %s: %s" label tname what in
+              Alcotest.(check int) (name "unique") unique r.unique;
+              Alcotest.(check int) (name "total") total r.total;
+              Alcotest.(check int) (name "evals") evals r.evals;
+              Alcotest.(check int) (name "failures") failures r.failures;
+              Alcotest.(check string) (name "best_time") best_time
+                (Printf.sprintf "%h" r.best_time);
+              Alcotest.(check (list string))
+                (name "best_moves") best_moves r.best_moves)
+            [
+              ( "axpy", "x86", 64, 80, 64, 0, "0x1.0f9b056266038p-22",
+                [ "split_scope([0] factor 8)"; "vectorize([0,0])" ] );
+              ( "dot", "x86", 102, 119, 102, 0, "0x1.18a14decba6a5p-22",
+                [ "split_reduction([1] into 8)"; "vectorize([2,0])" ] );
+              ( "vecsum", "x86", 102, 119, 102, 0, "0x1.120f503a6b8fdp-22",
+                [ "split_reduction([1] into 8)"; "vectorize([2,0])" ] );
+              ( "gemv", "x86", 189, 260, 189, 0, "0x1.a550dadbb875fp-19",
+                [ "split_reduction([0,1] into 8)"; "vectorize([0,2,0])" ] );
+              ( "scale", "x86", 64, 80, 64, 0, "0x1.ca213d840baf8p-23",
+                [ "split_scope([0] factor 8)"; "vectorize([0,0])" ] );
+              ( "sum2d", "x86", 177, 235, 177, 0, "0x1.49cac923e98e1p-20",
+                [ "split_scope([0] factor 16)"; "unroll([0,0])" ] );
+              ( "softmax_micro", "x86", 1258, 2302, 1258, 0, "0x1.162677a274cf2p-18",
+                [ "join_scopes([0,3])"; "unroll([0])" ] );
+              ( "relu_micro", "x86", 116, 155, 116, 0, "0x1.05c9da024fd2p-22",
+                [ "split_scope([0,0] factor 8)"; "vectorize([0,0,0])" ] );
+              ( "axpy", "snitch", 28, 32, 28, 0, "0x1.1a202b885dcbdp-20",
+                [ "enable_ssr([0])"; "enable_frep([0])" ] );
+              ( "dot", "snitch", 46, 51, 46, 0, "0x1.14b099c3e981fp-18",
+                [ "enable_ssr([1])"; "enable_frep([1])" ] );
+              ( "vecsum", "snitch", 46, 51, 46, 0, "0x1.14b099c3e981fp-18",
+                [ "enable_ssr([1])"; "enable_frep([1])" ] );
+              ( "gemv", "snitch", 97, 126, 97, 0, "0x1.27476ca61b882p-16",
+                [ "split_scope([0,1] factor 8)"; "unroll([0,1,0])" ] );
+              ( "scale", "snitch", 28, 32, 28, 0, "0x1.1a202b885dcbdp-20",
+                [ "enable_ssr([0])"; "enable_frep([0])" ] );
+              ( "sum2d", "snitch", 111, 147, 111, 0, "0x1.1c0134d5c20b5p-18",
+                [ "split_scope([0] factor 8)"; "unroll([0,0])" ] );
+              ( "softmax_micro", "snitch", 789, 1449, 789, 0, "0x1.470580a60b4a9p-16",
+                [ "split_scope([0] factor 8)"; "unroll([0,0])" ] );
+              ( "relu_micro", "snitch", 72, 92, 72, 0, "0x1.05fe359450486p-19",
+                [ "enable_ssr([0,0])"; "enable_frep([0,0])" ] );
+            ]);
     ]
 
 let mutation_tests =

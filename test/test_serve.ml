@@ -23,13 +23,29 @@ let count_events ~prefix sink =
          | None -> false)
        (Obs.Trace.events sink))
 
+(* every directory a test writes lives under one temporary directory
+   that is removed at exit, so a run leaves nothing behind *)
+let scratch = Filename.temp_dir "perfdojo_test_serve" ""
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> remove_tree (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let () = at_exit (fun () -> remove_tree scratch)
+
 let in_tmp_dir name f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "perfdojo_serve_%s_%d" name (Unix.getpid ()))
-  in
+  let dir = Filename.concat scratch name in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   f dir
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
 
 (* Tiny-but-real service config: micro kernels, small budget, silent. *)
 let test_config () =
@@ -579,6 +595,49 @@ let interrupt_tests =
             | r -> Alcotest.failf "answered %s" (P.response_kind r)));
   ]
 
+let database_tests =
+  [
+    Alcotest.test_case
+      "create refuses a database line it cannot read and leaves the file"
+      `Quick (fun () ->
+        in_tmp_dir "refused" @@ fun dir ->
+        let db_file = Filename.concat dir "tune.jsonl" in
+        let cfg = { (test_config ()) with S.db_file = Some db_file } in
+        let server = S.create cfg in
+        (match S.submit server (optimize ~id:1 "scale") with
+        | P.Optimized _ -> ()
+        | r -> Alcotest.failf "cold: %s" (P.response_kind r));
+        S.stop server;
+        let line = read_file db_file in
+        let schema = "\"schema\":3" and n = String.length "\"schema\":3" in
+        let rec at i =
+          if i + n > String.length line then
+            Alcotest.failf "no schema 3 in %S" line
+          else if String.sub line i n = schema then i
+          else at (i + 1)
+        in
+        let i = at 0 in
+        let oc =
+          open_out_gen [ Open_append; Open_binary ] 0o644 db_file
+        in
+        output_string oc
+          (String.sub line 0 i ^ "\"schema\":4"
+          ^ String.sub line (i + n) (String.length line - i - n));
+        close_out oc;
+        let before = read_file db_file in
+        (match S.create cfg with
+        | server ->
+            S.stop server;
+            Alcotest.fail "created a server over a schema-4 line"
+        | exception S.Database_refused msg ->
+            Alcotest.(check string)
+              "names the file, line and reason"
+              (db_file ^ ": line 2: record: unsupported schema version 4")
+              msg);
+        Alcotest.(check bool) "file unchanged" true
+          (String.equal before (read_file db_file)));
+  ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -589,4 +648,5 @@ let () =
       ("concurrency", concurrency_tests);
       ("pipe", pipe_tests);
       ("interrupt", interrupt_tests);
+      ("database", database_tests);
     ]
