@@ -1,24 +1,24 @@
 (* Operations on affine index expressions.
 
    Indices are kept in a normal form: terms sorted by ascending depth,
-   zero coefficients dropped.  All transformations that change loop
-   structure (tiling, interchange, fusion shifts) are expressed as depth
-   remappings over these terms. *)
+   one term per depth, zero coefficients dropped.  All transformations
+   that change loop structure (tiling, interchange, fusion shifts) are
+   expressed as depth remappings over these terms, so [normalize] runs
+   for every index a move rewrites.  It stable-sorts the terms by depth
+   and sums adjacent equal depths: no hash table per call. *)
 
 open Types
 
 let normalize (terms : (int * int) list) offset : index =
-  let tbl = Hashtbl.create 4 in
-  List.iter
-    (fun (c, d) ->
-      let prev = try Hashtbl.find tbl d with Not_found -> 0 in
-      Hashtbl.replace tbl d (prev + c))
-    terms;
-  let terms =
-    Hashtbl.fold (fun d c acc -> if c = 0 then acc else (c, d) :: acc) tbl []
+  let rec merge = function
+    | (c1, d1) :: (c2, d2) :: rest when d1 = d2 ->
+        merge ((c1 + c2, d1) :: rest)
+    | (0, _) :: rest -> merge rest
+    | t :: rest -> t :: merge rest
+    | [] -> []
   in
-  let terms = List.sort (fun (_, d1) (_, d2) -> compare d1 d2) terms in
-  { terms; offset }
+  let by_depth (_, d1) (_, d2) = Int.compare d1 d2 in
+  { terms = merge (List.stable_sort by_depth terms); offset }
 
 let const n : index = { terms = []; offset = n }
 let iter ?(coeff = 1) depth : index = normalize [ (coeff, depth) ] 0

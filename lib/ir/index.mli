@@ -10,8 +10,9 @@
 open Types
 
 val normalize : (int * int) list -> int -> index
-(** [normalize terms offset] merges duplicate depths, drops zero
-    coefficients and sorts terms by depth. *)
+(** [normalize terms offset] sorts terms by depth, merges duplicate
+    depths and drops zero coefficients: ascending depth, one term per
+    depth, no zero coefficient. *)
 
 val const : int -> index
 (** Constant index. *)

@@ -67,19 +67,29 @@ let stmt_flops s = expr_flops s.rhs
 (* Tree traversal                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let rec node_at_aux (nodes : node list) (p : path) (orig : path) : node =
-  match p with
-  | [] -> raise (Invalid_path orig)
-  | [ i ] -> (
-      match List.nth_opt nodes i with
-      | Some n -> n
-      | None -> raise (Invalid_path orig))
-  | i :: rest -> (
-      match List.nth_opt nodes i with
-      | Some (Scope s) -> node_at_aux s.body rest orig
-      | Some (Stmt _) | None -> raise (Invalid_path orig))
+(* The [i]th node of a list; [None] when [i] is out of range, negative
+   included (where [List.nth_opt] raises). *)
+let nth_node (nodes : node list) i =
+  if i < 0 then None else List.nth_opt nodes i
 
-let node_at (prog : t) (p : path) : node = node_at_aux prog.body p p
+(* Every function below that takes a path raises [Invalid_path] with the
+   whole path it was given when that path addresses no node: [], an
+   index out of range or negative at any level, or a step into a
+   statement. *)
+
+let node_at (prog : t) (p : path) : node =
+  let rec go nodes = function
+    | [] -> raise (Invalid_path p)
+    | [ i ] -> (
+        match nth_node nodes i with
+        | Some n -> n
+        | None -> raise (Invalid_path p))
+    | i :: rest -> (
+        match nth_node nodes i with
+        | Some (Scope s) -> go s.body rest
+        | Some (Stmt _) | None -> raise (Invalid_path p))
+  in
+  go prog.body p
 
 let scope_at prog p =
   match node_at prog p with
@@ -94,34 +104,32 @@ let stmt_at prog p =
 (* Replace the node at [p] by the node list returned by [f] (empty list
    removes it, several nodes splice in place). *)
 let rewrite_at (prog : t) (p : path) (f : node -> node list) : t =
-  let rec go nodes p =
-    match p with
+  let rec go nodes = function
     | [] -> raise (Invalid_path p)
     | [ i ] ->
         if i < 0 || i >= List.length nodes then raise (Invalid_path p);
         List.concat (List.mapi (fun j n -> if j = i then f n else [ n ]) nodes)
-    | i :: rest ->
-        List.mapi
-          (fun j n ->
-            if j = i then
-              match n with
-              | Scope s -> Scope { s with body = go s.body rest }
-              | Stmt _ -> raise (Invalid_path p)
-            else n)
-          nodes
+    | i :: rest -> (
+        match nth_node nodes i with
+        | Some (Scope s) ->
+            let s = Scope { s with body = go s.body rest } in
+            List.mapi (fun j n -> if j = i then s else n) nodes
+        | Some (Stmt _) | None -> raise (Invalid_path p))
   in
   { prog with body = go prog.body p }
 
 (* Depth of the node at [p]: the number of enclosing scopes. *)
 let depth_of_path (prog : t) (p : path) : int =
-  let rec go nodes p acc =
-    match p with
-    | [] -> acc
+  let rec go nodes q acc =
+    match q with
+    | [] -> raise (Invalid_path p)
+    | [ i ] ->
+        if Option.is_none (nth_node nodes i) then raise (Invalid_path p);
+        acc
     | i :: rest -> (
-        match List.nth_opt nodes i with
-        | Some (Scope s) -> if rest = [] then acc else go s.body rest (acc + 1)
-        | Some (Stmt _) -> acc
-        | None -> raise (Invalid_path p))
+        match nth_node nodes i with
+        | Some (Scope s) -> go s.body rest (acc + 1)
+        | Some (Stmt _) | None -> raise (Invalid_path p))
   in
   go prog.body p 0
 
@@ -235,11 +243,14 @@ let total_flops (prog : t) : int =
    returned array is indexed by depth, matching the {k} references valid
    at that node. *)
 let enclosing_sizes (prog : t) (p : path) : int array =
-  let rec go nodes p acc =
-    match p with
-    | [] | [ _ ] -> List.rev acc
+  let rec go nodes q acc =
+    match q with
+    | [] -> raise (Invalid_path p)
+    | [ i ] ->
+        if Option.is_none (nth_node nodes i) then raise (Invalid_path p);
+        List.rev acc
     | i :: rest -> (
-        match List.nth_opt nodes i with
+        match nth_node nodes i with
         | Some (Scope s) -> go s.body rest (s.size :: acc)
         | Some (Stmt _) | None -> raise (Invalid_path p))
   in

@@ -29,14 +29,19 @@ val stmt_flops : stmt -> int
 (** {1 Tree traversal} *)
 
 val node_at : t -> path -> node
-(** Raises {!Invalid_path} when the path does not address a node. *)
+(** Raises {!Invalid_path} when the path does not address a node: [[]],
+    an index out of range or negative at any level, or a step into a
+    statement.  {!rewrite_at}, {!depth_of_path} and {!enclosing_sizes}
+    raise it on the same paths, and all four carry the whole path they
+    were given. *)
 
 val scope_at : t -> path -> scope
 val stmt_at : t -> path -> stmt
 
 val rewrite_at : t -> path -> (node -> node list) -> t
 (** Replace the node at the path by a node list (empty removes it,
-    several splice in place). *)
+    several splice in place).  Never returns the program unchanged for
+    a path that addresses no node: it raises {!Invalid_path}. *)
 
 val depth_of_path : t -> path -> int
 (** Number of scopes strictly enclosing the node at the path. *)

@@ -7,7 +7,11 @@
        neighbors are produced by modifying the sequence at an arbitrary
        point (replace / delete / insert a move) and replaying the rest,
        skipping moves that became inapplicable — the paper's
-       "iteratively refined at arbitrary points" structure.
+       "iteratively refined at arbitrary points" structure.  A run keeps
+       one mutation-draw table: the moves offered after each prefix it
+       has mutated at, so a repeated prefix (most of them: annealing
+       keeps mutating its current state) is neither replayed nor
+       re-enumerated.
 
    Two methods:
      - weighted random sampling over all previously encountered
@@ -61,8 +65,8 @@ type result = {
 (* Replay a sequence of move names from [prog], skipping moves that are
    not applicable at their point.  Returns the final program and the
    names that actually applied.  Each step resolves its name with
-   Xforms.resolve, which parses it once and runs only the finder of
-   that move: the instance lookup over Xforms.all would return, without
+   Xforms.resolve, which parses it once and checks only the move's own
+   site: the instance lookup over Xforms.all would return, without
    rediscovering every other move of the state. *)
 let replay_skipping ?(filter = fun (_ : Xforms.instance) -> true) caps prog
     names =
@@ -120,23 +124,78 @@ let replay_exact ?(filter = fun (_ : Xforms.instance) -> true) caps root
   in
   if names = [] then Ok root else go 0 root names
 
-(* One structural mutation of a move sequence. *)
-let mutate ?(filter = fun (_ : Xforms.instance) -> true) caps rng prog
-    (names : string list) : string list =
+(* The mutation-draw table of one run.  [mutate] draws its move from
+   those offered at the mutation point, which it reaches by replaying
+   the prefix of moves before it from the root.  A run's root, caps and
+   filter are fixed and replay is deterministic, so equal prefixes reach
+   the same program and offer the same moves: the table maps a prefix
+   to the describe strings of the offered moves that pass the filter,
+   in [Xforms.all] order, and a repeated prefix costs neither the replay
+   nor the enumeration.  It holds strings only — no program, closure or
+   instance — and each describe string once per run ([names] interns
+   them).  It is not checkpointed: a resumed run starts empty.  Pool
+   tasks share it under [lock]; a miss enumerates outside the lock, and
+   two tasks racing on one prefix store equal arrays. *)
+module Prefix = Hashtbl.Make (struct
+  type t = string list
+
+  let equal = List.equal String.equal
+  let hash = List.fold_left (fun h name -> (h * 31) + Hashtbl.hash name) 0
+end)
+
+type draws = {
+  offered : string array Prefix.t;
+  names : (string, string) Hashtbl.t;
+  lock : Mutex.t;
+}
+
+let new_draws () =
+  { offered = Prefix.create 64; names = Hashtbl.create 256;
+    lock = Mutex.create () }
+
+let offered_after ~filter caps root draws prefix =
+  let find () = Prefix.find_opt draws.offered prefix in
+  match Mutex.protect draws.lock find with
+  | Some offered -> offered
+  | None ->
+      let p, _ = replay_skipping ~filter caps root prefix in
+      let fresh =
+        List.filter_map
+          (fun i -> if filter i then Some (Xforms.describe i) else None)
+          (Xforms.all caps p)
+      in
+      Mutex.protect draws.lock (fun () ->
+          match find () with
+          | Some offered -> offered
+          | None ->
+              let intern name =
+                match Hashtbl.find_opt draws.names name with
+                | Some name -> name
+                | None ->
+                    Hashtbl.add draws.names name name;
+                    name
+              in
+              let offered = Array.of_list (List.map intern fresh) in
+              Prefix.add draws.offered prefix offered;
+              offered)
+
+(* One structural mutation of a move sequence: delete a move, or insert
+   or replace one by a move offered at that point, drawn from [draws]. *)
+let mutate_with ~filter caps draws rng prog (names : string list) =
   let n = List.length names in
   let arr = Array.of_list names in
+  let sub pos len = Array.to_list (Array.sub arr pos len) in
+  let draw_between prefix suffix =
+    let offered = offered_after ~filter caps prog draws prefix in
+    let k = Array.length offered in
+    if k = 0 then names
+    else prefix @ [ offered.(Util.Rng.int rng k) ] @ suffix
+  in
   let choice = Util.Rng.int rng 3 in
   if n = 0 || choice = 2 then begin
     (* insert a random applicable move at a random point *)
     let pos = if n = 0 then 0 else Util.Rng.int rng (n + 1) in
-    let prefix = Array.to_list (Array.sub arr 0 pos) in
-    let suffix = Array.to_list (Array.sub arr pos (n - pos)) in
-    let p, _ = replay_skipping ~filter caps prog prefix in
-    let insts = List.filter filter (Xforms.all caps p) in
-    if insts = [] then names
-    else
-      let inst = List.nth insts (Util.Rng.int rng (List.length insts)) in
-      prefix @ [ Xforms.describe inst ] @ suffix
+    draw_between (sub 0 pos) (sub pos (n - pos))
   end
   else if choice = 0 then begin
     (* delete a random move *)
@@ -146,15 +205,11 @@ let mutate ?(filter = fun (_ : Xforms.instance) -> true) caps rng prog
   else begin
     (* replace a random move by another applicable at the same point *)
     let pos = Util.Rng.int rng n in
-    let prefix = Array.to_list (Array.sub arr 0 pos) in
-    let suffix = Array.to_list (Array.sub arr (pos + 1) (n - pos - 1)) in
-    let p, _ = replay_skipping ~filter caps prog prefix in
-    let insts = List.filter filter (Xforms.all caps p) in
-    if insts = [] then names
-    else
-      let inst = List.nth insts (Util.Rng.int rng (List.length insts)) in
-      prefix @ [ Xforms.describe inst ] @ suffix
+    draw_between (sub 0 pos) (sub (pos + 1) (n - pos - 1))
   end
+
+let mutate ?(filter = fun (_ : Xforms.instance) -> true) caps rng prog names =
+  mutate_with ~filter caps (new_draws ()) rng prog names
 
 type candidate = {
   moves : string list;
@@ -264,8 +319,8 @@ let record_step ?metrics ?accepted ?temp obs best ~slot (child : candidate) =
 (* Produce a child candidate according to the space structure.  In the
    edges-structured space the child program is the parent program plus
    one move, so it is returned directly (no replay from the root). *)
-let expand ?(filter = fun (_ : Xforms.instance) -> true) space caps rng root
-    (parent : candidate) : string list * Ir.Prog.t option =
+let expand ?(filter = fun (_ : Xforms.instance) -> true) space caps draws rng
+    root (parent : candidate) : string list * Ir.Prog.t option =
   match space with
   | Edges -> (
       (* append one applicable move *)
@@ -276,7 +331,7 @@ let expand ?(filter = fun (_ : Xforms.instance) -> true) space caps rng root
           let inst = List.nth insts (Util.Rng.int rng (List.length insts)) in
           ( parent.moves @ [ Xforms.describe inst ],
             Some (inst.apply parent.prog) ))
-  | Heuristic -> (mutate ~filter caps rng root parent.moves, None)
+  | Heuristic -> (mutate_with ~filter caps draws rng root parent.moves, None)
 
 (* ------------------------------------------------------------------ *)
 (* Prelude: root, warm start, failure accounting                       *)
@@ -416,10 +471,10 @@ type slot_outcome =
 (* Grow one child without measuring it: the (moves, program) pair ready
    for dedup/ranking.  Exceptions from a transform or replay classify
    exactly like they would under the guard. *)
-let build_child ?filter space caps root (parent : candidate) task_rng :
+let build_child ?filter space caps draws root (parent : candidate) task_rng :
     (string list * Ir.Prog.t, Robust.Guard.failure) Stdlib.result =
   match
-    match expand ?filter space caps task_rng root parent with
+    match expand ?filter space caps draws task_rng root parent with
     | moves, Some p -> (moves, p)
     | moves, None ->
         let p, applied = replay_skipping ?filter caps root moves in
@@ -466,6 +521,7 @@ let run_rounds ?filter ?metrics ?pool ~obs ~rng ~batch ~budget ~guard ~dedup
     let r = Robust.Guard.eval ~cfg:guard objective prog in
     (r, if traced then Float.max 0. (Obs.Span.now () -. t0) else 0.)
   in
+  let draws = new_draws () in
   let curve = Array.make budget infinity in
   Array.blit curve_init 0 curve 0 (min start (Array.length curve_init));
   let e0, s0, d0, v0 = counters_init in
@@ -486,7 +542,7 @@ let run_rounds ?filter ?metrics ?pool ~obs ~rng ~batch ~budget ~guard ~dedup
     let built =
       map
         (fun (parent, task_rng) ->
-          match build_child ?filter space caps root parent task_rng with
+          match build_child ?filter space caps draws root parent task_rng with
           | Error _ as r -> (r, "", None)
           | Ok (_, p) as r ->
               ( r,

@@ -7,7 +7,15 @@
       neighbor modifies it at an arbitrary point (replace / delete /
       insert) and replays the rest, skipping moves that became
       inapplicable — the structure the paper derives from expert
-      hand-tuning.
+      hand-tuning.  Each run keeps a {e mutation-draw table}: for every
+      prefix it mutated after, the describe strings of the moves offered
+      there that pass [filter], in {!Transform.Xforms.all} order.  A
+      run's root, caps and filter are fixed and replay is deterministic,
+      so the table is exact and a repeated prefix is neither replayed
+      nor re-enumerated; the draws are the same as without it.  The
+      table holds strings only (interned per run), is shared by the
+      run's pool tasks under a lock, is not checkpointed and dies with
+      the run.  It assumes [filter] is a pure function of the instance.
 
     Methods: weighted random sampling (selection probability from the
     {e parent}'s runtime) and simulated annealing (cost is the
@@ -100,7 +108,8 @@ val replay_skipping :
 (** Replay a sequence of {!Transform.Xforms.describe} strings from a
     root, skipping entries not applicable at their point; returns the
     final program and the names that actually applied.  Each step is
-    {!Transform.Xforms.resolve}: only the named move's own finder runs. *)
+    {!Transform.Xforms.resolve}: only the named move's own site is
+    checked. *)
 
 val replay_exact :
   ?filter:(Transform.Xforms.instance -> bool) ->
@@ -122,7 +131,9 @@ val mutate :
   string list ->
   string list
 (** One structural mutation of a move sequence (replace / delete /
-    insert at a random point). *)
+    insert at a random point).  Draws exactly what a search run draws
+    for the same RNG state, through a mutation-draw table of its own
+    (fresh per call). *)
 
 (** {2 Fault tolerance}
 

@@ -14,7 +14,7 @@ type composite = {
 
 (* Composites expand against atomic moves only (never against
    caps.extra), so a macro-move can never contain another macro-move.
-   An atomic move is found by its own finder (Xforms.resolve_move), not
+   An atomic move is found at its own site (Xforms.resolve_move), not
    by enumerating every atomic move of the state. *)
 let find_atomic caps prog (m : Moveref.t) : (Xforms.instance, string) result =
   let found =

@@ -3,9 +3,12 @@
    Each transformation comes with applicability discovery: [find_*]
    enumerates every program location where the transformation is provably
    semantics-preserving and returns ready-to-apply instances.  Applying an
-   instance never requires further checks.  Instances are small immutable
-   values over immutable programs, which makes the whole history
-   non-destructive: any prefix of moves can be replayed or undone. *)
+   instance never requires further checks.  A family's rules live in one
+   site function (see Sites): [find_*] traverses the sites, and
+   [resolve_move] checks only the site a move names.  Instances are small
+   immutable values over immutable programs, which makes the whole
+   history non-destructive: any prefix of moves can be replayed or
+   undone. *)
 
 open Ir.Types
 
@@ -106,6 +109,44 @@ let snitch_caps () =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Sites                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Each family's applicability rules live in one site function: the
+   instances its finder offers at one site, in the order the finder's
+   list holds them there.  A site is a node path (12 families; for
+   fission, with a split point), a sibling position — parent path and
+   index — (join, reorder) or a buffer (reuse_dims, set_storage,
+   reorder_dims).  A finder is only a traversal over sites, and
+   [resolve_move] runs the one site its move names (see [sites] at the
+   end). *)
+
+(* Every node, outer before inner and in order, each site's instances in
+   front of the earlier sites'. *)
+let over_nodes site (prog : Ir.Prog.t) =
+  Ir.Prog.fold_nodes (fun acc p node -> site p node @ acc) [] prog
+
+(* Every sibling position with a right neighbour: the top level's, then
+   each scope body's in node order, each site's instances in front of
+   the earlier sites' (so an inner body's pairs come first). *)
+let over_siblings site (prog : Ir.Prog.t) =
+  let visit parent nodes acc =
+    let siblings = Array.of_list nodes in
+    let acc = ref acc in
+    for i = 0 to Array.length siblings - 2 do
+      acc := site parent siblings i @ !acc
+    done;
+    !acc
+  in
+  Ir.Prog.fold_nodes
+    (fun acc p node ->
+      match node with Scope sc -> visit p sc.body acc | Stmt _ -> acc)
+    (visit [] prog.body []) prog
+
+(* Every buffer, in declaration order. *)
+let over_buffers site (prog : Ir.Prog.t) = List.concat_map site prog.buffers
+
+(* ------------------------------------------------------------------ *)
 (* split_scope (tiling)                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -139,21 +180,20 @@ let apply_split p depth factor prog =
           ]
       | _ -> not_applicable "split_scope: not applicable")
 
+let split_at (caps : caps) prog p = function
+  | Scope sc when sc.guard = None && sc.annot = Seq ->
+      let depth = Ir.Prog.depth_of_path prog p in
+      List.fold_left
+        (fun acc f ->
+          if f > 1 && f < sc.size && sc.size mod f = 0 then
+            { move = Moveref.Split (p, f); apply = apply_split p depth f }
+            :: acc
+          else acc)
+        [] caps.split_factors
+  | _ -> []
+
 let find_split (caps : caps) (prog : Ir.Prog.t) : instance list =
-  Ir.Prog.fold_nodes
-    (fun acc p node ->
-      match node with
-      | Scope sc when sc.guard = None && sc.annot = Seq ->
-          let depth = Ir.Prog.depth_of_path prog p in
-          List.fold_left
-            (fun acc f ->
-              if f > 1 && f < sc.size && sc.size mod f = 0 then
-                { move = Moveref.Split (p, f); apply = apply_split p depth f }
-                :: acc
-              else acc)
-            acc caps.split_factors
-      | _ -> acc)
-    [] prog
+  over_nodes (split_at caps prog) prog
 
 (* ------------------------------------------------------------------ *)
 (* join_scopes (loop fusion)                                           *)
@@ -187,32 +227,21 @@ let apply_join p prog =
         | Scope sc -> [ Scope { sc with body = splice sc.body } ]
         | Stmt _ -> not_applicable "join_scopes: bad parent")
 
+(* The scope at [parent @ [i]] fuses with its right neighbour; a body's
+   depth is its parent path's length. *)
+let join_at prog parent siblings i =
+  match (siblings.(i), siblings.(i + 1)) with
+  | Scope s1, Scope s2
+    when s1.size = s2.size && s1.annot = Seq && s2.annot = Seq
+         && s1.guard = None && s2.guard = None
+         && Dep.fusion_safe prog ~depth:(List.length parent) s1.body s2.body
+    ->
+      let p = parent @ [ i ] in
+      [ { move = Moveref.Join p; apply = apply_join p } ]
+  | _ -> []
+
 let find_join (prog : Ir.Prog.t) : instance list =
-  let candidates parent_path nodes depth =
-    let rec go i acc = function
-      | Scope s1 :: (Scope s2 :: _ as rest)
-        when s1.size = s2.size && s1.annot = Seq && s2.annot = Seq
-             && s1.guard = None && s2.guard = None
-             && Dep.fusion_safe prog ~depth s1.body s2.body ->
-          let p = parent_path @ [ i ] in
-          go (i + 1)
-            ({ move = Moveref.Join p; apply = apply_join p } :: acc)
-            rest
-      | _ :: rest -> go (i + 1) acc rest
-      | [] -> acc
-    in
-    go 0 [] nodes
-  in
-  let acc = ref (candidates [] prog.body 0) in
-  Ir.Prog.iter_nodes
-    (fun p node ->
-      match node with
-      | Scope sc ->
-          let depth = Ir.Prog.depth_of_path prog p + 1 in
-          acc := candidates p sc.body depth @ !acc
-      | Stmt _ -> ())
-    prog;
-  !acc
+  over_siblings (join_at prog) prog
 
 (* ------------------------------------------------------------------ *)
 (* fission (loop distribution)                                         *)
@@ -227,28 +256,30 @@ let apply_fission p k prog =
           [ Scope { sc with body = part1 }; Scope { sc with body = part2 } ]
       | _ -> not_applicable "fission: not applicable")
 
+(* A fission site is a scope and a split point [k]: each point has a
+   dependence check of its own. *)
+let fission_at prog k p = function
+  | Scope sc
+    when sc.annot = Seq && sc.guard = None && k > 0
+         && k < List.length sc.body ->
+      let depth = Ir.Prog.depth_of_path prog p in
+      let part1 = List.filteri (fun j _ -> j < k) sc.body in
+      let part2 = List.filteri (fun j _ -> j >= k) sc.body in
+      if Dep.fission_safe prog ~depth part1 part2 then
+        [ { move = Moveref.Fission (p, k); apply = apply_fission p k } ]
+      else []
+  | _ -> []
+
 let find_fission (prog : Ir.Prog.t) : instance list =
-  Ir.Prog.fold_nodes
-    (fun acc p node ->
-      match node with
-      | Scope sc
-        when sc.annot = Seq && sc.guard = None && List.length sc.body > 1 ->
-          let depth = Ir.Prog.depth_of_path prog p in
-          let n = List.length sc.body in
-          let rec go k acc =
-            if k >= n then acc
-            else
-              let part1 = List.filteri (fun j _ -> j < k) sc.body in
-              let part2 = List.filteri (fun j _ -> j >= k) sc.body in
-              if Dep.fission_safe prog ~depth part1 part2 then
-                go (k + 1)
-                  ({ move = Moveref.Fission (p, k); apply = apply_fission p k }
-                  :: acc)
-              else go (k + 1) acc
-          in
-          go 1 acc
-      | _ -> acc)
-    [] prog
+  over_nodes
+    (fun p node ->
+      let points =
+        match node with Scope sc -> List.length sc.body - 1 | Stmt _ -> 0
+      in
+      List.fold_left
+        (fun acc k -> fission_at prog k p node @ acc)
+        [] (List.init (max 0 points) succ))
+    prog
 
 (* ------------------------------------------------------------------ *)
 (* interchange                                                         *)
@@ -280,26 +311,22 @@ let apply_interchange p depth prog =
           | _ -> not_applicable "interchange: not applicable")
       | Stmt _ -> not_applicable "interchange: not applicable")
 
+let interchange_at prog p = function
+  | Scope outer -> (
+      match outer.body with
+      | [ Scope inner ]
+        when outer.annot = Seq && inner.annot = Seq && outer.guard = None
+             && inner.guard = None ->
+          let depth = Ir.Prog.depth_of_path prog p in
+          if Dep.interchange_safe prog ~depth inner.body then
+            [ { move = Moveref.Interchange p;
+                apply = apply_interchange p depth } ]
+          else []
+      | _ -> [])
+  | Stmt _ -> []
+
 let find_interchange (prog : Ir.Prog.t) : instance list =
-  Ir.Prog.fold_nodes
-    (fun acc p node ->
-      match node with
-      | Scope outer -> (
-          match outer.body with
-          | [ Scope inner ]
-            when outer.annot = Seq && inner.annot = Seq && outer.guard = None
-                 && inner.guard = None ->
-              let depth = Ir.Prog.depth_of_path prog p in
-              if Dep.interchange_safe prog ~depth inner.body then
-                {
-                  move = Moveref.Interchange p;
-                  apply = apply_interchange p depth;
-                }
-                :: acc
-              else acc
-          | _ -> acc)
-      | Stmt _ -> acc)
-    [] prog
+  over_nodes (interchange_at prog) prog
 
 (* ------------------------------------------------------------------ *)
 (* reorder (swap adjacent siblings)                                    *)
@@ -322,29 +349,14 @@ let apply_reorder parent i prog =
         | Scope sc -> [ Scope { sc with body = swap sc.body } ]
         | Stmt _ -> not_applicable "reorder: bad parent")
 
+let reorder_at prog parent siblings i =
+  if Dep.nodes_independent prog siblings.(i) siblings.(i + 1) then
+    [ { move = Moveref.Reorder (parent @ [ i ]);
+        apply = apply_reorder parent i } ]
+  else []
+
 let find_reorder (prog : Ir.Prog.t) : instance list =
-  let candidates parent_path nodes =
-    let arr = Array.of_list nodes in
-    let acc = ref [] in
-    for i = 0 to Array.length arr - 2 do
-      if Dep.nodes_independent prog arr.(i) arr.(i + 1) then
-        acc :=
-          {
-            move = Moveref.Reorder (parent_path @ [ i ]);
-            apply = apply_reorder parent_path i;
-          }
-          :: !acc
-    done;
-    !acc
-  in
-  let acc = ref (candidates [] prog.body) in
-  Ir.Prog.iter_nodes
-    (fun p node ->
-      match node with
-      | Scope sc -> acc := candidates p sc.body @ !acc
-      | Stmt _ -> ())
-    prog;
-  !acc
+  over_siblings (reorder_at prog) prog
 
 (* ------------------------------------------------------------------ *)
 (* Annotation transformations: unroll / vectorize / parallelize / gpu  *)
@@ -384,17 +396,15 @@ let unroll_replication (prog : Ir.Prog.t) (p : Ir.Types.path) (sc : scope) :
   in
   enclosing * sc.size * below sc.body
 
+let unroll_at (caps : caps) prog p = function
+  | Scope sc
+    when sc.annot = Seq && sc.guard = None && sc.size <= caps.max_unroll
+         && unroll_replication prog p sc <= 4 * caps.max_unroll ->
+      [ { move = Moveref.Unroll p; apply = set_annot p Unroll } ]
+  | _ -> []
+
 let find_unroll (caps : caps) (prog : Ir.Prog.t) : instance list =
-  Ir.Prog.fold_nodes
-    (fun acc p node ->
-      match node with
-      | Scope sc
-        when sc.annot = Seq && sc.guard = None && sc.size <= caps.max_unroll
-             && unroll_replication prog p sc <= 4 * caps.max_unroll ->
-          { move = Moveref.Unroll p; apply = set_annot p Unroll }
-          :: acc
-      | _ -> acc)
-    [] prog
+  over_nodes (unroll_at caps prog) prog
 
 (* Vectorization applies to an innermost scope whose trip count equals the
    vector width and which wraps a single statement whose accesses are
@@ -435,25 +445,22 @@ let vectorizable_stmt (prog : Ir.Prog.t) ~depth (s : stmt) : bool =
   iterval_free && dst_vectorized && access_ok s.dst
   && List.for_all access_ok (Ir.Prog.expr_refs s.rhs)
 
+(* No lane width ([vec_lanes = []]) offers no vectorization. *)
+let vectorize_at (caps : caps) prog p = function
+  | Scope sc
+    when sc.annot = Seq && sc.guard = None && List.mem sc.size caps.vec_lanes
+    -> (
+      match sc.body with
+      | [ Stmt s ] ->
+          let depth = Ir.Prog.depth_of_path prog p in
+          if vectorizable_stmt prog ~depth s then
+            [ { move = Moveref.Vectorize p; apply = set_annot p Vec } ]
+          else []
+      | _ -> [])
+  | _ -> []
+
 let find_vectorize (caps : caps) (prog : Ir.Prog.t) : instance list =
-  if caps.vec_lanes = [] then []
-  else
-    Ir.Prog.fold_nodes
-      (fun acc p node ->
-        match node with
-        | Scope sc
-          when sc.annot = Seq && sc.guard = None
-               && List.mem sc.size caps.vec_lanes -> (
-            match sc.body with
-            | [ Stmt s ] ->
-                let depth = Ir.Prog.depth_of_path prog p in
-                if vectorizable_stmt prog ~depth s then
-                  { move = Moveref.Vectorize p; apply = set_annot p Vec }
-                  :: acc
-                else acc
-            | _ -> acc)
-        | _ -> acc)
-      [] prog
+  over_nodes (vectorize_at caps prog) prog
 
 (* No enclosing parallel/GPU scope (simple nesting discipline). *)
 let enclosing_annots (prog : Ir.Prog.t) (p : Ir.Types.path) : annot list =
@@ -467,91 +474,79 @@ let enclosing_annots (prog : Ir.Prog.t) (p : Ir.Types.path) : annot list =
   in
   go prog.body p []
 
+let parallelize_at (caps : caps) prog p = function
+  | Scope sc when caps.can_parallelize && sc.annot = Seq && sc.guard = None ->
+      let depth = Ir.Prog.depth_of_path prog p in
+      let enclosing = enclosing_annots prog p in
+      if
+        (not (List.mem Par enclosing))
+        && Dep.parallel_safe prog ~depth sc.body
+      then [ { move = Moveref.Parallelize p; apply = set_annot p Par } ]
+      else []
+  | _ -> []
+
 let find_parallelize (caps : caps) (prog : Ir.Prog.t) : instance list =
-  if not caps.can_parallelize then []
-  else
-    Ir.Prog.fold_nodes
-      (fun acc p node ->
-        match node with
-        | Scope sc when sc.annot = Seq && sc.guard = None ->
-            let depth = Ir.Prog.depth_of_path prog p in
-            let enclosing = enclosing_annots prog p in
-            if
-              (not (List.mem Par enclosing))
-              && Dep.parallel_safe prog ~depth sc.body
-            then
-              { move = Moveref.Parallelize p; apply = set_annot p Par }
-              :: acc
-            else acc
-        | _ -> acc)
-      [] prog
+  over_nodes (parallelize_at caps prog) prog
 
 (* GPU mapping discipline: grid outermost, block under grid, warp under
    block; each scope mapped at most once; all require iteration
    independence. *)
+let gpu_map_at (caps : caps) prog p = function
+  | Scope sc when caps.gpu && sc.annot = Seq ->
+      let depth = Ir.Prog.depth_of_path prog p in
+      let enclosing = enclosing_annots prog p in
+      let has a = List.mem a enclosing in
+      (* a scope whose subtree already contains a GPU mapping must not be
+         mapped itself (blocks don't nest around blocks) *)
+      let subtree_mapped =
+        let rec go nodes =
+          List.exists
+            (function
+              | Scope s -> s.annot = GpuGrid || s.annot = GpuBlock || go s.body
+              | Stmt _ -> false)
+            nodes
+        in
+        go sc.body
+      in
+      let mk annot label =
+        { move = Moveref.Gpu (p, label); apply = set_annot p annot }
+      in
+      (* grid: iterations must be fully independent (blocks cannot
+         cooperate); block: a commutative reduction is allowed — thread
+         blocks reduce cooperatively *)
+      let acc =
+        if
+          (not subtree_mapped)
+          && (not (has GpuGrid))
+          && (not (has GpuBlock))
+          && Dep.parallel_safe prog ~depth sc.body
+        then [ mk GpuGrid "grid" ]
+        else []
+      in
+      let acc =
+        if
+          (not subtree_mapped)
+          && has GpuGrid
+          && (not (has GpuBlock))
+          && sc.size <= caps.max_block
+          && Dep.parallel_reduction_safe prog ~depth sc.body
+        then mk GpuBlock "block" :: acc
+        else acc
+      in
+      (* warp lanes: a small loop inside a block executes across the
+         lanes of one warp (cooperative reductions allowed) *)
+      if
+        (not subtree_mapped)
+        && has GpuBlock
+        && (not (has GpuWarp))
+        && sc.size >= 2 && sc.size <= 64
+        && Dep.parallel_reduction_safe prog ~depth sc.body
+      then mk GpuWarp "warp" :: acc
+      else acc
+  | _ -> []
+
 let find_gpu_map (caps : caps) (prog : Ir.Prog.t) : instance list =
-  if not caps.gpu then []
-  else
-    Ir.Prog.fold_nodes
-      (fun acc p node ->
-        match node with
-        | Scope sc when sc.annot = Seq ->
-            let depth = Ir.Prog.depth_of_path prog p in
-            let enclosing = enclosing_annots prog p in
-            let has a = List.mem a enclosing in
-            (* a scope whose subtree already contains a GPU mapping must
-               not be mapped itself (blocks don't nest around blocks) *)
-            let subtree_mapped =
-              let rec go nodes =
-                List.exists
-                  (function
-                    | Scope s ->
-                        s.annot = GpuGrid || s.annot = GpuBlock || go s.body
-                    | Stmt _ -> false)
-                  nodes
-              in
-              go sc.body
-            in
-            let mk annot label =
-              { move = Moveref.Gpu (p, label); apply = set_annot p annot }
-            in
-            (* grid: iterations must be fully independent (blocks cannot
-               cooperate); block: a commutative reduction is allowed —
-               thread blocks reduce cooperatively *)
-            let acc =
-              if
-                (not subtree_mapped)
-                && (not (has GpuGrid))
-                && (not (has GpuBlock))
-                && Dep.parallel_safe prog ~depth sc.body
-              then mk GpuGrid "grid" :: acc
-              else acc
-            in
-            let acc =
-              if
-                (not subtree_mapped)
-                && has GpuGrid
-                && (not (has GpuBlock))
-                && sc.size <= caps.max_block
-                && Dep.parallel_reduction_safe prog ~depth sc.body
-              then mk GpuBlock "block" :: acc
-              else acc
-            in
-            (* warp lanes: a small loop inside a block executes across
-               the lanes of one warp (cooperative reductions allowed) *)
-            let acc =
-              if
-                (not subtree_mapped)
-                && has GpuBlock
-                && (not (has GpuWarp))
-                && sc.size >= 2 && sc.size <= 64
-                && Dep.parallel_reduction_safe prog ~depth sc.body
-              then mk GpuWarp "warp" :: acc
-              else acc
-            in
-            acc
-        | _ -> acc)
-      [] prog
+  over_nodes (gpu_map_at caps prog) prog
 
 (* ------------------------------------------------------------------ *)
 (* unannotate                                                          *)
@@ -568,15 +563,13 @@ let apply_unannotate p prog =
       | Scope sc -> [ Scope { sc with annot = Seq; ssr = false } ]
       | Stmt _ -> not_applicable "unannotate: not a scope")
 
+let unannotate_at p = function
+  | Scope sc when sc.annot <> Seq || sc.ssr ->
+      [ { move = Moveref.Unannotate p; apply = apply_unannotate p } ]
+  | _ -> []
+
 let find_unannotate (prog : Ir.Prog.t) : instance list =
-  Ir.Prog.fold_nodes
-    (fun acc p node ->
-      match node with
-      | Scope sc when sc.annot <> Seq || sc.ssr ->
-          { move = Moveref.Unannotate p; apply = apply_unannotate p }
-          :: acc
-      | _ -> acc)
-    [] prog
+  over_nodes unannotate_at prog
 
 (* ------------------------------------------------------------------ *)
 (* pad_scope                                                           *)
@@ -594,27 +587,25 @@ let apply_pad p m prog =
           [ Scope { sc with size = padded; guard = Some sc.size } ]
       | _ -> not_applicable "pad_scope: not applicable")
 
+let pad_at (caps : caps) p = function
+  | Scope sc
+    when (sc.annot = Seq || sc.annot = GpuBlock || sc.annot = GpuWarp)
+         && sc.guard = None ->
+      let multiples =
+        if caps.gpu then [ 32; 64 ]
+        else if caps.vec_lanes <> [] then caps.vec_lanes
+        else [ 4 ]
+      in
+      List.fold_left
+        (fun acc m ->
+          if sc.size mod m <> 0 && m > 1 then
+            { move = Moveref.Pad (p, m); apply = apply_pad p m } :: acc
+          else acc)
+        [] multiples
+  | _ -> []
+
 let find_pad (caps : caps) (prog : Ir.Prog.t) : instance list =
-  let multiples =
-    if caps.gpu then [ 32; 64 ]
-    else if caps.vec_lanes <> [] then caps.vec_lanes
-    else [ 4 ]
-  in
-  Ir.Prog.fold_nodes
-    (fun acc p node ->
-      match node with
-      | Scope sc
-        when (sc.annot = Seq || sc.annot = GpuBlock || sc.annot = GpuWarp)
-             && sc.guard = None ->
-          List.fold_left
-            (fun acc m ->
-              if sc.size mod m <> 0 && m > 1 then
-                { move = Moveref.Pad (p, m); apply = apply_pad p m }
-                :: acc
-              else acc)
-            acc multiples
-      | _ -> acc)
-    [] prog
+  over_nodes (pad_at caps) prog
 
 (* ------------------------------------------------------------------ *)
 (* reuse_dims                                                          *)
@@ -625,22 +616,18 @@ let apply_reuse bname dim prog =
   let reuse = List.mapi (fun i r -> if i = dim then true else r) b.reuse in
   Ir.Prog.replace_buffer prog { b with reuse }
 
+let reuse_dims_at prog b =
+  List.concat
+    (List.mapi
+       (fun dim _ ->
+         if Dep.reuse_safe prog b ~dim then
+           [ { move = Moveref.Reuse_dims (b.bname, dim);
+               apply = apply_reuse b.bname dim } ]
+         else [])
+       b.shape)
+
 let find_reuse_dims (prog : Ir.Prog.t) : instance list =
-  List.concat_map
-    (fun b ->
-      List.concat
-        (List.mapi
-           (fun dim _ ->
-             if Dep.reuse_safe prog b ~dim then
-               [
-                 {
-                   move = Moveref.Reuse_dims (b.bname, dim);
-                   apply = apply_reuse b.bname dim;
-                 };
-               ]
-             else [])
-           b.shape))
-    prog.buffers
+  over_buffers (reuse_dims_at prog) prog
 
 (* ------------------------------------------------------------------ *)
 (* set_storage                                                         *)
@@ -650,36 +637,37 @@ let apply_storage bname loc prog =
   let b = Ir.Prog.buffer_by_name prog bname in
   Ir.Prog.replace_buffer prog { b with loc }
 
+(* An interface buffer (an input or output array lives in it) keeps its
+   storage and layout. *)
+let is_interface (prog : Ir.Prog.t) b =
+  List.exists
+    (fun a -> List.mem a prog.inputs || List.mem a prog.outputs)
+    b.arrays
+
+let set_storage_at (caps : caps) prog b =
+  if is_interface prog b then []
+  else begin
+    let bytes = Ir.Prog.buffer_bytes b in
+    let options =
+      (if b.loc <> Stack && bytes <= caps.max_stack_bytes then [ Stack ]
+       else [])
+      @ (if b.loc <> Heap then [ Heap ] else [])
+      @ (if caps.gpu && b.loc <> Shared && bytes <= 48 * 1024 then
+           [ Shared ]
+         else [])
+      @ if b.loc <> Register && bytes <= 256 then [ Register ] else []
+    in
+    List.map
+      (fun loc ->
+        {
+          move = Moveref.Set_storage (b.bname, location_name loc);
+          apply = apply_storage b.bname loc;
+        })
+      options
+  end
+
 let find_set_storage (caps : caps) (prog : Ir.Prog.t) : instance list =
-  let is_io b =
-    List.exists
-      (fun a -> List.mem a prog.inputs || List.mem a prog.outputs)
-      b.arrays
-  in
-  List.concat_map
-    (fun b ->
-      if is_io b then []
-      else begin
-        let bytes = Ir.Prog.buffer_bytes b in
-        let options =
-          (if b.loc <> Stack && bytes <= caps.max_stack_bytes then [ Stack ]
-           else [])
-          @ (if b.loc <> Heap then [ Heap ] else [])
-          @ (if caps.gpu && b.loc <> Shared && bytes <= 48 * 1024 then
-               [ Shared ]
-             else [])
-          @
-          if b.loc <> Register && bytes <= 256 then [ Register ] else []
-        in
-        List.map
-          (fun loc ->
-            {
-              move = Moveref.Set_storage (b.bname, location_name loc);
-              apply = apply_storage b.bname loc;
-            })
-          options
-      end)
-    prog.buffers
+  over_buffers (set_storage_at caps prog) prog
 
 (* ------------------------------------------------------------------ *)
 (* reorder_buffer_dims (layout transposition)                          *)
@@ -713,34 +701,29 @@ let apply_reorder_dims bname perm prog =
         prog.body;
   }
 
-let find_reorder_dims (prog : Ir.Prog.t) : instance list =
-  let is_io b =
-    List.exists
-      (fun a -> List.mem a prog.inputs || List.mem a prog.outputs)
-      b.arrays
-  in
-  List.concat_map
-    (fun b ->
-      let n = List.length b.shape in
-      if is_io b || n < 2 then []
-      else begin
-        (* adjacent-dimension swaps keep the move atomic *)
-        let rec swaps i acc =
-          if i >= n - 1 then acc
-          else
-            let perm = List.init n (fun j ->
-                if j = i then i + 1 else if j = i + 1 then i else j)
-            in
-            swaps (i + 1)
-              ({
-                 move = Moveref.Reorder_dims (b.bname, i);
-                 apply = apply_reorder_dims b.bname perm;
-               }
-              :: acc)
+let reorder_dims_at prog b =
+  let n = List.length b.shape in
+  if is_interface prog b || n < 2 then []
+  else begin
+    (* adjacent-dimension swaps keep the move atomic *)
+    let rec swaps i acc =
+      if i >= n - 1 then acc
+      else
+        let perm = List.init n (fun j ->
+            if j = i then i + 1 else if j = i + 1 then i else j)
         in
-        swaps 0 []
-      end)
-    prog.buffers
+        swaps (i + 1)
+          ({
+             move = Moveref.Reorder_dims (b.bname, i);
+             apply = apply_reorder_dims b.bname perm;
+           }
+          :: acc)
+    in
+    swaps 0 []
+  end
+
+let find_reorder_dims (prog : Ir.Prog.t) : instance list =
+  over_buffers (reorder_dims_at prog) prog
 
 (* ------------------------------------------------------------------ *)
 (* Snitch: SSR and FREP                                                *)
@@ -760,74 +743,60 @@ let set_ssr p v prog =
    offered (the streams are configured once, at the outermost level).
    Instances are returned outermost-first so exhaustive passes prefer
    amortizing the stream setup over the largest trip count. *)
-let find_ssr (caps : caps) (prog : Ir.Prog.t) : instance list =
-  if not caps.snitch then []
-  else
-    let has_ssr_ancestor p =
-      let rec go nodes = function
-        | [] | [ _ ] -> false
-        | i :: rest -> (
-            match List.nth_opt nodes i with
-            | Some (Scope s) -> s.ssr || go s.body rest
-            | _ -> false)
+let has_ssr_ancestor (prog : Ir.Prog.t) p =
+  let rec go nodes = function
+    | [] | [ _ ] -> false
+    | i :: rest -> (
+        match List.nth_opt nodes i with
+        | Some (Scope s) -> s.ssr || go s.body rest
+        | _ -> false)
+  in
+  go prog.body p
+
+let ssr_at (caps : caps) prog p = function
+  | Scope sc
+    when caps.snitch && (not sc.ssr) && sc.guard = None
+         && not (has_ssr_ancestor prog p) ->
+      (* the streamed loop body must be straight-line code: plain
+         statements, possibly through fully unrolled sub-scopes *)
+      let rec straightline nodes =
+        List.for_all
+          (function
+            | Stmt _ -> true
+            | Scope s -> s.annot = Unroll && straightline s.body)
+          nodes
       in
-      go prog.body p
-    in
-    let insts =
-      Ir.Prog.fold_nodes
-        (fun acc p node ->
-          match node with
-          | Scope sc
-            when (not sc.ssr) && sc.guard = None && not (has_ssr_ancestor p)
-            ->
-              (* the streamed loop body must be straight-line code: plain
-                 statements, possibly through fully unrolled sub-scopes *)
-              let rec straightline nodes =
-                List.for_all
-                  (function
-                    | Stmt _ -> true
-                    | Scope s -> s.annot = Unroll && straightline s.body)
-                  nodes
-              in
-              let streamed_arrays =
-                List.sort_uniq compare
-                  (List.concat_map
-                     (fun n ->
-                       List.filter_map
-                         (fun ((_ : Ir.Prog.access_kind), (a : access)) ->
-                           if
-                             List.exists
-                               (fun i -> not (Ir.Index.is_const i))
-                               a.idx
-                           then Some a.array
-                           else None)
-                         (Ir.Prog.node_accesses n))
-                     sc.body)
-              in
-              if straightline sc.body && List.length streamed_arrays <= 3 then
-                { move = Moveref.Ssr p; apply = set_ssr p true }
-                :: acc
-              else acc
-          | _ -> acc)
-        [] prog
-    in
-    (* fold_nodes visits outer scopes first and prepends: reverse to get
-       outermost-first *)
-    List.rev insts
+      let streamed_arrays =
+        List.sort_uniq compare
+          (List.concat_map
+             (fun n ->
+               List.filter_map
+                 (fun ((_ : Ir.Prog.access_kind), (a : access)) ->
+                   if List.exists (fun i -> not (Ir.Index.is_const i)) a.idx
+                   then Some a.array
+                   else None)
+                 (Ir.Prog.node_accesses n))
+             sc.body)
+      in
+      if straightline sc.body && List.length streamed_arrays <= 3 then
+        [ { move = Moveref.Ssr p; apply = set_ssr p true } ]
+      else []
+  | _ -> []
+
+let find_ssr (caps : caps) (prog : Ir.Prog.t) : instance list =
+  (* the traversal puts inner sites first and a site offers at most one
+     instance: reverse to get outermost-first *)
+  List.rev (over_nodes (ssr_at caps prog) prog)
 
 (* FREP repeats the floating-point instruction block in hardware;
    requires the loop's memory traffic to flow through SSRs. *)
+let frep_at (caps : caps) p = function
+  | Scope sc when caps.snitch && sc.annot = Seq && sc.ssr && sc.guard = None ->
+      [ { move = Moveref.Frep p; apply = set_annot p Frep } ]
+  | _ -> []
+
 let find_frep (caps : caps) (prog : Ir.Prog.t) : instance list =
-  if not caps.snitch then []
-  else
-    Ir.Prog.fold_nodes
-      (fun acc p node ->
-        match node with
-        | Scope sc when sc.annot = Seq && sc.ssr && sc.guard = None ->
-            { move = Moveref.Frep p; apply = set_annot p Frep }
-            :: acc
-        | _ -> acc)
-      [] prog
+  over_nodes (frep_at caps) prog
 
 (* ------------------------------------------------------------------ *)
 (* split_reduction (partial accumulators)                              *)
@@ -964,53 +933,48 @@ let apply_split_reduction p depth k prog =
       | _ -> not_applicable "split_reduction: body must be a single statement")
   | _ -> not_applicable "split_reduction: not applicable"
 
+let split_reduction_at (caps : caps) prog p = function
+  | Scope sc when sc.annot = Seq && sc.guard = None -> (
+      match sc.body with
+      | [ Stmt s ] -> (
+          let depth = Ir.Prog.depth_of_path prog p in
+          let is_acc (a : access) =
+            a.array = s.dst.array
+            && List.length a.idx = List.length s.dst.idx
+            && List.for_all2 Ir.Index.equal a.idx s.dst.idx
+          in
+          let candidate =
+            match s.rhs with
+            | Bin ((Add | Mul | Max | Min), Ref a, e) when is_acc a -> Some e
+            | Bin ((Add | Mul | Max | Min), e, Ref a) when is_acc a -> Some e
+            | _ -> None
+          in
+          match candidate with
+          | Some e
+            when (not
+                    (List.exists
+                       (fun i -> Ir.Index.depends_on depth i)
+                       s.dst.idx))
+                 && not
+                      (List.exists
+                         (fun (r : access) -> r.array = s.dst.array)
+                         (Ir.Prog.expr_refs e)) ->
+              List.fold_left
+                (fun acc k ->
+                  if sc.size mod k = 0 && sc.size > k then
+                    {
+                      move = Moveref.Split_reduction (p, k);
+                      apply = apply_split_reduction p depth k;
+                    }
+                    :: acc
+                  else acc)
+                [] caps.reduction_split
+          | Some _ | None -> [])
+      | _ -> [])
+  | _ -> []
+
 let find_split_reduction (caps : caps) (prog : Ir.Prog.t) : instance list =
-  if caps.reduction_split = [] then []
-  else
-    Ir.Prog.fold_nodes
-      (fun acc p node ->
-        match node with
-        | Scope sc when sc.annot = Seq && sc.guard = None -> (
-            match sc.body with
-            | [ Stmt s ] -> (
-                let depth = Ir.Prog.depth_of_path prog p in
-                let is_acc (a : access) =
-                  a.array = s.dst.array
-                  && List.length a.idx = List.length s.dst.idx
-                  && List.for_all2 Ir.Index.equal a.idx s.dst.idx
-                in
-                let candidate =
-                  match s.rhs with
-                  | Bin ((Add | Mul | Max | Min), Ref a, e) when is_acc a ->
-                      Some e
-                  | Bin ((Add | Mul | Max | Min), e, Ref a) when is_acc a ->
-                      Some e
-                  | _ -> None
-                in
-                match candidate with
-                | Some e
-                  when (not
-                          (List.exists
-                             (fun i -> Ir.Index.depends_on depth i)
-                             s.dst.idx))
-                       && not
-                            (List.exists
-                               (fun (r : access) -> r.array = s.dst.array)
-                               (Ir.Prog.expr_refs e)) ->
-                    List.fold_left
-                      (fun acc k ->
-                        if sc.size mod k = 0 && sc.size > k then
-                          {
-                            move = Moveref.Split_reduction (p, k);
-                            apply = apply_split_reduction p depth k;
-                          }
-                          :: acc
-                        else acc)
-                      acc caps.reduction_split
-                | Some _ | None -> acc)
-            | _ -> acc)
-        | _ -> acc)
-      [] prog
+  over_nodes (split_reduction_at caps prog) prog
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation                                                         *)
@@ -1043,32 +1007,64 @@ let all (caps : caps) (prog : Ir.Prog.t) : instance list =
       caps.extra prog;
     ]
 
-(* The one finder that can offer a move.  Each atomic constructor is
-   emitted by exactly one finder of [all] and [extra] offers only
-   [Composite] moves, so the first match in the move's own family is the
-   first match in [all]: replay costs one finder, not seventeen. *)
-let family (caps : caps) : Moveref.t -> Ir.Prog.t -> instance list = function
-  | Split _ -> find_split caps
-  | Join _ -> find_join
-  | Fission _ -> find_fission
-  | Interchange _ -> find_interchange
-  | Reorder _ -> find_reorder
-  | Unroll _ -> find_unroll caps
-  | Vectorize _ -> find_vectorize caps
-  | Parallelize _ -> find_parallelize caps
-  | Gpu _ -> find_gpu_map caps
-  | Pad _ -> find_pad caps
-  | Unannotate _ -> find_unannotate
-  | Reuse_dims _ -> find_reuse_dims
-  | Set_storage _ -> find_set_storage caps
-  | Reorder_dims _ -> find_reorder_dims
-  | Split_reduction _ -> find_split_reduction caps
-  | Ssr _ -> find_ssr caps
-  | Frep _ -> find_frep caps
-  | Composite _ -> caps.extra
+(* Where a move's site is, found without a traversal: the node at its
+   path, the siblings under its parent, the buffers of its name.  A site
+   that does not exist offers nothing. *)
+let at_node site (prog : Ir.Prog.t) p =
+  match Ir.Prog.node_at prog p with
+  | node -> site p node
+  | exception Ir.Prog.Invalid_path _ -> []
+
+let at_sibling site (prog : Ir.Prog.t) p =
+  match List.rev p with
+  | [] -> []
+  | i :: rev_parent -> (
+      let parent = List.rev rev_parent in
+      let body =
+        match parent with
+        | [] -> Some prog.body
+        | _ -> (
+            match Ir.Prog.node_at prog parent with
+            | Scope sc -> Some sc.body
+            | Stmt _ -> None
+            | exception Ir.Prog.Invalid_path _ -> None)
+      in
+      match body with
+      | Some nodes when i >= 0 && i < List.length nodes - 1 ->
+          site parent (Array.of_list nodes) i
+      | Some _ | None -> [])
+
+let at_buffer site (prog : Ir.Prog.t) name =
+  List.concat_map site
+    (List.filter (fun (b : buffer) -> b.bname = name) prog.buffers)
+
+(* The instances offered at a move's site, in [all]'s order.  Each
+   atomic constructor is emitted by exactly one family, and a move names
+   its site, so the first match here is the first match in [all];
+   [extra] offers only [Composite] moves.  Replay checks one site, not
+   seventeen finders over the whole program. *)
+let sites (caps : caps) prog : Moveref.t -> instance list = function
+  | Split (p, _) -> at_node (split_at caps prog) prog p
+  | Join p -> at_sibling (join_at prog) prog p
+  | Fission (p, k) -> at_node (fission_at prog k) prog p
+  | Interchange p -> at_node (interchange_at prog) prog p
+  | Reorder p -> at_sibling (reorder_at prog) prog p
+  | Unroll p -> at_node (unroll_at caps prog) prog p
+  | Vectorize p -> at_node (vectorize_at caps prog) prog p
+  | Parallelize p -> at_node (parallelize_at caps prog) prog p
+  | Gpu (p, _) -> at_node (gpu_map_at caps prog) prog p
+  | Pad (p, _) -> at_node (pad_at caps) prog p
+  | Unannotate p -> at_node unannotate_at prog p
+  | Reuse_dims (b, _) -> at_buffer (reuse_dims_at prog) prog b
+  | Set_storage (b, _) -> at_buffer (set_storage_at caps prog) prog b
+  | Reorder_dims (b, _) -> at_buffer (reorder_dims_at prog) prog b
+  | Split_reduction (p, _) -> at_node (split_reduction_at caps prog) prog p
+  | Ssr p -> at_node (ssr_at caps prog) prog p
+  | Frep p -> at_node (frep_at caps) prog p
+  | Composite _ -> caps.extra prog
 
 let resolve_move ?(filter = fun (_ : instance) -> true) caps prog m =
-  first_match ~filter m (family caps m prog)
+  first_match ~filter m (sites caps prog m)
 
 let resolve ?filter caps prog name =
   Option.bind (named name) (resolve_move ?filter caps prog)

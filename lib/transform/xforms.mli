@@ -5,7 +5,19 @@
     semantics-preserving (using the analyses in {!Dep}) and return
     ready-to-apply {!instance}s.  Applying an instance needs no further
     checks.  Programs are immutable, so histories are naturally
-    non-destructive. *)
+    non-destructive.
+
+    {b Sites.}  A family's applicability rules live in one internal
+    {e site function}: the instances the family offers at one site, in
+    the order its finder lists them there.  A site is a node path
+    (split, fission, interchange, unroll, vectorize, parallelize,
+    gpu_map, pad, unannotate, ssr, frep, split_reduction; a fission
+    site is a path and a split point, each point having its own
+    dependence check), a sibling position — a parent path and an index
+    — (join, reorder) or a buffer (reuse_dims, set_storage,
+    reorder_dims).  Each [find_*] is only a traversal of its sites, and
+    {!resolve_move} runs the one site a move names, so no rule has a
+    second copy. *)
 
 type instance = {
   move : Moveref.t;  (** which move this is: transformation and location *)
@@ -51,7 +63,7 @@ type caps = {
           which named composite transformations ([Transfo.Composites])
           appear as macro-moves in every search engine.  It offers only
           {!Moveref.Composite} moves: {!resolve} looks for those here and
-          for every other move in its own finder.  The three builders
+          for every other move at its own site.  The three builders
           install the empty hook; {!with_extra} replaces it. *)
 }
 
@@ -73,10 +85,15 @@ val all : caps -> Ir.Prog.t -> instance list
 val resolve_move :
   ?filter:(instance -> bool) -> caps -> Ir.Prog.t -> Moveref.t -> instance option
 (** [resolve_move ?filter caps p m] is the first instance that passes
-    [filter] and whose [move] is [m], found by running only the finder
-    that emits [m]'s constructor ([caps.extra] for a
-    {!Moveref.Composite}).  This is how a recorded move is replayed:
-    one finder instead of the seventeen {!all} runs. *)
+    [filter] and whose [move] is [m], found by checking only [m]'s site:
+    the node at {!Moveref.anchor}[ m] ({!Ir.Prog.node_at}), the
+    siblings under its parent for a join or reorder, the buffers named
+    by a buffer move — and [caps.extra] for a {!Moveref.Composite}.  A
+    site that does not exist (an index out of range or negative at any
+    level, [[]], a step into a statement, an unknown buffer) offers
+    nothing.  This is how a recorded move is replayed: one site's
+    checks instead of the seventeen finders {!all} runs over the whole
+    program. *)
 
 val resolve :
   ?filter:(instance -> bool) -> caps -> Ir.Prog.t -> string -> instance option
@@ -87,9 +104,11 @@ val resolve :
     {b Law.}  [resolve ?filter caps p name] and
     [lookup ?filter (all caps p) name] return instances with the same
     [move], and those instances produce the same program.  It holds
-    because no finder emits another finder's constructor and
-    [caps.extra] offers only {!Moveref.Composite} moves, so the first
-    match in the move's own finder is the first match in {!all}. *)
+    because no finder emits another finder's constructor, a move names
+    its own site, the finder lists a site's instances in the order its
+    site function returns them, and [caps.extra] offers only
+    {!Moveref.Composite} moves: the first match at the move's site is
+    the first match in {!all}. *)
 
 (** {1 Individual transformations}
 

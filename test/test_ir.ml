@@ -43,6 +43,67 @@ let index_tests =
         Alcotest.(check string) "repr" "{0}+{3}" (Ir.Index.to_string i'));
   ]
 
+(* [Ir.Index.normalize] as it was before it merged depth-sorted terms,
+   verbatim, with [add], [scale] and [subst] rebuilt on it: the oracle
+   the normal form must keep equalling. *)
+let normalize_oracle (terms : (int * int) list) offset : index =
+  let tbl = Hashtbl.create 4 in
+  List.iter
+    (fun (c, d) ->
+      let prev = try Hashtbl.find tbl d with Not_found -> 0 in
+      Hashtbl.replace tbl d (prev + c))
+    terms;
+  let terms =
+    Hashtbl.fold (fun d c acc -> if c = 0 then acc else (c, d) :: acc) tbl []
+  in
+  let terms = List.sort (fun (_, d1) (_, d2) -> compare d1 d2) terms in
+  { terms; offset }
+
+let add_oracle a b =
+  normalize_oracle (a.terms @ b.terms) (a.offset + b.offset)
+
+let scale_oracle k a =
+  normalize_oracle (List.map (fun (c, d) -> (c * k, d)) a.terms) (k * a.offset)
+
+let subst_oracle f a =
+  List.fold_left
+    (fun acc (c, d) -> add_oracle acc (scale_oracle c (f d)))
+    (normalize_oracle [] a.offset) a.terms
+
+(* Term lists over five depths with zero and negative coefficients,
+   repeated depths, and terms whose negations are in the same list, so
+   whole depths cancel. *)
+let qcheck_normal_form =
+  let terms =
+    QCheck.Gen.(
+      let term = pair (int_range (-3) 3) (int_bound 4) in
+      let* base = list_size (int_bound 6) term in
+      let* cancelled = list_size (int_bound 3) term in
+      shuffle_l
+        (base @ cancelled @ List.map (fun (c, d) -> (-c, d)) cancelled))
+  in
+  let print_terms l =
+    String.concat ";" (List.map (fun (c, d) -> Printf.sprintf "%d*{%d}" c d) l)
+  in
+  QCheck.Test.make ~count:1000
+    ~name:"normalize, add, scale and subst equal the Hashtbl normal form"
+    (QCheck.make
+       ~print:(fun (t1, t2, off, k) ->
+         Printf.sprintf "[%s] [%s] offset %d k %d" (print_terms t1)
+           (print_terms t2) off k)
+       QCheck.Gen.(quad terms terms (int_range (-5) 5) (int_range (-3) 3)))
+    (fun (t1, t2, off, k) ->
+      let a = Ir.Index.normalize t1 off and b = Ir.Index.normalize t2 (-off) in
+      let a' = normalize_oracle t1 off and b' = normalize_oracle t2 (-off) in
+      (* a depth substitution whose images overlap and cancel *)
+      let image d = (1, (d + 1) mod 5) :: (k, d) :: t2 in
+      let f d = Ir.Index.normalize (image d) d
+      and f' d = normalize_oracle (image d) d in
+      a = a' && b = b'
+      && Ir.Index.add a b = add_oracle a' b'
+      && Ir.Index.scale k a = scale_oracle k a'
+      && Ir.Index.subst f a = subst_oracle f' a')
+
 let roundtrip_kernel (e : Kernels.entry) () =
   let p = e.build_small () in
   let text = Ir.Printer.program p in
@@ -220,6 +281,37 @@ let path_tests =
         let p = Kernels.matmul ~m:2 ~k:3 ~n:4 in
         let sizes = Ir.Prog.enclosing_sizes p [ 0; 0; 1; 0 ] in
         Alcotest.(check (list int)) "sizes" [ 2; 4; 3 ] (Array.to_list sizes));
+    Alcotest.test_case "a path that addresses no node raises with that path"
+      `Quick (fun () ->
+        (* [0] m loop, [0,0] n loop, [0,0,0] init statement, [0,0,1] k
+           loop: the bad paths are empty, out of range or negative at the
+           last or an inner level, or step into a statement *)
+        let p = Kernels.matmul ~m:2 ~k:3 ~n:4 in
+        let bad =
+          [ []; [ 1 ]; [ -1 ]; [ 0; 9 ]; [ 0; -1 ]; [ 9; 0 ]; [ -1; 0 ];
+            [ 0; 9; 0 ]; [ 0; -1; 0 ]; [ 0; 0; 0; 0 ]; [ 0; 0; 2; 0 ] ]
+        in
+        let show path =
+          "[" ^ String.concat "," (List.map string_of_int path) ^ "]"
+        in
+        List.iter
+          (fun path ->
+            let raises name f =
+              match f () with
+              | () -> Alcotest.failf "%s %s returned" name (show path)
+              | exception Ir.Prog.Invalid_path q ->
+                  Alcotest.(check (list int))
+                    (name ^ " " ^ show path ^ " carries the path")
+                    path q
+            in
+            raises "node_at" (fun () -> ignore (Ir.Prog.node_at p path));
+            raises "rewrite_at" (fun () ->
+                ignore (Ir.Prog.rewrite_at p path (fun n -> [ n; n ])));
+            raises "depth_of_path" (fun () ->
+                ignore (Ir.Prog.depth_of_path p path));
+            raises "enclosing_sizes" (fun () ->
+                ignore (Ir.Prog.enclosing_sizes p path)))
+          bad);
   ]
 
 (* Property: printing then parsing preserves program structure for random
@@ -254,7 +346,8 @@ let qcheck_roundtrip =
 let () =
   Alcotest.run "ir"
     [
-      ("index", index_tests);
+      ( "index",
+        index_tests @ [ QCheck_alcotest.to_alcotest qcheck_normal_form ] );
       ("roundtrip", roundtrip_tests);
       ("parse", parse_tests);
       ("validate", validate_tests);

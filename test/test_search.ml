@@ -445,6 +445,56 @@ let golden_tests =
                 [ "enable_ssr([0,0])"; "enable_frep([0,0])" ] );
             ]);
     ]
+  @ (* Batched heuristic-space runs on a 2-domain pool, recorded before
+       mutations drew from a per-run table: the table's hits, and the
+       misses pool tasks race on, must draw exactly what replaying the
+       prefix and enumerating its moves drew.  [slots] digests every
+       slot's measured runtime, so each draw is pinned, not only the
+       best. *)
+  let slot_digest obs =
+    Obs.Trace.events obs
+    |> List.filter_map (fun j ->
+           match (Util.Json.member "ev" j, Util.Json.member "runtime" j) with
+           | Some (Util.Json.Str "search.step"), Some (Util.Json.Num t) ->
+               Some (Printf.sprintf "%h" t)
+           | _ -> None)
+    |> String.concat "," |> Digest.string |> Digest.to_hex
+  in
+  List.map
+    (fun (kernel, meth, best_time, best_moves, evals, slots) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s %s heuristic batch 8 on 2 domains" kernel
+           (name meth))
+        `Quick
+        (fun () ->
+          let target, p = List.assoc kernel kernels in
+          let caps = Desc.caps_of target and obj = objective target in
+          let obs = Obs.Trace.make_buffer () in
+          let r =
+            Parallel.Pool.with_pool ~jobs:2 (fun pool ->
+                match meth with
+                | `Sampling ->
+                    S.random_sampling ~obs ~batch:8 ~pool ~space:S.Heuristic
+                      ~budget:40 caps obj p
+                | `Annealing ->
+                    S.simulated_annealing ~obs ~batch:8 ~pool
+                      ~space:S.Heuristic ~budget:40 caps obj p)
+          in
+          Alcotest.(check string) "best_time" best_time
+            (Printf.sprintf "%h" r.best_time);
+          Alcotest.(check (list string)) "best_moves" best_moves r.best_moves;
+          Alcotest.(check int) "evals" evals r.evals;
+          Alcotest.(check string) "slot runtimes" slots (slot_digest obs)))
+    [
+      ( "softmax", `Annealing, "0x1.5798ee2308c3ap-20", [ "unroll([0])" ], 40,
+        "f9c02cc479030c751717a94f8bca8367" );
+      ( "softmax", `Sampling, "0x1.20605a268bed5p-19", [ "join_scopes([0,3])" ],
+        40, "86919b6b77defbdef178c16dd0827300" );
+      ( "gemv", `Annealing, "0x1.a2c2623ab2ae7p-18", [], 40,
+        "7d895c4b91df6e5309907aeb83d57a3c" );
+      ( "gemv", `Sampling, "0x1.a2c2623ab2ae7p-18", [], 40,
+        "1be3495f9f715443d9fcaa9cfd257578" );
+    ]
 
 let mutation_tests =
   [

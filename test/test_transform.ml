@@ -516,6 +516,27 @@ let engine_tests =
         match Search.Stochastic.replay_exact caps_cpu p names with
         | Ok p' -> Alcotest.(check bool) "same result" true (p' = s.current)
         | Error e -> Alcotest.fail e);
+    Alcotest.test_case "undo_at refuses a later move whose path vanished"
+      `Quick (fun () ->
+        (* without the fission softmax has one top-level scope, so the
+           split at [1,0] addresses no node: removing the fission must be
+           refused, not replay the split as a no-op *)
+        let e =
+          List.find (fun (e : Kernels.entry) -> e.label = "softmax")
+            Kernels.table3
+        in
+        let s = Engine.start caps_cpu (e.build ()) in
+        let play name =
+          match Xforms.resolve caps_cpu s.current name with
+          | Some i -> ignore (Engine.apply s i)
+          | None -> Alcotest.failf "%s is not offered" name
+        in
+        play "fission([0] at 5)";
+        play "split_scope([1,0] factor 64)";
+        let current = s.current and history = s.history in
+        Alcotest.(check bool) "refused" true (Engine.undo_at s 1 = None);
+        Alcotest.(check bool) "program unchanged" true (s.current == current);
+        Alcotest.(check bool) "history unchanged" true (s.history == history));
   ]
 
 (* -------------------------------------------------------------------- *)
@@ -651,7 +672,7 @@ let qcheck_lookup =
            (fun name -> Option.is_none (Xforms.lookup insts name))
            (List.concat_map respellings own))
 
-(* [resolve] runs the move's own finder; the oracle, [lookup] over
+(* [resolve] checks the move's own site; the oracle, [lookup] over
    [all], runs every finder (so a finder that raised on a walk state
    fails here too).  Names come from the state, from another state
    (mostly inapplicable), from composites (which an atomic-only state
@@ -690,6 +711,121 @@ let qcheck_resolve =
           and l = Xforms.lookup ~filter (Xforms.all caps p) name in
           move r = move l && program r = program l)
         names)
+
+(* The law at anchors no finder visits.  Each drawn move is re-anchored:
+   a path-anchored or sibling move to a sibling, the parent, a child, an
+   out-of-range last or inner index, a negative last or inner index and
+   [[]]; a buffer move to every other buffer, an unknown buffer, and a
+   dimension of -1, the rank and beyond.  Most copies name no offered
+   move, so [resolve] must refuse them exactly as [lookup] over [all]
+   does (and raise nothing); the rest must find the same move and
+   program. *)
+let reanchored (p : Ir.Prog.t) (m : Moveref.t) : Moveref.t list =
+  let paths q =
+    let last = List.length q - 1 in
+    let set k v = List.mapi (fun j x -> if j = k then v else x) q in
+    let parent = List.filteri (fun j _ -> j < last) q in
+    [ []; parent; q @ [ 0 ]; set last (List.nth q last + 1);
+      set last (List.nth q last - 1); set last 1000; set last (-1);
+      (if last > 0 then set 0 1000 else 1000 :: q);
+      (if last > 0 then set 0 (-1) else -1 :: q) ]
+  in
+  let rank b =
+    match
+      List.find_opt (fun (x : Ir.Types.buffer) -> x.bname = b) p.buffers
+    with
+    | Some x -> List.length x.shape
+    | None -> 0
+  in
+  (* the other buffers and an unknown one; dimensions out of range *)
+  let buffers b =
+    let others =
+      List.filter_map
+        (fun (x : Ir.Types.buffer) ->
+          if x.bname = b then None else Some x.bname)
+        p.buffers
+    in
+    let rank = rank b in
+    (others @ [ "no_such_buffer" ], [ -1; rank - 1; rank; rank + 1 ])
+  in
+  match m with
+  | Split (q, f) -> List.map (fun q -> Moveref.Split (q, f)) (paths q)
+  | Join q -> List.map (fun q -> Moveref.Join q) (paths q)
+  | Fission (q, k) ->
+      List.map (fun q -> Moveref.Fission (q, k)) (paths q)
+      @ [ Fission (q, 0); Fission (q, -1); Fission (q, 1000) ]
+  | Interchange q -> List.map (fun q -> Moveref.Interchange q) (paths q)
+  | Reorder q -> List.map (fun q -> Moveref.Reorder q) (paths q)
+  | Unroll q -> List.map (fun q -> Moveref.Unroll q) (paths q)
+  | Vectorize q -> List.map (fun q -> Moveref.Vectorize q) (paths q)
+  | Parallelize q -> List.map (fun q -> Moveref.Parallelize q) (paths q)
+  | Gpu (q, dim) -> List.map (fun q -> Moveref.Gpu (q, dim)) (paths q)
+  | Pad (q, k) -> List.map (fun q -> Moveref.Pad (q, k)) (paths q)
+  | Unannotate q -> List.map (fun q -> Moveref.Unannotate q) (paths q)
+  | Ssr q -> List.map (fun q -> Moveref.Ssr q) (paths q)
+  | Frep q -> List.map (fun q -> Moveref.Frep q) (paths q)
+  | Split_reduction (q, k) ->
+      List.map (fun q -> Moveref.Split_reduction (q, k)) (paths q)
+  | Reuse_dims (b, d) ->
+      let names, dims = buffers b in
+      List.map (fun n -> Moveref.Reuse_dims (n, d)) names
+      @ List.map (fun d -> Moveref.Reuse_dims (b, d)) dims
+  | Set_storage (b, loc) ->
+      let names, _ = buffers b in
+      List.map (fun n -> Moveref.Set_storage (n, loc)) names
+  | Reorder_dims (b, i) ->
+      let names, dims = buffers b in
+      List.map (fun n -> Moveref.Reorder_dims (n, i)) names
+      @ List.map (fun i -> Moveref.Reorder_dims (b, i)) dims
+  | Composite _ -> []
+
+(* Every offered atomic move of the walks, grouped by transformation:
+   each draw takes one move of every family. *)
+let moves_by_family =
+  lazy
+    (let tbl = Hashtbl.create 17 in
+     List.iter
+       (fun (caps, p, (insts : Xforms.instance list)) ->
+         List.iter
+           (fun (i : Xforms.instance) ->
+             let x = Moveref.xname i.move in
+             Hashtbl.replace tbl x
+               ((caps, p, insts, i.move)
+               :: Option.value ~default:[] (Hashtbl.find_opt tbl x)))
+           insts)
+       (Lazy.force atomic_visits);
+     Hashtbl.fold (fun x ms acc -> (x, Array.of_list ms) :: acc) tbl []
+     |> List.sort (fun (x, _) (y, _) -> String.compare x y))
+
+let qcheck_reanchored =
+  QCheck.Test.make ~count:100
+    ~name:"resolve refuses re-anchored moves exactly like lookup over all"
+    QCheck.(pair (int_bound 100_000) (int_bound 2))
+    (fun (k, fi) ->
+      let families = Lazy.force moves_by_family in
+      if List.length families <> 17 then
+        QCheck.Test.fail_reportf "the walks offer %d families: %s"
+          (List.length families) (String.concat ", " (List.map fst families));
+      let filter = lookup_filters.(fi) in
+      let move = Option.map (fun (i : Xforms.instance) -> i.move) in
+      List.for_all
+        (fun (_, ms) ->
+          let caps, p, insts, m = ms.(k mod Array.length ms) in
+          let program =
+            Option.map (fun (i : Xforms.instance) ->
+                Ir.Printer.program (i.apply p))
+          in
+          List.for_all
+            (fun m' ->
+              let name = Moveref.describe m' in
+              let r = Xforms.resolve_move ~filter caps p m'
+              and l = Xforms.lookup ~filter insts name in
+              (move r = move l && program r = program l)
+              || QCheck.Test.fail_reportf "%s: resolve %s, lookup %s" name
+                   (Option.fold ~none:"None" ~some:Xforms.describe r)
+                   (Option.fold ~none:"None" ~some:Xforms.describe l))
+            (m :: reanchored p m))
+        families)
 
 let move_tests =
   [
@@ -734,6 +870,7 @@ let move_tests =
                 | Error e -> Alcotest.failf "%s: %s" (Xforms.describe i) e)
               insts)
           (Lazy.force atomic_visits));
+    QCheck_alcotest.to_alcotest qcheck_reanchored;
   ]
 
 let () =
