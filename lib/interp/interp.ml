@@ -144,11 +144,6 @@ let random_inputs (rng : Util.Rng.t) (prog : Ir.Prog.t) : tensors =
     prog.buffers;
   t
 
-let copy_tensors (t : tensors) : tensors =
-  let t' = Hashtbl.create (Hashtbl.length t) in
-  Hashtbl.iter (fun k v -> Hashtbl.replace t' k (Array.copy v)) t;
-  t'
-
 (* Relative-or-absolute tolerance comparison over the declared outputs. *)
 let outputs_close ?(tol = 1e-5) (prog : Ir.Prog.t) (a : tensors) (b : tensors)
     : (unit, string) result =

@@ -22,8 +22,6 @@ val random_inputs : Util.Rng.t -> Ir.Prog.t -> tensors
 (** Allocate storage and fill the program's input arrays with uniform
     values in [\[-1, 1)]. *)
 
-val copy_tensors : tensors -> tensors
-
 val outputs_close :
   ?tol:float -> Ir.Prog.t -> tensors -> tensors -> (unit, string) result
 (** Compare the declared outputs of two runs of the same program, with

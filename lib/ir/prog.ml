@@ -50,10 +50,6 @@ let stmt_map_index f (s : stmt) =
     rhs = expr_map_index f s.rhs;
   }
 
-let stmt_iter_index f (s : stmt) =
-  List.iter f s.dst.idx;
-  expr_iter_index f s.rhs
-
 (* Number of scalar arithmetic operations in one execution of the
    statement (used by cost models and the theoretical-peak computation). *)
 let rec expr_flops = function
@@ -90,16 +86,6 @@ let node_at (prog : t) (p : path) : node =
         | Some (Stmt _) | None -> raise (Invalid_path p))
   in
   go prog.body p
-
-let scope_at prog p =
-  match node_at prog p with
-  | Scope s -> s
-  | Stmt _ -> raise (Invalid_path p)
-
-let stmt_at prog p =
-  match node_at prog p with
-  | Stmt s -> s
-  | Scope _ -> raise (Invalid_path p)
 
 (* Replace the node at [p] by the node list returned by [f] (empty list
    removes it, several nodes splice in place). *)

@@ -20,7 +20,6 @@ val expr_map_index : (index -> index) -> expr -> expr
 
 val expr_iter_index : (index -> unit) -> expr -> unit
 val stmt_map_index : (index -> index) -> stmt -> stmt
-val stmt_iter_index : (index -> unit) -> stmt -> unit
 
 val expr_flops : expr -> int
 val stmt_flops : stmt -> int
@@ -34,9 +33,6 @@ val node_at : t -> path -> node
     statement.  {!rewrite_at}, {!depth_of_path} and {!enclosing_sizes}
     raise it on the same paths, and all four carry the whole path they
     were given. *)
-
-val scope_at : t -> path -> scope
-val stmt_at : t -> path -> stmt
 
 val rewrite_at : t -> path -> (node -> node list) -> t
 (** Replace the node at the path by a node list (empty removes it,

@@ -195,9 +195,6 @@ let target_of_string s : (string * target, string) result =
         (Printf.sprintf "unknown target %S (known: %s)" s
            (String.concat ", " (List.map fst known_targets)))
 
-let short_name (t : target) : string option =
-  List.find_opt (fun (_, t') -> t' = t) known_targets |> Option.map fst
-
 (* The transformation capabilities each target exposes — the paper's
    "hardware-aware transformations" interface (§1): vendors ship
    capabilities, not tuned libraries. *)

@@ -63,10 +63,6 @@ val target_of_string : string -> (string * target, string) result
 (** {!resolve_target}, with an [Error] that names [s] and lists the
     known targets — the one message every front end reports. *)
 
-val short_name : target -> string option
-(** Reverse lookup into {!known_targets} (structural equality); [None]
-    for a hand-built descriptor. *)
-
 val xeon_e5_2695v4 : cpu
 (** The paper's §4.2 x86 machine (18 cores, AVX2). *)
 

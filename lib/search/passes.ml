@@ -28,9 +28,6 @@ let first_move pick caps prog =
 
 let first_of names = first_move (fun m -> List.mem (Moveref.xname m) names)
 
-(* The instance of exactly this move, when it is offered. *)
-let find_move caps m = first_move (( = ) m) caps
-
 (* Outermost first: among the offered instances whose move [anchor]
    accepts, the first with the shortest printed anchor path (the order
    these passes have always ranked candidates in, kept so their
@@ -91,7 +88,7 @@ let tile_sink_unroll caps f prog =
   in
   List.fold_left
     (fun prog path ->
-      match find_move caps (Moveref.Split (path, f)) prog with
+      match Xforms.resolve_move caps prog (Moveref.Split (path, f)) with
       | None -> prog
       | Some split -> (
           let prog' = split.apply prog in
@@ -100,12 +97,12 @@ let tile_sink_unroll caps f prog =
           let rec sink p cur fuel =
             if fuel = 0 then (p, cur)
             else
-              match find_move caps (Moveref.Interchange p) cur with
+              match Xforms.resolve_move caps cur (Moveref.Interchange p) with
               | Some inst -> sink (p @ [ 0 ]) (inst.apply cur) (fuel - 1)
               | None -> (p, cur)
           in
           let tile_path, prog'' = sink (path @ [ 0 ]) prog' 16 in
-          match find_move caps (Moveref.Unroll tile_path) prog'' with
+          match Xforms.resolve_move caps prog'' (Moveref.Unroll tile_path) with
           | Some u -> u.apply prog''
           | None -> prog''))
     prog outer_paths
@@ -141,7 +138,7 @@ let unroll_partial_accumulators caps prog =
       match candidate with
       | None -> prog
       | Some p -> (
-          match find_move caps (Moveref.Unroll p) prog with
+          match Xforms.resolve_move caps prog (Moveref.Unroll p) with
           | Some u -> step (u.apply prog) (fuel - 1)
           | None -> prog)
     end

@@ -124,7 +124,7 @@ let replay_exact ?(filter = fun (_ : Xforms.instance) -> true) caps root
   in
   if names = [] then Ok root else go 0 root names
 
-(* The mutation-draw table of one run.  [mutate] draws its move from
+(* The mutation-draw table of one run.  [mutate_with] draws its move from
    those offered at the mutation point, which it reaches by replaying
    the prefix of moves before it from the root.  A run's root, caps and
    filter are fixed and replay is deterministic, so equal prefixes reach
@@ -207,9 +207,6 @@ let mutate_with ~filter caps draws rng prog (names : string list) =
     let pos = Util.Rng.int rng n in
     draw_between (sub 0 pos) (sub (pos + 1) (n - pos - 1))
   end
-
-let mutate ?(filter = fun (_ : Xforms.instance) -> true) caps rng prog names =
-  mutate_with ~filter caps (new_draws ()) rng prog names
 
 type candidate = {
   moves : string list;

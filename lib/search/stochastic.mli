@@ -123,18 +123,6 @@ val replay_exact :
     step, the path its string anchors to and up to three applicable
     alternatives of the same transformation (from {!Transform.Xforms.all}). *)
 
-val mutate :
-  ?filter:(Transform.Xforms.instance -> bool) ->
-  Transform.Xforms.caps ->
-  Util.Rng.t ->
-  Ir.Prog.t ->
-  string list ->
-  string list
-(** One structural mutation of a move sequence (replace / delete /
-    insert at a random point).  Draws exactly what a search run draws
-    for the same RNG state, through a mutation-draw table of its own
-    (fresh per call). *)
-
 (** {2 Fault tolerance}
 
     Every evaluation — root, warm-start replay, and each candidate —

@@ -1,12 +1,12 @@
 (* The atomic transformation library (§2.2).
 
-   Each transformation comes with applicability discovery: [find_*]
-   enumerates every program location where the transformation is provably
-   semantics-preserving and returns ready-to-apply instances.  Applying an
-   instance never requires further checks.  A family's rules live in one
-   site function (see Sites): [find_*] traverses the sites, and
-   [resolve_move] checks only the site a move names.  Instances are small
-   immutable values over immutable programs, which makes the whole
+   Each transformation family comes with applicability discovery: it is
+   one declaration (see Families and sites) holding its capability gate
+   and its site function, the instances it proves semantics-preserving
+   at one site.  [all] walks the sites of every family the capabilities
+   enable, and [resolve_move] checks only the site a move names.
+   Applying an instance never requires further checks.  Instances are
+   small immutable values over immutable programs, which makes the whole
    history non-destructive: any prefix of moves can be replayed or
    undone. *)
 
@@ -109,42 +109,38 @@ let snitch_caps () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Sites                                                               *)
+(* Families and sites                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Each family's applicability rules live in one site function: the
-   instances its finder offers at one site, in the order the finder's
-   list holds them there.  A site is a node path (12 families; for
-   fission, with a split point), a sibling position — parent path and
-   index — (join, reorder) or a buffer (reuse_dims, set_storage,
-   reorder_dims).  A finder is only a traversal over sites, and
-   [resolve_move] runs the one site its move names (see [sites] at the
-   end). *)
+(* A family is one declaration: its capability gate and its site
+   function, the instances it offers at one site in the order [all]
+   lists them there.  The gate is the only place a family asks whether
+   the target has it at all: [all] skips a family it switches off
+   without walking the program, and [resolve_move] refuses the family's
+   moves before looking at a site.  A site is a node (12 families; for
+   fission, with a split point), a sibling position (join, reorder) or a
+   buffer (reuse_dims, set_storage, reorder_dims). *)
+type 'site family = {
+  gate : caps -> bool;
+  at : caps -> Ir.Prog.t -> 'site -> instance list;
+}
 
-(* Every node, outer before inner and in order, each site's instances in
-   front of the earlier sites'. *)
-let over_nodes site (prog : Ir.Prog.t) =
-  Ir.Prog.fold_nodes (fun acc p node -> site p node @ acc) [] prog
+let always (_ : caps) = true
 
-(* Every sibling position with a right neighbour: the top level's, then
-   each scope body's in node order, each site's instances in front of
-   the earlier sites' (so an inner body's pairs come first). *)
-let over_siblings site (prog : Ir.Prog.t) =
-  let visit parent nodes acc =
-    let siblings = Array.of_list nodes in
-    let acc = ref acc in
-    for i = 0 to Array.length siblings - 2 do
-      acc := site parent siblings i @ !acc
-    done;
-    !acc
-  in
-  Ir.Prog.fold_nodes
-    (fun acc p node ->
-      match node with Scope sc -> visit p sc.body acc | Stmt _ -> acc)
-    (visit [] prog.body []) prog
+(* A node site: the node, its path and the scopes strictly enclosing it,
+   innermost first.  The walk that reaches the node builds [above], so
+   no rule walks down from the root again to ask about the nest. *)
+type site = { path : path; node : node; above : scope list }
 
-(* Every buffer, in declaration order. *)
-let over_buffers site (prog : Ir.Prog.t) = List.concat_map site prog.buffers
+(* The number of enclosing scopes: the node's own scope binds [{depth}]. *)
+let depth site = List.length site.above
+
+let inside annot site =
+  List.exists (fun (sc : scope) -> sc.annot = annot) site.above
+
+(* A sibling position: [siblings.(i)] and its right neighbour in the
+   body under [parent] ([[]] for the top level). *)
+type sibling = { parent : path; siblings : node array; i : int }
 
 (* ------------------------------------------------------------------ *)
 (* split_scope (tiling)                                                *)
@@ -180,9 +176,10 @@ let apply_split p depth factor prog =
           ]
       | _ -> not_applicable "split_scope: not applicable")
 
-let split_at (caps : caps) prog p = function
+let split_at (caps : caps) _ site =
+  match site.node with
   | Scope sc when sc.guard = None && sc.annot = Seq ->
-      let depth = Ir.Prog.depth_of_path prog p in
+      let p = site.path and depth = depth site in
       List.fold_left
         (fun acc f ->
           if f > 1 && f < sc.size && sc.size mod f = 0 then
@@ -192,8 +189,7 @@ let split_at (caps : caps) prog p = function
         [] caps.split_factors
   | _ -> []
 
-let find_split (caps : caps) (prog : Ir.Prog.t) : instance list =
-  over_nodes (split_at caps prog) prog
+let split = { gate = always; at = split_at }
 
 (* ------------------------------------------------------------------ *)
 (* join_scopes (loop fusion)                                           *)
@@ -229,7 +225,7 @@ let apply_join p prog =
 
 (* The scope at [parent @ [i]] fuses with its right neighbour; a body's
    depth is its parent path's length. *)
-let join_at prog parent siblings i =
+let join_at _ prog { parent; siblings; i } =
   match (siblings.(i), siblings.(i + 1)) with
   | Scope s1, Scope s2
     when s1.size = s2.size && s1.annot = Seq && s2.annot = Seq
@@ -240,8 +236,7 @@ let join_at prog parent siblings i =
       [ { move = Moveref.Join p; apply = apply_join p } ]
   | _ -> []
 
-let find_join (prog : Ir.Prog.t) : instance list =
-  over_siblings (join_at prog) prog
+let join = { gate = always; at = join_at }
 
 (* ------------------------------------------------------------------ *)
 (* fission (loop distribution)                                         *)
@@ -258,28 +253,20 @@ let apply_fission p k prog =
 
 (* A fission site is a scope and a split point [k]: each point has a
    dependence check of its own. *)
-let fission_at prog k p = function
+let fission_at _ prog (site, k) =
+  match site.node with
   | Scope sc
     when sc.annot = Seq && sc.guard = None && k > 0
          && k < List.length sc.body ->
-      let depth = Ir.Prog.depth_of_path prog p in
+      let p = site.path in
       let part1 = List.filteri (fun j _ -> j < k) sc.body in
       let part2 = List.filteri (fun j _ -> j >= k) sc.body in
-      if Dep.fission_safe prog ~depth part1 part2 then
+      if Dep.fission_safe prog ~depth:(depth site) part1 part2 then
         [ { move = Moveref.Fission (p, k); apply = apply_fission p k } ]
       else []
   | _ -> []
 
-let find_fission (prog : Ir.Prog.t) : instance list =
-  over_nodes
-    (fun p node ->
-      let points =
-        match node with Scope sc -> List.length sc.body - 1 | Stmt _ -> 0
-      in
-      List.fold_left
-        (fun acc k -> fission_at prog k p node @ acc)
-        [] (List.init (max 0 points) succ))
-    prog
+let fission = { gate = always; at = fission_at }
 
 (* ------------------------------------------------------------------ *)
 (* interchange                                                         *)
@@ -311,13 +298,14 @@ let apply_interchange p depth prog =
           | _ -> not_applicable "interchange: not applicable")
       | Stmt _ -> not_applicable "interchange: not applicable")
 
-let interchange_at prog p = function
+let interchange_at _ prog site =
+  match site.node with
   | Scope outer -> (
       match outer.body with
       | [ Scope inner ]
         when outer.annot = Seq && inner.annot = Seq && outer.guard = None
              && inner.guard = None ->
-          let depth = Ir.Prog.depth_of_path prog p in
+          let p = site.path and depth = depth site in
           if Dep.interchange_safe prog ~depth inner.body then
             [ { move = Moveref.Interchange p;
                 apply = apply_interchange p depth } ]
@@ -325,8 +313,7 @@ let interchange_at prog p = function
       | _ -> [])
   | Stmt _ -> []
 
-let find_interchange (prog : Ir.Prog.t) : instance list =
-  over_nodes (interchange_at prog) prog
+let interchange = { gate = always; at = interchange_at }
 
 (* ------------------------------------------------------------------ *)
 (* reorder (swap adjacent siblings)                                    *)
@@ -349,14 +336,13 @@ let apply_reorder parent i prog =
         | Scope sc -> [ Scope { sc with body = swap sc.body } ]
         | Stmt _ -> not_applicable "reorder: bad parent")
 
-let reorder_at prog parent siblings i =
+let reorder_at _ prog { parent; siblings; i } =
   if Dep.nodes_independent prog siblings.(i) siblings.(i + 1) then
     [ { move = Moveref.Reorder (parent @ [ i ]);
         apply = apply_reorder parent i } ]
   else []
 
-let find_reorder (prog : Ir.Prog.t) : instance list =
-  over_siblings (reorder_at prog) prog
+let reorder = { gate = always; at = reorder_at }
 
 (* ------------------------------------------------------------------ *)
 (* Annotation transformations: unroll / vectorize / parallelize / gpu  *)
@@ -371,19 +357,11 @@ let set_annot p annot prog =
 (* Total code replication an unroll would cause: the scope's own trip
    count times that of every unrolled scope above and below it.  Bounding
    it keeps unrolling realistic (instruction-cache pressure). *)
-let unroll_replication (prog : Ir.Prog.t) (p : Ir.Types.path) (sc : scope) :
-    int =
+let unroll_replication site (sc : scope) =
   let enclosing =
-    let rec go nodes path acc =
-      match path with
-      | [] | [ _ ] -> acc
-      | i :: rest -> (
-          match List.nth_opt nodes i with
-          | Some (Scope s) ->
-              go s.body rest (if s.annot = Unroll then acc * s.size else acc)
-          | _ -> acc)
-    in
-    go prog.body p 1
+    List.fold_left
+      (fun acc (s : scope) -> if s.annot = Unroll then acc * s.size else acc)
+      1 site.above
   in
   let rec below nodes =
     List.fold_left
@@ -396,15 +374,16 @@ let unroll_replication (prog : Ir.Prog.t) (p : Ir.Types.path) (sc : scope) :
   in
   enclosing * sc.size * below sc.body
 
-let unroll_at (caps : caps) prog p = function
+let unroll_at (caps : caps) _ site =
+  match site.node with
   | Scope sc
     when sc.annot = Seq && sc.guard = None && sc.size <= caps.max_unroll
-         && unroll_replication prog p sc <= 4 * caps.max_unroll ->
+         && unroll_replication site sc <= 4 * caps.max_unroll ->
+      let p = site.path in
       [ { move = Moveref.Unroll p; apply = set_annot p Unroll } ]
   | _ -> []
 
-let find_unroll (caps : caps) (prog : Ir.Prog.t) : instance list =
-  over_nodes (unroll_at caps prog) prog
+let unroll = { gate = always; at = unroll_at }
 
 (* Vectorization applies to an innermost scope whose trip count equals the
    vector width and which wraps a single statement whose accesses are
@@ -445,57 +424,46 @@ let vectorizable_stmt (prog : Ir.Prog.t) ~depth (s : stmt) : bool =
   iterval_free && dst_vectorized && access_ok s.dst
   && List.for_all access_ok (Ir.Prog.expr_refs s.rhs)
 
-(* No lane width ([vec_lanes = []]) offers no vectorization. *)
-let vectorize_at (caps : caps) prog p = function
+let vectorize_at (caps : caps) prog site =
+  match site.node with
   | Scope sc
     when sc.annot = Seq && sc.guard = None && List.mem sc.size caps.vec_lanes
     -> (
       match sc.body with
       | [ Stmt s ] ->
-          let depth = Ir.Prog.depth_of_path prog p in
-          if vectorizable_stmt prog ~depth s then
+          let p = site.path in
+          if vectorizable_stmt prog ~depth:(depth site) s then
             [ { move = Moveref.Vectorize p; apply = set_annot p Vec } ]
           else []
       | _ -> [])
   | _ -> []
 
-let find_vectorize (caps : caps) (prog : Ir.Prog.t) : instance list =
-  over_nodes (vectorize_at caps prog) prog
+let vectorize =
+  { gate = (fun caps -> caps.vec_lanes <> []); at = vectorize_at }
 
-(* No enclosing parallel/GPU scope (simple nesting discipline). *)
-let enclosing_annots (prog : Ir.Prog.t) (p : Ir.Types.path) : annot list =
-  let rec go nodes path acc =
-    match path with
-    | [] | [ _ ] -> acc
-    | i :: rest -> (
-        match List.nth_opt nodes i with
-        | Some (Scope s) -> go s.body rest (s.annot :: acc)
-        | _ -> acc)
-  in
-  go prog.body p []
-
-let parallelize_at (caps : caps) prog p = function
-  | Scope sc when caps.can_parallelize && sc.annot = Seq && sc.guard = None ->
-      let depth = Ir.Prog.depth_of_path prog p in
-      let enclosing = enclosing_annots prog p in
+(* No enclosing parallel scope (simple nesting discipline). *)
+let parallelize_at _ prog site =
+  match site.node with
+  | Scope sc when sc.annot = Seq && sc.guard = None ->
+      let p = site.path in
       if
-        (not (List.mem Par enclosing))
-        && Dep.parallel_safe prog ~depth sc.body
+        (not (inside Par site))
+        && Dep.parallel_safe prog ~depth:(depth site) sc.body
       then [ { move = Moveref.Parallelize p; apply = set_annot p Par } ]
       else []
   | _ -> []
 
-let find_parallelize (caps : caps) (prog : Ir.Prog.t) : instance list =
-  over_nodes (parallelize_at caps prog) prog
+let parallelize =
+  { gate = (fun caps -> caps.can_parallelize); at = parallelize_at }
 
 (* GPU mapping discipline: grid outermost, block under grid, warp under
    block; each scope mapped at most once; all require iteration
    independence. *)
-let gpu_map_at (caps : caps) prog p = function
-  | Scope sc when caps.gpu && sc.annot = Seq ->
-      let depth = Ir.Prog.depth_of_path prog p in
-      let enclosing = enclosing_annots prog p in
-      let has a = List.mem a enclosing in
+let gpu_map_at (caps : caps) prog site =
+  match site.node with
+  | Scope sc when sc.annot = Seq ->
+      let p = site.path and depth = depth site in
+      let has a = inside a site in
       (* a scope whose subtree already contains a GPU mapping must not be
          mapped itself (blocks don't nest around blocks) *)
       let subtree_mapped =
@@ -545,8 +513,7 @@ let gpu_map_at (caps : caps) prog p = function
       else acc
   | _ -> []
 
-let find_gpu_map (caps : caps) (prog : Ir.Prog.t) : instance list =
-  over_nodes (gpu_map_at caps prog) prog
+let gpu_map = { gate = (fun caps -> caps.gpu); at = gpu_map_at }
 
 (* ------------------------------------------------------------------ *)
 (* unannotate                                                          *)
@@ -563,13 +530,14 @@ let apply_unannotate p prog =
       | Scope sc -> [ Scope { sc with annot = Seq; ssr = false } ]
       | Stmt _ -> not_applicable "unannotate: not a scope")
 
-let unannotate_at p = function
+let unannotate_at _ _ site =
+  match site.node with
   | Scope sc when sc.annot <> Seq || sc.ssr ->
+      let p = site.path in
       [ { move = Moveref.Unannotate p; apply = apply_unannotate p } ]
   | _ -> []
 
-let find_unannotate (prog : Ir.Prog.t) : instance list =
-  over_nodes unannotate_at prog
+let unannotate = { gate = always; at = unannotate_at }
 
 (* ------------------------------------------------------------------ *)
 (* pad_scope                                                           *)
@@ -587,10 +555,12 @@ let apply_pad p m prog =
           [ Scope { sc with size = padded; guard = Some sc.size } ]
       | _ -> not_applicable "pad_scope: not applicable")
 
-let pad_at (caps : caps) p = function
+let pad_at (caps : caps) _ site =
+  match site.node with
   | Scope sc
     when (sc.annot = Seq || sc.annot = GpuBlock || sc.annot = GpuWarp)
          && sc.guard = None ->
+      let p = site.path in
       let multiples =
         if caps.gpu then [ 32; 64 ]
         else if caps.vec_lanes <> [] then caps.vec_lanes
@@ -604,8 +574,7 @@ let pad_at (caps : caps) p = function
         [] multiples
   | _ -> []
 
-let find_pad (caps : caps) (prog : Ir.Prog.t) : instance list =
-  over_nodes (pad_at caps) prog
+let pad = { gate = always; at = pad_at }
 
 (* ------------------------------------------------------------------ *)
 (* reuse_dims                                                          *)
@@ -616,7 +585,7 @@ let apply_reuse bname dim prog =
   let reuse = List.mapi (fun i r -> if i = dim then true else r) b.reuse in
   Ir.Prog.replace_buffer prog { b with reuse }
 
-let reuse_dims_at prog b =
+let reuse_dims_at _ prog b =
   List.concat
     (List.mapi
        (fun dim _ ->
@@ -626,8 +595,7 @@ let reuse_dims_at prog b =
          else [])
        b.shape)
 
-let find_reuse_dims (prog : Ir.Prog.t) : instance list =
-  over_buffers (reuse_dims_at prog) prog
+let reuse_dims = { gate = always; at = reuse_dims_at }
 
 (* ------------------------------------------------------------------ *)
 (* set_storage                                                         *)
@@ -666,8 +634,7 @@ let set_storage_at (caps : caps) prog b =
       options
   end
 
-let find_set_storage (caps : caps) (prog : Ir.Prog.t) : instance list =
-  over_buffers (set_storage_at caps prog) prog
+let set_storage = { gate = always; at = set_storage_at }
 
 (* ------------------------------------------------------------------ *)
 (* reorder_buffer_dims (layout transposition)                          *)
@@ -701,7 +668,7 @@ let apply_reorder_dims bname perm prog =
         prog.body;
   }
 
-let reorder_dims_at prog b =
+let reorder_dims_at _ prog b =
   let n = List.length b.shape in
   if is_interface prog b || n < 2 then []
   else begin
@@ -722,8 +689,7 @@ let reorder_dims_at prog b =
     swaps 0 []
   end
 
-let find_reorder_dims (prog : Ir.Prog.t) : instance list =
-  over_buffers (reorder_dims_at prog) prog
+let reorder_dims = { gate = always; at = reorder_dims_at }
 
 (* ------------------------------------------------------------------ *)
 (* Snitch: SSR and FREP                                                *)
@@ -741,22 +707,13 @@ let set_ssr p v prog =
    Scalar operands (constant indices) live in ordinary registers and do
    not consume a stream.  A loop already inside a streamed region is not
    offered (the streams are configured once, at the outermost level).
-   Instances are returned outermost-first so exhaustive passes prefer
+   [all] lists the instances outermost-first so exhaustive passes prefer
    amortizing the stream setup over the largest trip count. *)
-let has_ssr_ancestor (prog : Ir.Prog.t) p =
-  let rec go nodes = function
-    | [] | [ _ ] -> false
-    | i :: rest -> (
-        match List.nth_opt nodes i with
-        | Some (Scope s) -> s.ssr || go s.body rest
-        | _ -> false)
-  in
-  go prog.body p
-
-let ssr_at (caps : caps) prog p = function
+let ssr_at _ _ site =
+  match site.node with
   | Scope sc
-    when caps.snitch && (not sc.ssr) && sc.guard = None
-         && not (has_ssr_ancestor prog p) ->
+    when (not sc.ssr) && sc.guard = None
+         && not (List.exists (fun (s : scope) -> s.ssr) site.above) ->
       (* the streamed loop body must be straight-line code: plain
          statements, possibly through fully unrolled sub-scopes *)
       let rec straightline nodes =
@@ -779,24 +736,22 @@ let ssr_at (caps : caps) prog p = function
              sc.body)
       in
       if straightline sc.body && List.length streamed_arrays <= 3 then
-        [ { move = Moveref.Ssr p; apply = set_ssr p true } ]
+        [ { move = Moveref.Ssr site.path; apply = set_ssr site.path true } ]
       else []
   | _ -> []
 
-let find_ssr (caps : caps) (prog : Ir.Prog.t) : instance list =
-  (* the traversal puts inner sites first and a site offers at most one
-     instance: reverse to get outermost-first *)
-  List.rev (over_nodes (ssr_at caps prog) prog)
+let ssr = { gate = (fun caps -> caps.snitch); at = ssr_at }
 
 (* FREP repeats the floating-point instruction block in hardware;
    requires the loop's memory traffic to flow through SSRs. *)
-let frep_at (caps : caps) p = function
-  | Scope sc when caps.snitch && sc.annot = Seq && sc.ssr && sc.guard = None ->
+let frep_at _ _ site =
+  match site.node with
+  | Scope sc when sc.annot = Seq && sc.ssr && sc.guard = None ->
+      let p = site.path in
       [ { move = Moveref.Frep p; apply = set_annot p Frep } ]
   | _ -> []
 
-let find_frep (caps : caps) (prog : Ir.Prog.t) : instance list =
-  over_nodes (frep_at caps) prog
+let frep = { gate = (fun caps -> caps.snitch); at = frep_at }
 
 (* ------------------------------------------------------------------ *)
 (* split_reduction (partial accumulators)                              *)
@@ -933,11 +888,12 @@ let apply_split_reduction p depth k prog =
       | _ -> not_applicable "split_reduction: body must be a single statement")
   | _ -> not_applicable "split_reduction: not applicable"
 
-let split_reduction_at (caps : caps) prog p = function
+let split_reduction_at (caps : caps) _ site =
+  match site.node with
   | Scope sc when sc.annot = Seq && sc.guard = None -> (
       match sc.body with
       | [ Stmt s ] -> (
-          let depth = Ir.Prog.depth_of_path prog p in
+          let p = site.path and depth = depth site in
           let is_acc (a : access) =
             a.array = s.dst.array
             && List.length a.idx = List.length s.dst.idx
@@ -973,51 +929,113 @@ let split_reduction_at (caps : caps) prog p = function
       | _ -> [])
   | _ -> []
 
-let find_split_reduction (caps : caps) (prog : Ir.Prog.t) : instance list =
-  over_nodes (split_reduction_at caps prog) prog
+let split_reduction =
+  { gate = (fun caps -> caps.reduction_split <> []); at = split_reduction_at }
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The action set of the game: every finder's instances, then whatever
+(* Every node, outer before inner and in order (the order of
+   [Ir.Prog.fold_nodes]), each site's instances in front of the earlier
+   sites'.  Each site is built from its parent's. *)
+let over_nodes at (prog : Ir.Prog.t) =
+  let rec visit acc above prefix i = function
+    | [] -> acc
+    | node :: rest ->
+        let site = { path = prefix @ [ i ]; node; above } in
+        let acc = at site @ acc in
+        let acc =
+          match node with
+          | Scope sc -> visit acc (sc :: above) site.path 0 sc.body
+          | Stmt _ -> acc
+        in
+        visit acc above prefix (i + 1) rest
+  in
+  visit [] [] [] 0 prog.body
+
+(* [over_nodes] reversed: a site offers at most one ssr instance, so the
+   outermost site's comes first. *)
+let outermost_first at prog = List.rev (over_nodes at prog)
+
+(* Every split point [1 .. length - 1] of every scope body, in node
+   order, each point's instances in front of the earlier points'. *)
+let over_points at prog =
+  over_nodes
+    (fun site ->
+      let points =
+        match site.node with Scope sc -> List.length sc.body - 1 | Stmt _ -> 0
+      in
+      List.fold_left
+        (fun acc k -> at (site, k) @ acc)
+        [] (List.init (max 0 points) succ))
+    prog
+
+(* Every sibling position with a right neighbour: the top level's, then
+   each scope body's in node order, each site's instances in front of
+   the earlier sites' (so an inner body's pairs come first). *)
+let over_siblings at (prog : Ir.Prog.t) =
+  let visit parent body =
+    let siblings = Array.of_list body in
+    let acc = ref [] in
+    for i = 0 to Array.length siblings - 2 do
+      acc := at { parent; siblings; i } @ !acc
+    done;
+    !acc
+  in
+  over_nodes
+    (fun site ->
+      match site.node with
+      | Scope sc -> visit site.path sc.body
+      | Stmt _ -> [])
+    prog
+  @ visit [] prog.body
+
+(* Every buffer, in declaration order. *)
+let over_buffers at (prog : Ir.Prog.t) = List.concat_map at prog.buffers
+
+(* A family's instances in [all]: none, without a walk, when its gate is
+   off; otherwise [over]'s walk of its sites, which fixes their order. *)
+let walk over fam caps prog =
+  if fam.gate caps then over (fam.at caps prog) prog else []
+
+let families =
+  [
+    walk over_nodes split; walk over_siblings join; walk over_points fission;
+    walk over_nodes interchange; walk over_siblings reorder;
+    walk over_nodes unroll; walk over_nodes vectorize;
+    walk over_nodes parallelize; walk over_nodes gpu_map; walk over_nodes pad;
+    walk over_nodes unannotate; walk over_buffers reuse_dims;
+    walk over_buffers set_storage; walk over_buffers reorder_dims;
+    walk over_nodes split_reduction; walk outermost_first ssr;
+    walk over_nodes frep;
+  ]
+
+(* The action set of the game: every family's instances, then whatever
    macro-moves the capabilities carry (appended last so atomic
    enumeration order — and hence recorded schedules — is unchanged when
    no composites are on). *)
 let all (caps : caps) (prog : Ir.Prog.t) : instance list =
-  List.concat
-    [
-      find_split caps prog;
-      find_join prog;
-      find_fission prog;
-      find_interchange prog;
-      find_reorder prog;
-      find_unroll caps prog;
-      find_vectorize caps prog;
-      find_parallelize caps prog;
-      find_gpu_map caps prog;
-      find_pad caps prog;
-      find_unannotate prog;
-      find_reuse_dims prog;
-      find_set_storage caps prog;
-      find_reorder_dims prog;
-      find_split_reduction caps prog;
-      find_ssr caps prog;
-      find_frep caps prog;
-      caps.extra prog;
-    ]
+  List.fold_right (fun family acc -> family caps prog @ acc) families
+    (caps.extra prog)
 
-(* Where a move's site is, found without a traversal: the node at its
-   path, the siblings under its parent, the buffers of its name.  A site
-   that does not exist offers nothing. *)
-let at_node site (prog : Ir.Prog.t) p =
-  match Ir.Prog.node_at prog p with
-  | node -> site p node
-  | exception Ir.Prog.Invalid_path _ -> []
+(* The site at [p], built by one walk down the path; [None] wherever
+   [Ir.Prog.node_at] raises. *)
+let site_at (prog : Ir.Prog.t) p =
+  let rec go above nodes = function
+    | [] -> None
+    | i :: rest -> (
+        match ((if i < 0 then None else List.nth_opt nodes i), rest) with
+        | Some node, [] -> Some { path = p; node; above }
+        | Some (Scope sc), _ -> go (sc :: above) sc.body rest
+        | (Some (Stmt _) | None), _ -> None)
+  in
+  go [] prog.body p
 
-let at_sibling site (prog : Ir.Prog.t) p =
+(* The sibling position whose left node is at [p]. *)
+let sibling_at (prog : Ir.Prog.t) p =
   match List.rev p with
-  | [] -> []
+  | [] -> None
   | i :: rev_parent -> (
       let parent = List.rev rev_parent in
       let body =
@@ -1030,37 +1048,55 @@ let at_sibling site (prog : Ir.Prog.t) p =
             | exception Ir.Prog.Invalid_path _ -> None)
       in
       match body with
-      | Some nodes when i >= 0 && i < List.length nodes - 1 ->
-          site parent (Array.of_list nodes) i
-      | Some _ | None -> [])
+      | Some body when i >= 0 && i < List.length body - 1 ->
+          Some { parent; siblings = Array.of_list body; i }
+      | Some _ | None -> None)
 
-let at_buffer site (prog : Ir.Prog.t) name =
-  List.concat_map site
-    (List.filter (fun (b : buffer) -> b.bname = name) prog.buffers)
+(* A family's instances at the site a move names: none when its gate is
+   off, which is checked first, or when the site does not exist. *)
+let at_node fam caps prog p =
+  match if fam.gate caps then site_at prog p else None with
+  | Some site -> fam.at caps prog site
+  | None -> []
 
-(* The instances offered at a move's site, in [all]'s order.  Each
-   atomic constructor is emitted by exactly one family, and a move names
-   its site, so the first match here is the first match in [all];
-   [extra] offers only [Composite] moves.  Replay checks one site, not
-   seventeen finders over the whole program. *)
+let at_point fam caps prog p k =
+  match if fam.gate caps then site_at prog p else None with
+  | Some site -> fam.at caps prog (site, k)
+  | None -> []
+
+let at_sibling fam caps prog p =
+  match if fam.gate caps then sibling_at prog p else None with
+  | Some sibling -> fam.at caps prog sibling
+  | None -> []
+
+let at_buffer fam caps (prog : Ir.Prog.t) name =
+  if fam.gate caps then
+    List.concat_map (fam.at caps prog)
+      (List.filter (fun (b : buffer) -> b.bname = name) prog.buffers)
+  else []
+
+(* The instances offered at a move's site, in [all]'s order.  Each atomic
+   constructor is emitted by exactly one family, and a move names its
+   site, so the first match here is the first match in [all]; [extra]
+   offers only [Composite] moves. *)
 let sites (caps : caps) prog : Moveref.t -> instance list = function
-  | Split (p, _) -> at_node (split_at caps prog) prog p
-  | Join p -> at_sibling (join_at prog) prog p
-  | Fission (p, k) -> at_node (fission_at prog k) prog p
-  | Interchange p -> at_node (interchange_at prog) prog p
-  | Reorder p -> at_sibling (reorder_at prog) prog p
-  | Unroll p -> at_node (unroll_at caps prog) prog p
-  | Vectorize p -> at_node (vectorize_at caps prog) prog p
-  | Parallelize p -> at_node (parallelize_at caps prog) prog p
-  | Gpu (p, _) -> at_node (gpu_map_at caps prog) prog p
-  | Pad (p, _) -> at_node (pad_at caps) prog p
-  | Unannotate p -> at_node unannotate_at prog p
-  | Reuse_dims (b, _) -> at_buffer (reuse_dims_at prog) prog b
-  | Set_storage (b, _) -> at_buffer (set_storage_at caps prog) prog b
-  | Reorder_dims (b, _) -> at_buffer (reorder_dims_at prog) prog b
-  | Split_reduction (p, _) -> at_node (split_reduction_at caps prog) prog p
-  | Ssr p -> at_node (ssr_at caps prog) prog p
-  | Frep p -> at_node (frep_at caps) prog p
+  | Split (p, _) -> at_node split caps prog p
+  | Join p -> at_sibling join caps prog p
+  | Fission (p, k) -> at_point fission caps prog p k
+  | Interchange p -> at_node interchange caps prog p
+  | Reorder p -> at_sibling reorder caps prog p
+  | Unroll p -> at_node unroll caps prog p
+  | Vectorize p -> at_node vectorize caps prog p
+  | Parallelize p -> at_node parallelize caps prog p
+  | Gpu (p, _) -> at_node gpu_map caps prog p
+  | Pad (p, _) -> at_node pad caps prog p
+  | Unannotate p -> at_node unannotate caps prog p
+  | Reuse_dims (b, _) -> at_buffer reuse_dims caps prog b
+  | Set_storage (b, _) -> at_buffer set_storage caps prog b
+  | Reorder_dims (b, _) -> at_buffer reorder_dims caps prog b
+  | Split_reduction (p, _) -> at_node split_reduction caps prog p
+  | Ssr p -> at_node ssr caps prog p
+  | Frep p -> at_node frep caps prog p
   | Composite _ -> caps.extra prog
 
 let resolve_move ?(filter = fun (_ : instance) -> true) caps prog m =

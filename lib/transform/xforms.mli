@@ -1,23 +1,32 @@
 (** The atomic transformation library (§2.2).
 
-    Each transformation ships with applicability discovery: the [find_*]
-    functions enumerate every program location where the move is provably
-    semantics-preserving (using the analyses in {!Dep}) and return
-    ready-to-apply {!instance}s.  Applying an instance needs no further
-    checks.  Programs are immutable, so histories are naturally
-    non-destructive.
+    Each transformation family ships with applicability discovery: the
+    family is one declaration holding its capability gate and its
+    {e site function}, the instances it proves semantics-preserving
+    (using the analyses in {!Dep}) at one site, ready to apply.  {!all}
+    walks the sites of every family the capabilities enable, and
+    {!resolve_move} runs only the site a move names, so no rule has a
+    second copy.  Applying an instance needs no further checks.
+    Programs are immutable, so histories are naturally non-destructive.
 
-    {b Sites.}  A family's applicability rules live in one internal
-    {e site function}: the instances the family offers at one site, in
-    the order its finder lists them there.  A site is a node path
-    (split, fission, interchange, unroll, vectorize, parallelize,
-    gpu_map, pad, unannotate, ssr, frep, split_reduction; a fission
-    site is a path and a split point, each point having its own
-    dependence check), a sibling position — a parent path and an index
-    — (join, reorder) or a buffer (reuse_dims, set_storage,
-    reorder_dims).  Each [find_*] is only a traversal of its sites, and
-    {!resolve_move} runs the one site a move names, so no rule has a
-    second copy. *)
+    {b Sites.}  A site is a node path (split, fission, interchange,
+    unroll, vectorize, parallelize, gpu_map, pad, unannotate, ssr,
+    frep, split_reduction; a fission site is a path and a split point,
+    each point having its own dependence check), a sibling position — a
+    parent path and an index — (join, reorder) or a buffer (reuse_dims,
+    set_storage, reorder_dims).  A node site carries the scopes that
+    enclose the node, built by the walk that reaches it, so a rule that
+    asks about the nest (its depth, the enclosing annotations, SSR
+    streaming or unrolling above) never walks down from the root again.
+
+    {b Gates.}  A family the capabilities switch off offers nothing,
+    and {!all} does not walk it: gpu_map needs [gpu], parallelize
+    [can_parallelize], vectorize a lane width ([vec_lanes <> []]),
+    split_reduction an accumulator count ([reduction_split <> []]), and
+    ssr and frep need [snitch].  The other eleven families are always
+    on; the capabilities still shape what they offer at a site (split
+    factors, pad multiples, the [Shared] storage option, the unroll
+    bound). *)
 
 type instance = {
   move : Moveref.t;  (** which move this is: transformation and location *)
@@ -79,21 +88,24 @@ val with_extra : (Ir.Prog.t -> instance list) -> caps -> caps
 
 val all : caps -> Ir.Prog.t -> instance list
 (** Every applicable instance of every transformation at the given
-    program state — the action set of the PerfDojo game.  Atomic
-    instances first, then [caps.extra] macro-moves. *)
+    program state — the action set of the PerfDojo game.  The atomic
+    instances of every enabled family, in the order the family list
+    below gives, then [caps.extra] macro-moves. *)
 
 val resolve_move :
   ?filter:(instance -> bool) -> caps -> Ir.Prog.t -> Moveref.t -> instance option
 (** [resolve_move ?filter caps p m] is the first instance that passes
     [filter] and whose [move] is [m], found by checking only [m]'s site:
-    the node at {!Moveref.anchor}[ m] ({!Ir.Prog.node_at}), the
-    siblings under its parent for a join or reorder, the buffers named
-    by a buffer move — and [caps.extra] for a {!Moveref.Composite}.  A
-    site that does not exist (an index out of range or negative at any
-    level, [[]], a step into a statement, an unknown buffer) offers
-    nothing.  This is how a recorded move is replayed: one site's
-    checks instead of the seventeen finders {!all} runs over the whole
-    program. *)
+    the node at {!Moveref.anchor}[ m] (one walk down the path, which
+    also collects the enclosing scopes), the siblings under its parent
+    for a join or reorder, the buffers named by a buffer move — and
+    [caps.extra] for a {!Moveref.Composite}.  A move whose family the
+    capabilities switch off resolves to [None] before any site is
+    looked at.  A site that does not exist (an index out of range or
+    negative at any level, [[]], a step into a statement, an unknown
+    buffer) offers nothing.  This is how a recorded move is replayed:
+    one site's checks instead of every family {!all} walks over the
+    whole program. *)
 
 val resolve :
   ?filter:(instance -> bool) -> caps -> Ir.Prog.t -> string -> instance option
@@ -104,91 +116,57 @@ val resolve :
     {b Law.}  [resolve ?filter caps p name] and
     [lookup ?filter (all caps p) name] return instances with the same
     [move], and those instances produce the same program.  It holds
-    because no finder emits another finder's constructor, a move names
-    its own site, the finder lists a site's instances in the order its
-    site function returns them, and [caps.extra] offers only
-    {!Moveref.Composite} moves: the first match at the move's site is
-    the first match in {!all}. *)
+    because no family emits another family's constructor, both apply
+    the family's one gate, a move names its own site, {!all} lists a
+    site's instances in the order its site function returns them, and
+    [caps.extra] offers only {!Moveref.Composite} moves: the first
+    match at the move's site is the first match in {!all}. *)
 
-(** {1 Individual transformations}
+(** {1 The families}
 
-    Exposed for passes and tests; [all] is the usual entry point. *)
+    In the order {!all} lists them, with the name their moves carry in
+    describe strings:
 
-val find_split : caps -> Ir.Prog.t -> instance list
-(** Tiling: scope of size [n = f*m] becomes nested [m]/[f] scopes;
-    [{d}] is rewritten to [f*{d} + {d+1}]. *)
+    - [split_scope]: tiling — a scope of size [n = f*m] becomes nested
+      [m]/[f] scopes; [{d}] is rewritten to [f*{d} + {d+1}].
+    - [join_scopes]: loop fusion of a scope with its immediately
+      following sibling (equal sizes; zero-distance dependences only).
+    - [fission]: loop distribution at any body split point with
+      zero-distance dependences across the parts.
+    - [interchange]: swap a scope with its sole child scope (lockstep or
+      commutative-reduction dependences only).
+    - [reorder]: swap two independent adjacent siblings.
+    - [unroll]: mark a scope unrolled (bounded total code replication).
+    - [vectorize]: an innermost single-statement scope whose trip count
+      equals a permitted lane width and whose accesses are unit-stride
+      or invariant — the paper's explicit tile-then-vectorize
+      discipline.
+    - [parallelize]: CPU thread parallelism over an
+      iteration-independent scope inside no parallel scope.
+    - [gpu_map]: map scopes to the GPU grid, block and warp dimensions
+      (grid outermost, blocks inside a grid, warps inside a block;
+      blocks and warps additionally allow commutative reductions —
+      cooperative reduction).
+    - [pad_scope]: pad a trip count up to a hardware multiple; the extra
+      iterations are masked by a guard.
+    - [unannotate]: revert a scope's annotation (and SSR flag) to
+      sequential — the inverse of the annotation moves, keeping the
+      space explorable forward.
+    - [reuse_dims]: collapse a buffer dimension to storage extent 1 when
+      a single sequential scope provably owns it (Figure 5).
+    - [set_storage]: move a non-interface buffer between heap / stack /
+      shared / register.
+    - [reorder_buffer_dims]: transpose the storage layout of a
+      non-interface buffer (adjacent dimension swaps).
+    - [split_reduction]: introduce [k] partial accumulators for a
+      reduction carried by a loop, breaking the FP-latency dependency
+      chain (exact up to floating-point reassociation).
+    - [enable_ssr]: stream the memory accesses of a straight-line loop
+      body through Snitch stream semantic registers (at most 3 streams;
+      not inside a streamed loop), outermost site first.
+    - [enable_frep]: put an SSR-streamed loop under the Snitch FREP
+      hardware loop. *)
 
 val apply_split : Ir.Types.path -> int -> int -> Ir.Prog.t -> Ir.Prog.t
-(** [apply_split path depth factor] — unchecked form used by passes. *)
-
-val find_join : Ir.Prog.t -> instance list
-(** Loop fusion of a scope with its immediately-following sibling
-    (equal sizes; zero-distance dependences only). *)
-
-val find_fission : Ir.Prog.t -> instance list
-(** Loop distribution at any body split point with zero-distance
-    dependences across the parts. *)
-
-val find_interchange : Ir.Prog.t -> instance list
-(** Swap a scope with its sole child scope (lockstep or commutative-
-    reduction dependences only). *)
-
-val find_reorder : Ir.Prog.t -> instance list
-(** Swap two independent adjacent siblings. *)
-
-val find_unroll : caps -> Ir.Prog.t -> instance list
-(** Mark a scope unrolled (bounded total code replication). *)
-
-val find_vectorize : caps -> Ir.Prog.t -> instance list
-(** Vectorize an innermost single-statement scope whose trip count
-    equals a permitted lane width and whose accesses are unit-stride or
-    invariant — the paper's explicit tile-then-vectorize discipline. *)
-
-val vectorizable_stmt : Ir.Prog.t -> depth:int -> Ir.Types.stmt -> bool
-
-val find_parallelize : caps -> Ir.Prog.t -> instance list
-(** CPU thread parallelism over iteration-independent scopes. *)
-
-val find_gpu_map : caps -> Ir.Prog.t -> instance list
-(** Map scopes to the GPU grid / block dimensions (grid outermost,
-    blocks inside a grid; blocks additionally allow commutative
-    reductions — cooperative block reduction). *)
-
-val find_pad : caps -> Ir.Prog.t -> instance list
-(** Pad a trip count up to a hardware multiple; the extra iterations are
-    masked by a guard. *)
-
-val find_unannotate : Ir.Prog.t -> instance list
-(** Revert a scope's annotation (and SSR flag) to sequential — the
-    inverse of the annotation moves, keeping the space explorable
-    forward. *)
-
-val find_reuse_dims : Ir.Prog.t -> instance list
-(** Collapse a buffer dimension to storage extent 1 when a single
-    sequential scope provably owns it (Figure 5). *)
-
-val find_set_storage : caps -> Ir.Prog.t -> instance list
-(** Move a non-interface buffer between heap / stack / shared /
-    register. *)
-
-val find_reorder_dims : Ir.Prog.t -> instance list
-(** Transpose the storage layout of a non-interface buffer (adjacent
-    dimension swaps). *)
-
-val find_split_reduction : caps -> Ir.Prog.t -> instance list
-(** Introduce [k] partial accumulators for a reduction carried by a
-    loop, breaking the FP-latency dependency chain (exact up to
-    floating-point reassociation). *)
-
-val find_ssr : caps -> Ir.Prog.t -> instance list
-(** Stream the memory accesses of a straight-line loop body through
-    Snitch stream semantic registers (at most 3 streams). *)
-
-val find_frep : caps -> Ir.Prog.t -> instance list
-(** Put an SSR-streamed loop under the Snitch FREP hardware loop. *)
-
-val unroll_replication : Ir.Prog.t -> Ir.Types.path -> Ir.Types.scope -> int
-
-val set_annot : Ir.Types.path -> Ir.Types.annot -> Ir.Prog.t -> Ir.Prog.t
-val apply_join : Ir.Types.path -> Ir.Prog.t -> Ir.Prog.t
-val enclosing_annots : Ir.Prog.t -> Ir.Types.path -> Ir.Types.annot list
+(** [apply_split path depth factor] splits the scope at [path], whose
+    depth the caller gives, without the family's checks. *)

@@ -827,6 +827,50 @@ let qcheck_reanchored =
             (m :: reanchored p m))
         families)
 
+(* The law across targets.  Every atomic move offered on one walk
+   target's states is resolved under each other target's caps on the
+   same program, and must agree with [lookup] over [all] under those
+   caps.  The law tests above re-resolve only under the caps that
+   offered the move; here a family the other caps switch off (gh200's
+   gpu_map under x86, x86's parallelize under snitch, snitch's ssr under
+   gh200) must resolve to nothing, as [all] offers nothing of it. *)
+let cross_target_resolve () =
+  let refused = Hashtbl.create 8 in
+  List.iter
+    (fun (caps, p, insts) ->
+      List.iter
+        (fun other ->
+          (* the walk hands each state its target's own caps value *)
+          if other != caps then begin
+            let offered = Xforms.all other p in
+            let move = Option.map (fun (i : Xforms.instance) -> i.move) in
+            let program =
+              Option.map (fun (i : Xforms.instance) ->
+                  Ir.Prog.digest (i.apply p))
+            in
+            List.iter
+              (fun (i : Xforms.instance) ->
+                let name = Xforms.describe i in
+                let r = Xforms.resolve_move other p i.move
+                and l = Xforms.lookup offered name in
+                if move r <> move l || program r <> program l then
+                  Alcotest.failf "%s: resolve %s, lookup %s" name
+                    (Option.fold ~none:"None" ~some:Xforms.describe r)
+                    (Option.fold ~none:"None" ~some:Xforms.describe l);
+                if Option.is_none l then
+                  Hashtbl.replace refused (Moveref.xname i.move) ())
+              insts
+          end)
+        walk_caps)
+    (Lazy.force atomic_visits);
+  (* every family some target switches off is refused somewhere *)
+  List.iter
+    (fun x ->
+      if not (Hashtbl.mem refused x) then
+        Alcotest.failf "no %s move was refused under another target" x)
+    [ "gpu_map"; "parallelize"; "vectorize"; "split_reduction"; "enable_ssr";
+      "enable_frep" ]
+
 let move_tests =
   [
     Alcotest.test_case "offered move lists are byte-identical" `Quick
@@ -871,6 +915,9 @@ let move_tests =
               insts)
           (Lazy.force atomic_visits));
     QCheck_alcotest.to_alcotest qcheck_reanchored;
+    Alcotest.test_case
+      "a move resolves to nothing under caps that switch its family off"
+      `Quick cross_target_resolve;
   ]
 
 let () =
