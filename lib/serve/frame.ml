@@ -26,7 +26,7 @@ let max_payload_default = 4 * 1024 * 1024
 let max_header_digits = 19
 
 let encode payload =
-  Printf.sprintf "%d\n%s\n" (String.length payload) payload
+  String.concat "" [ string_of_int (String.length payload); "\n"; payload; "\n" ]
 
 (* ------------------------------------------------------------------ *)
 (* Pure string transport                                               *)

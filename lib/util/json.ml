@@ -21,32 +21,50 @@ type t =
 (* ------------------------------------------------------------------ *)
 
 (* Shortest of %.15g / %.16g / %.17g that parses back to the same float:
-   exact, and stable under parse-then-reprint. *)
+   exact, and stable under parse-then-reprint.  An integral float below
+   10^15 in magnitude, other than -0., has at most 15 digits, which
+   %.15g prints in full with no exponent and which parse back exactly;
+   [string_of_int] gives those same bytes without the Printf and the
+   parse back.  Every other float takes the 15/16/17 ladder. *)
 let num_string (f : float) : string =
-  let try_prec p =
-    let s = Printf.sprintf "%.*g" p f in
-    if float_of_string s = f then Some s else None
-  in
-  match try_prec 15 with
-  | Some s -> s
-  | None -> ( match try_prec 16 with
-      | Some s -> s
-      | None -> Printf.sprintf "%.17g" f)
+  if
+    Float.is_integer f && Float.abs f < 1e15
+    && not (f = 0. && Float.sign_bit f)
+  then string_of_int (int_of_float f)
+  else
+    let try_prec p =
+      let s = Printf.sprintf "%.*g" p f in
+      if float_of_string s = f then Some s else None
+    in
+    match try_prec 15 with
+    | Some s -> s
+    | None -> ( match try_prec 16 with
+        | Some s -> s
+        | None -> Printf.sprintf "%.17g" f)
 
+(* A run of bytes that needs no escape is copied whole; [start] is the
+   first byte of the run not yet copied. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let n = String.length s in
+  let rec go start i =
+    if i = n then Buffer.add_substring buf s start (i - start)
+    else
+      let c = s.[i] in
+      if c <> '"' && c <> '\\' && Char.code c >= 0x20 then go start (i + 1)
+      else begin
+        Buffer.add_substring buf s start (i - start);
+        (match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+        go (i + 1) (i + 1)
+      end
+  in
+  go 0 0;
   Buffer.add_char buf '"'
 
 let to_string (v : t) : string =
@@ -106,9 +124,10 @@ let of_string (s : string) : (t, string) result =
     | _ -> fail (Printf.sprintf "expected %C" c)
   in
   let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
+    let len = String.length word in
+    let rec matches i = i = len || (s.[!pos + i] = word.[i] && matches (i + 1)) in
+    if !pos + len <= n && matches 0 then begin
+      pos := !pos + len;
       v
     end
     else fail (Printf.sprintf "expected %s" word)
@@ -127,44 +146,60 @@ let of_string (s : string) : (t, string) result =
       Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
     end
   in
+  (* the first '"' or '\\' at or after [i], or [n] *)
+  let rec run_end i =
+    if i < n && s.[i] <> '"' && s.[i] <> '\\' then run_end (i + 1) else i
+  in
+  (* A string whose closing quote comes before any backslash is one
+     [String.sub]; otherwise the runs between escapes are copied whole. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        (if !pos >= n then fail "unterminated escape");
-        let e = s.[!pos] in
+    let start = !pos in
+    let stop = run_end start in
+    if stop < n && s.[stop] = '"' then begin
+      pos := stop + 1;
+      String.sub s start (stop - start)
+    end
+    else begin
+      let buf = Buffer.create (stop - start + 16) in
+      (* [i] starts a run that needs no decoding *)
+      let rec loop i =
+        let stop = run_end i in
+        Buffer.add_substring buf s i (stop - i);
+        pos := stop;
+        if stop >= n then fail "unterminated string";
         advance ();
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            (match int_of_string_opt ("0x" ^ hex) with
-            | Some cp -> add_code_point buf cp
-            | None -> fail "bad \\u escape")
-        | _ -> fail "unknown escape");
-        loop ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        loop ()
-      end
-    in
-    loop ()
+        if s.[stop] = '"' then Buffer.contents buf
+        else begin
+          (if !pos >= n then fail "unterminated escape");
+          let e = s.[!pos] in
+          advance ();
+          (match e with
+          | '"' -> Buffer.add_char buf '"'
+          | '\\' -> Buffer.add_char buf '\\'
+          | '/' -> Buffer.add_char buf '/'
+          | 'b' -> Buffer.add_char buf '\b'
+          | 'f' -> Buffer.add_char buf '\012'
+          | 'n' -> Buffer.add_char buf '\n'
+          | 'r' -> Buffer.add_char buf '\r'
+          | 't' -> Buffer.add_char buf '\t'
+          | 'u' ->
+              if !pos + 4 > n then fail "truncated \\u escape";
+              let hex = String.sub s !pos 4 in
+              pos := !pos + 4;
+              (match int_of_string_opt ("0x" ^ hex) with
+              | Some cp -> add_code_point buf cp
+              | None -> fail "bad \\u escape")
+          | _ -> fail "unknown escape");
+          loop !pos
+        end
+      in
+      loop start
+    end
   in
+  (* A lexeme of an optional '-' and 1-15 decimal digits is below 2^53
+     in magnitude, so int arithmetic gives its float exactly; a negative
+     zero ("-0") and every other lexeme go through [float_of_string_opt]. *)
   let parse_number () =
     let start = !pos in
     let numchar c =
@@ -175,10 +210,28 @@ let of_string (s : string) : (t, string) result =
     while !pos < n && numchar s.[!pos] do
       advance ()
     done;
-    let text = String.sub s start (!pos - start) in
-    match float_of_string_opt text with
-    | Some f -> Num f
-    | None -> fail (Printf.sprintf "bad number %S" text)
+    let stop = !pos in
+    let neg = stop > start && s.[start] = '-' in
+    let first = if neg then start + 1 else start in
+    (* [acc] followed by the digits of s[i..stop), or -1 at a non-digit *)
+    let rec digits acc i =
+      if i = stop then acc
+      else
+        match s.[i] with
+        | '0' .. '9' as c ->
+            digits ((10 * acc) + Char.code c - Char.code '0') (i + 1)
+        | _ -> -1
+    in
+    let v =
+      if stop - first >= 1 && stop - first <= 15 then digits 0 first else -1
+    in
+    if v > 0 || (v = 0 && not neg) then
+      Num (float_of_int (if neg then -v else v))
+    else
+      let text = String.sub s start (stop - start) in
+      match float_of_string_opt text with
+      | Some f -> Num f
+      | None -> fail (Printf.sprintf "bad number %S" text)
   in
   let rec parse_value () =
     skip_ws ();
@@ -259,8 +312,14 @@ let member key = function
 
 let to_float = function Num f -> Some f | _ -> None
 
+(* [int_of_float] is unspecified outside [min_int, max_int]: an integral
+   number out there is ill-typed, not wrapped. *)
 let to_int = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
+  | Num f
+    when Float.is_integer f
+         && f >= float_of_int min_int
+         && f < -.float_of_int min_int ->
+      Some (int_of_float f)
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None

@@ -208,6 +208,87 @@ let frame_tests =
         Sys.remove f);
   ]
 
+(* The round-trip properties above hold for any self-consistent codec;
+   these pin the bytes themselves. *)
+let golden_reply =
+  P.Optimized
+    {
+      id = 1000;
+      kernel = "softmax_r8";
+      target = "x86";
+      warm = true;
+      time_s = 2.681904761904762e-06;
+      moves = [ "unroll([0])"; "split_scope([0,1] factor 8)" ];
+      script =
+        "pds 1\nkernel softmax_r8\ntarget x86\nat path [0] do unroll\nat \
+         path [0,1] do split(factor=8)\n";
+      evaluations = 0;
+      failures = 0;
+    }
+
+let golden_reply_bytes =
+  "{\"resp\":\"optimized\",\"v\":1,\"id\":1000,\"kernel\":\"softmax_r8\",\
+   \"target\":\"x86\",\"warm\":true,\"time_s\":2.681904761904762e-06,\
+   \"moves\":[\"unroll([0])\",\"split_scope([0,1] factor 8)\"],\
+   \"script\":\"pds 1\\nkernel softmax_r8\\ntarget x86\\nat path [0] do \
+   unroll\\nat path [0,1] do split(factor=8)\\n\",\"evaluations\":0,\
+   \"failures\":0}"
+
+let golden_request =
+  P.Optimize
+    {
+      id = 7;
+      kernel = "softmax_r8";
+      target = "x86";
+      strategy = "annealing";
+      budget = 64;
+      deadline_ms = 250;
+      force = false;
+    }
+
+let golden_request_bytes =
+  "{\"req\":\"optimize\",\"v\":1,\"id\":7,\"kernel\":\"softmax_r8\",\
+   \"target\":\"x86\",\"strategy\":\"annealing\",\"budget\":64,\
+   \"deadline_ms\":250,\"force\":false}"
+
+let wire_tests =
+  [
+    Alcotest.test_case "a warm reply and its frame are byte-pinned" `Quick
+      (fun () ->
+        let payload = P.encode_response golden_reply in
+        Alcotest.(check string) "payload" golden_reply_bytes payload;
+        Alcotest.(check int) "length" 306 (String.length payload);
+        Alcotest.(check string) "frame"
+          ("306\n" ^ golden_reply_bytes ^ "\n")
+          (F.encode payload);
+        Alcotest.(check bool) "decodes" true
+          (P.decode_response golden_reply_bytes = Ok golden_reply));
+    Alcotest.test_case "an optimize request and its frame are byte-pinned"
+      `Quick (fun () ->
+        let payload = P.encode_request golden_request in
+        Alcotest.(check string) "payload" golden_request_bytes payload;
+        Alcotest.(check string) "frame"
+          ("135\n" ^ golden_request_bytes ^ "\n")
+          (F.encode payload);
+        Alcotest.(check bool) "decodes" true
+          (P.decode_request golden_request_bytes = Ok golden_request));
+    Alcotest.test_case "an integral member outside int is ill-typed" `Quick
+      (fun () ->
+        let refused member line =
+          match P.decode_request line with
+          | Error e ->
+              Alcotest.(check string) line
+                (Printf.sprintf "ill-typed member %S" member) e
+          | Ok _ -> Alcotest.failf "accepted %s" line
+        in
+        refused "id"
+          {|{"req":"query","v":1,"id":1e300,"kernel":"k","target":"x86"}|};
+        refused "id"
+          {|{"req":"query","v":1,"id":4611686018427387904,"kernel":"k","target":"x86"}|};
+        refused "budget"
+          {|{"req":"optimize","v":1,"id":1,"kernel":"k","target":"x86","strategy":"annealing","budget":1e30,"deadline_ms":0,"force":false}|});
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Warm fast path                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -643,6 +724,7 @@ let () =
     [
       ("protocol", qcheck_tests);
       ("frame", frame_tests);
+      ("wire", wire_tests);
       ("warm", warm_tests);
       ("admission", admission_tests);
       ("concurrency", concurrency_tests);

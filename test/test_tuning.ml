@@ -54,7 +54,82 @@ let json_tests =
         match J.of_string "\"abc" with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "accepted unterminated string");
+    Alcotest.test_case "to_int refuses integral numbers outside int" `Quick
+      (fun () ->
+        let check what expected f =
+          Alcotest.(check (option int)) what expected (J.to_int (J.Num f))
+        in
+        check "-2^62" (Some min_int) (-0x1p62);
+        check "2^53" (Some (1 lsl 53)) 0x1p53;
+        check "2^62" None 0x1p62;
+        check "1e300" None 1e300;
+        check "-1e19" None (-1e19));
   ]
+
+(* The codec against [Json_oracle], the printer it replaced: the same
+   bytes for every float and every string, and the parser's number
+   lexemes against [float_of_string_opt]. *)
+let json_oracle_tests =
+  let module J = Util.Json in
+  let open QCheck in
+  let edges =
+    [ 0.; -0.; 1e15 -. 1.; -.(1e15 -. 1.); 1e15; -1e15; 0x1p53; -0x1p53;
+      0.1; 1e-7; 5e-324; max_float; nan; infinity; neg_infinity ]
+  in
+  let bits = Gen.map Int64.float_of_bits Gen.int64 in
+  let int53 = Gen.map float_of_int (Gen.int_range (-(1 lsl 53)) (1 lsl 53)) in
+  (* magnitudes log-uniform below 2^53, so both sides of the 10^15
+     bound are drawn often *)
+  let digits =
+    Gen.(
+      int_range 0 53 >>= fun b ->
+      int_bound (1 lsl b) >>= fun m ->
+      map (fun neg -> float_of_int (if neg then -m else m)) bool)
+  in
+  let float_arb =
+    make ~print:(Printf.sprintf "%h")
+      Gen.(frequency [ (1, oneofl edges); (2, bits); (2, int53); (2, digits) ])
+  in
+  let byte_string =
+    make ~print:(Printf.sprintf "%S")
+      Gen.(string_size ~gen:char (int_bound 40))
+  in
+  let number_text =
+    make ~print:Fun.id
+      Gen.(
+        frequency
+          [
+            ( 1,
+              oneofl
+                [ "-0"; "0"; "-"; "007"; "-007"; "1e5"; "1.5";
+                  "123456789012345"; "1234567890123456" ] );
+            ( 3,
+              map string_of_int
+                (int_range (-10_000_000_000_000_000) 10_000_000_000_000_000) );
+            (3, map (fun f -> string_of_int (int_of_float f)) digits);
+          ])
+  in
+  List.map QCheck_alcotest.to_alcotest
+    [
+      Test.make ~count:3000 ~name:"num_string equals the earlier printer"
+        float_arb (fun f -> J.num_string f = Json_oracle.num_string f);
+      Test.make ~count:1000
+        ~name:"strings over every byte print as before and parse back"
+        byte_string (fun s ->
+          let buf = Buffer.create 16 in
+          Json_oracle.escape_string buf s;
+          let printed = J.to_string (J.Str s) in
+          printed = Buffer.contents buf && J.of_string printed = Ok (J.Str s));
+      Test.make ~count:2000
+        ~name:"number lexemes parse to float_of_string_opt's bits"
+        number_text (fun t ->
+          match (J.of_string t, float_of_string_opt t) with
+          | Ok (J.Num f), Some g -> Int64.bits_of_float f = Int64.bits_of_float g
+          | Error e, None ->
+              e = Printf.sprintf "bad number %S at offset %d" t
+                    (String.length t)
+          | _ -> false);
+    ]
 
 let arbitrary_record =
   let open QCheck in
@@ -945,7 +1020,7 @@ let refusal_tests =
 let () =
   Alcotest.run "tuning"
     [
-      ("json", json_tests);
+      ("json", json_tests @ json_oracle_tests);
       ( "record-qcheck",
         List.map QCheck_alcotest.to_alcotest
           [ prop_record_roundtrip; prop_record_stable ] );
