@@ -163,8 +163,8 @@ let common_opts : common Term.t =
   let retries_arg =
     let doc =
       "Retry budget for transient evaluation failures: each failing \
-       evaluation is retried up to N times (with deterministic backoff) \
-       before being quarantined at +inf."
+       evaluation is retried at once, up to N times, before being \
+       quarantined at +inf."
     in
     Arg.(
       value

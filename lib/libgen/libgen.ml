@@ -160,6 +160,31 @@ let manifest_json (lib : library) : Util.Json.t =
 (* The driver                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* One (kernel, target) pair of the suite.  A kernel's root is built
+   and fingerprinted once: IR programs are immutable, so its pairs
+   share it across targets. *)
+type pair = {
+  kernel : Kernels.entry;
+  tname : string;
+  target : Machine.Desc.target;
+  root : Ir.Prog.t;
+  fp : string;
+  naive_s : float;  (* the root's modelled time on [target] *)
+}
+
+(* What a pair came to: the manifest fields that are not the pair's own.
+   A fresh pair's result is also its crash-ledger line. *)
+type pair_result = {
+  status : status;
+  strategy : string;
+  moves : string list;
+  time_s : float;
+  evaluations : int;
+  failures : int;
+  recorded : bool;
+  error : string option;
+}
+
 (* What the plan phase decided for a pair: reproduce a recorded
    schedule, optimize (with a warm-start sequence when the database
    offers a matching record), or replay a ledger entry left by a
@@ -169,43 +194,97 @@ type plan_item =
   | Optimize of string list
   | Ledgered of Util.Json.t
 
+(* A fresh pair once its task settled: its result, the schedule it
+   emits, its trace buffer (a crashed task's is lost with it, so null)
+   and, when it degraded, the classified cause. *)
+type settled = {
+  result : pair_result;
+  sched : Ir.Prog.t;
+  sink : Obs.Trace.sink;
+  cause : Robust.Guard.failure option;
+}
+
+(* The naive fallback of a pair whose optimization failed. *)
+let degraded (p : pair) ~evaluations ~failures sink cause =
+  let result =
+    { status = Degraded; strategy = "naive"; moves = []; time_s = p.naive_s;
+      evaluations; failures; recorded = false;
+      error = Some (Robust.Guard.failure_message cause) }
+  in
+  { result; sched = p.root; sink; cause = Some cause }
+
+(* Write the pair's C file under [out] and build its manifest entry. *)
+let entry_of ~out (p : pair) (r : pair_result) sched : entry =
+  let e = p.kernel in
+  let c_entry = Codegen.entry_symbol ~kernel:e.label ~target:p.tname in
+  (* the file is named after the symbol, less its "perfdojo_" *)
+  let c_file = String.sub c_entry 9 (String.length c_entry - 9) ^ ".c" in
+  let banner =
+    Printf.sprintf
+      "/* %s (%s) on %s: %s\n\
+      \   status %s via %s; modelled %.3e s (%.2fx over naive)\n\
+      \   fingerprint %s */\n"
+      e.label e.shape_desc p.tname e.description (status_name r.status)
+      r.strategy r.time_s
+      (if r.time_s > 0. then p.naive_s /. r.time_s else 0.)
+      p.fp
+  in
+  write_file
+    (Filename.concat out c_file)
+    (banner ^ Codegen.program ~entry:c_entry sched);
+  { kernel = e.label; shape = e.shape_desc; target = p.tname;
+    fingerprint = p.fp; status = r.status; strategy = r.strategy;
+    moves = r.moves; naive_s = p.naive_s; time_s = r.time_s;
+    evaluations = r.evaluations; failures = r.failures;
+    recorded = r.recorded; c_file; c_entry; error = r.error }
+
 (* ------------------------------------------------------------------ *)
 (* The crash ledger                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* With [ctx.checkpoint] set, every completed fresh pair appends one
-   entry to a {!Recover.Journal} *before* its database deposit, so the
+(* With [ctx.checkpoint] set, every completed fresh pair appends its
+   result to a {!Recover.Journal} *before* its database deposit, so the
    ledger always covers the deposits (ledgered ⊇ deposited).  A killed
    suite resumed with [ctx.resume] replays the ledger: ledgered pairs
    bypass both the plan phase's database decision and the optimizer —
-   their manifest entry is rebuilt verbatim from the ledger (schedules
+   their manifest entry is rebuilt from the ledgered result (schedules
    regenerate by replaying the recorded moves) and their deposit is
    re-applied idempotently — so the resumed run starts at the first
    unfinished pair and still emits a byte-identical manifest. *)
 
-let pair_id kernel target = kernel ^ "|" ^ target
+let pair_id (p : pair) = p.kernel.label ^ "|" ^ p.tname
 
-let ledger_entry_json ~pid ~status ~strategy ~moves ~time_s ~evaluations
-    ~failures ~recorded ~error : Util.Json.t =
+let result_json (p : pair) (r : pair_result) : Util.Json.t =
   let open Util.Json in
   Obj
     [
-      ("pair", Str pid);
-      ("status", Str (status_name status));
-      ("strategy", Str strategy);
-      ("moves", Arr (List.map (fun m -> Str m) moves));
-      ("time_s", Recover.Bits.of_float time_s);
-      ("evaluations", Num (float_of_int evaluations));
-      ("failures", Num (float_of_int failures));
-      ("recorded", Bool recorded);
-      ("error", match error with None -> Null | Some m -> Str m);
+      ("pair", Str (pair_id p));
+      ("status", Str (status_name r.status));
+      ("strategy", Str r.strategy);
+      ("moves", Arr (List.map (fun m -> Str m) r.moves));
+      ("time_s", Recover.Bits.of_float r.time_s);
+      ("evaluations", Num (float_of_int r.evaluations));
+      ("failures", Num (float_of_int r.failures));
+      ("recorded", Bool r.recorded);
+      ("error", match r.error with None -> Null | Some m -> Str m);
     ]
 
-let status_of_ledger j =
-  match Recover.Field.str "status" j with
-  | "fresh" -> Fresh
-  | "degraded" -> Degraded
-  | s -> Recover.Field.corrupt "unknown ledger status %S" s
+let result_of_json j : pair_result =
+  let open Recover.Field in
+  let status =
+    match str "status" j with
+    | "fresh" -> Fresh
+    | "degraded" -> Degraded
+    | s -> corrupt "unknown ledger status %S" s
+  in
+  let moves = str_list "moves" j in
+  let time_s = float_bits "time_s" j in
+  let strategy = str "strategy" j in
+  let evaluations = int "evaluations" j in
+  let failures = int "failures" j in
+  let recorded = bool "recorded" j in
+  let error = Option.bind (Util.Json.member "error" j) Util.Json.to_str in
+  { status; strategy; moves; time_s; evaluations; failures; recorded; error }
 
 let generate ?kernels ?strategy ?db ?db_file ?(force = false)
     ~(ctx : P.Ctx.t) ~targets ~out () : library =
@@ -246,19 +325,21 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
       | Error e -> raise (Recover.Error e))
   | _ -> ());
   let ledger = Option.map Recover.Journal.open_writer ctx.P.Ctx.checkpoint in
-  (* each kernel's root is built and fingerprinted once: IR programs
-     are immutable, so its pairs share it across targets *)
-  let roots =
-    List.map
-      (fun (e : Kernels.entry) ->
-        let root = e.build () in
-        (e, root, Tuning.Record.fingerprint root))
-      kernels
-  in
   let pairs =
+    let roots =
+      List.map
+        (fun (e : Kernels.entry) ->
+          let root = e.build () in
+          (e, root, Tuning.Record.fingerprint root))
+        kernels
+    in
     List.concat_map
-      (fun (tname, t) ->
-        List.map (fun (e, root, fp) -> (tname, t, e, root, fp)) roots)
+      (fun (tname, target) ->
+        List.map
+          (fun (kernel, root, fp) ->
+            let naive_s = Machine.time target root in
+            { kernel; tname; target; root; fp; naive_s })
+          roots)
       targets
   in
   if traced then
@@ -270,25 +351,24 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
             int "pairs" (List.length pairs);
             str "strategy" strat_label;
           ]);
-  (* Plan phase (sequential, cheap): time each pair's root and decide
-     skip vs optimize against the database.  All database reads happen
-     here, so the parallel phase touches no shared mutable state beyond
-     the ctx cache (which is domain-safe). *)
+  (* Plan phase (sequential, cheap): decide skip vs optimize against the
+     database.  All database reads happen here, so the parallel phase
+     touches no shared mutable state beyond the ctx cache (which is
+     domain-safe). *)
   let plan =
     List.map
-      (fun (tname, t, (e : Kernels.entry), root, fp) ->
-        let naive_s = Machine.time t root in
+      (fun p ->
         let record =
           Option.bind db (fun d ->
-              Tuning.Warmstart.lookup d ~kernel:e.label ~target:tname
-                ~fingerprint:fp)
+              Tuning.Warmstart.lookup d ~kernel:p.kernel.label ~target:p.tname
+                ~fingerprint:p.fp)
         in
         let item =
           (* a ledgered pair completed before the crash: its entry wins
              over any database decision — deposits the killed run made
              must not flip later pairs to Skipped in the resumed
              manifest *)
-          match Hashtbl.find_opt ledgered (pair_id e.label tname) with
+          match Hashtbl.find_opt ledgered (pair_id p) with
           | Some j -> Ledgered j
           | None -> (
               match record with
@@ -297,14 +377,14 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
                   (* a record that no longer replays exactly is stale:
                      re-optimize, still seeded by what replays *)
                   match
-                    Search.Stochastic.replay_exact (P.caps_of ~ctx t) root
-                      r.moves
+                    Search.Stochastic.replay_exact (P.caps_of ~ctx p.target)
+                      p.root r.moves
                   with
                   | Ok sched -> Reproduce (r, sched)
                   | Error _ -> Optimize r.moves)
               | None -> Optimize [])
         in
-        (tname, t, e, root, fp, naive_s, item))
+        (p, item))
       pairs
   in
   (* Parallel phase: optimize the fresh pairs across ctx.jobs domains.
@@ -314,13 +394,12 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
   let fresh_tasks =
     Array.of_list
       (List.filter_map
-         (fun (tname, t, e, root, _, naive_s, item) ->
-           match item with
-           | Optimize warm -> Some (tname, t, e, root, naive_s, warm)
-           | Reproduce _ | Ledgered _ -> None)
+         (function
+           | p, Optimize warm -> Some (p, warm)
+           | _, (Reproduce _ | Ledgered _) -> None)
          plan)
   in
-  let task (tname, t, (e : Kernels.entry), root, _, warm) =
+  let task ((p : pair), warm) =
     let sink = if traced then Obs.Trace.make_buffer () else Obs.Trace.null in
     (* per-pair searches never checkpoint themselves: the ledger is the
        suite's unit of recovery, and a pair is cheap to rerun *)
@@ -335,8 +414,8 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
       }
     in
     let o, record =
-      P.optimize_recorded ~ctx:pctx ~kernel:e.label ~target_name:tname
-        strategy t root
+      P.optimize_recorded ~ctx:pctx ~kernel:p.kernel.label
+        ~target_name:p.tname strategy p.target p.root
     in
     (* without a database there is nothing to deposit into *)
     (o, (if db = None then None else record), sink)
@@ -346,56 +425,47 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
        [Duplicate] and changes nothing *)
     Option.iter (fun d -> ignore (Tuning.Db.deposit ?file:db_file d r)) db
   in
-  let fresh_results :
-      (P.outcome * Tuning.Record.t option * Obs.Trace.sink, exn) result array
-      =
-    Array.make (Array.length fresh_tasks) (Stdlib.Error Exit)
-  in
-  (* Settle one completed fresh task, in pair order: ledger its final
-     manifest fields (mirroring the fold below) — fsynced, *before* the
-     deposit, so once the append returns a kill anywhere leaves a
-     resumable suite — then deposit its record. *)
-  let settle i =
-    let tname, _, (e : Kernels.entry), _, naive_s, _ = fresh_tasks.(i) in
-    let pid = pair_id e.label tname in
-    let append ~status ~strategy ~moves ~time_s ~evaluations ~failures
-        ~recorded ~error =
-      match ledger with
-      | None -> ()
-      | Some w ->
-          Recover.Journal.append w
-            (ledger_entry_json ~pid ~status ~strategy ~moves ~time_s
-               ~evaluations ~failures ~recorded ~error);
-          (match metrics with
-          | Some m -> Obs.Metrics.incr m "journal.appends"
-          | None -> ());
-          if traced then
-            Obs.Trace.emit obs "journal.append" (fun () ->
-                Obs.Trace.[ str "kind" "libgen"; str "key" pid ])
+  let settled = Queue.create () in
+  (* Settle one completed fresh task, in pair order.  This is the one
+     place a fresh pair is classified Fresh or Degraded.  Its result is
+     ledgered (fsynced) before its record is deposited, so once the
+     append returns, a kill anywhere leaves a resumable suite. *)
+  let settle (p, _) outcome =
+    let s, record =
+      match outcome with
+      | Ok ((o : P.outcome), record, sink) when Float.is_finite o.time_s ->
+          let result =
+            { status = Fresh; strategy = strat_label; moves = o.moves;
+              time_s = o.time_s; evaluations = o.evaluations;
+              failures = o.failures; recorded = record <> None; error = None }
+          in
+          ({ result; sched = o.schedule; sink; cause = None }, record)
+      | Ok (o, _, sink) ->
+          (* the search survived but found nothing finite — the same
+             taxonomy a guarded evaluation would use *)
+          ( degraded p ~evaluations:o.evaluations ~failures:o.failures sink
+              (Robust.Guard.Non_finite o.time_s),
+            None )
+      | Error exn ->
+          ( degraded p ~evaluations:0 ~failures:0 Obs.Trace.null
+              (Robust.Guard.rejected_of_exn exn),
+            None )
     in
-    match fresh_results.(i) with
-    | Ok ((o : P.outcome), _, _) when not (Float.is_finite o.time_s) ->
-        append ~status:Degraded ~strategy:"naive" ~moves:[] ~time_s:naive_s
-          ~evaluations:o.evaluations ~failures:o.failures ~recorded:false
-          ~error:
-            (Some
-               (Robust.Guard.failure_message
-                  (Robust.Guard.Non_finite o.time_s)))
-    | Ok (o, record, _) ->
-        append ~status:Fresh ~strategy:strat_label ~moves:o.moves
-          ~time_s:o.time_s ~evaluations:o.evaluations ~failures:o.failures
-          ~recorded:(record <> None) ~error:None;
-        Option.iter deposit record
-    | Error exn ->
-        append ~status:Degraded ~strategy:"naive" ~moves:[] ~time_s:naive_s
-          ~evaluations:0 ~failures:0 ~recorded:false
-          ~error:
-            (Some
-               (Robust.Guard.failure_message
-                  (Robust.Guard.rejected_of_exn exn)))
+    (match ledger with
+    | None -> ()
+    | Some w ->
+        Recover.Journal.append w (result_json p s.result);
+        (match metrics with
+        | Some m -> Obs.Metrics.incr m "journal.appends"
+        | None -> ());
+        if traced then
+          Obs.Trace.emit obs "journal.append" (fun () ->
+              Obs.Trace.[ str "kind" "libgen"; str "key" (pair_id p) ]));
+    Option.iter deposit record;
+    Queue.add s settled
   in
-  if Array.length fresh_tasks > 0 then begin
-    let n = Array.length fresh_tasks in
+  let n = Array.length fresh_tasks in
+  if n > 0 then begin
     let jobs = max 1 (min ctx.P.Ctx.jobs n) in
     (* with a ledger, chunks of [jobs] tasks, so the ledger fills as
        pairs complete and an interrupt has a boundary to stop at *)
@@ -403,15 +473,9 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
     Parallel.Pool.with_pool ~instrument:(metrics <> None) ~jobs (fun pool ->
         let pos = ref 0 in
         while !pos < n do
-          let len = min chunk (n - !pos) in
-          let r =
-            Parallel.Pool.map_result pool task (Array.sub fresh_tasks !pos len)
-          in
-          Array.blit r 0 fresh_results !pos len;
-          for k = !pos to !pos + len - 1 do
-            settle k
-          done;
-          pos := !pos + len;
+          let tasks = Array.sub fresh_tasks !pos (min chunk (n - !pos)) in
+          Array.iter2 settle tasks (Parallel.Pool.map_result pool task tasks);
+          pos := !pos + Array.length tasks;
           if ledger <> None && Recover.Interrupt.requested () && !pos < n then
             raise (Recover.Interrupt.Interrupted ctx.P.Ctx.checkpoint)
         done;
@@ -419,146 +483,63 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
         | Some m -> Parallel.Pool.export pool m
         | None -> ())
   end;
-  let results = fresh_results in
   (* Fold phase (sequential, pair order): emit trace events and C
      sources; the deposits already happened as the tasks settled. *)
-  let next_fresh = ref 0 in
   let entries =
     List.map
-      (fun (tname, t, (e : Kernels.entry), root, fp, naive_s, item) ->
-        let c_entry = Codegen.entry_symbol ~kernel:e.label ~target:tname in
-        (* the file is named after the symbol, less its "perfdojo_" *)
-        let c_file = String.sub c_entry 9 (String.length c_entry - 9) ^ ".c" in
-        let finish ~status ~strategy ~moves ~time_s ~evaluations ~failures
-            ~recorded ~error sched =
-          let banner =
-            Printf.sprintf
-              "/* %s (%s) on %s: %s\n\
-              \   status %s via %s; modelled %.3e s (%.2fx over naive)\n\
-              \   fingerprint %s */\n"
-              e.label e.shape_desc tname e.description (status_name status)
-              strategy time_s
-              (if time_s > 0. then naive_s /. time_s else 0.)
-              fp
-          in
-          write_file
-            (Filename.concat out c_file)
-            (banner ^ Codegen.program ~entry:c_entry sched);
-          {
-            kernel = e.label;
-            shape = e.shape_desc;
-            target = tname;
-            fingerprint = fp;
-            status;
-            strategy;
-            moves;
-            naive_s;
-            time_s;
-            evaluations;
-            failures;
-            recorded;
-            c_file;
-            c_entry;
-            error;
-          }
-        in
-        let degrade ~failure ~evaluations ~failures sink =
-          let msg = Robust.Guard.failure_message failure in
-          if traced then begin
-            Obs.Trace.emit obs "libgen.degraded" (fun () ->
-                Obs.Trace.
-                  [
-                    str "kernel" e.label;
-                    str "target" tname;
-                    str "class" (Robust.Guard.failure_class failure);
-                    str "msg" msg;
-                  ]);
-            match sink with
-            | Some s -> Obs.Trace.append ~into:obs s
-            | None -> ()
-          end;
-          finish ~status:Degraded ~strategy:"naive" ~moves:[]
-            ~time_s:naive_s ~evaluations ~failures ~recorded:false
-            ~error:(Some msg) root
+      (fun ((p : pair), item) ->
+        (* every libgen.* event of a pair names the pair first *)
+        let announce ev fields =
+          if traced then
+            Obs.Trace.emit obs ev (fun () ->
+                Obs.Trace.str "kernel" p.kernel.label
+                :: Obs.Trace.str "target" p.tname :: fields)
         in
         match item with
-        | Reproduce (r, sched) ->
-            let time_s = Machine.time t sched in
-            if traced then
-              Obs.Trace.emit obs "libgen.skip" (fun () ->
-                  Obs.Trace.
-                    [
-                      str "kernel" e.label;
-                      str "target" tname;
-                      num "time_s" time_s;
-                    ]);
-            finish ~status:Skipped ~strategy:"db" ~moves:r.moves ~time_s
-              ~evaluations:0 ~failures:0 ~recorded:true ~error:None sched
+        | Reproduce (rc, sched) ->
+            let time_s = Machine.time p.target sched in
+            announce "libgen.skip" [ Obs.Trace.num "time_s" time_s ];
+            entry_of ~out p
+              { status = Skipped; strategy = "db"; moves = rc.moves; time_s;
+                evaluations = 0; failures = 0; recorded = true; error = None }
+              sched
         | Ledgered j ->
-            (* a pair the crashed run completed: rebuild its manifest
-               entry verbatim from the ledger (the schedule regenerates
-               by replaying the recorded moves), and re-apply a recorded
-               deposit idempotently in case the kill landed between the
-               ledger append and the database deposit *)
-            let status = status_of_ledger j in
-            let moves = Recover.Field.str_list "moves" j in
-            let time_s = Recover.Field.float_bits "time_s" j in
-            let strategy = Recover.Field.str "strategy" j in
-            let evaluations = Recover.Field.int "evaluations" j in
-            let failures = Recover.Field.int "failures" j in
-            let recorded = Recover.Field.bool "recorded" j in
-            let error =
-              match Util.Json.member "error" j with
-              | Some (Util.Json.Str m) -> Some m
-              | _ -> None
-            in
-            let caps = P.caps_of ~ctx t in
-            let sched = fst (Tuning.Warmstart.replay caps root moves) in
-            if recorded then
+            (* a pair the crashed run completed: its entry is its
+               ledgered result (the schedule regenerates by replaying
+               the recorded moves), and a recorded deposit is re-applied
+               idempotently in case the kill landed between the ledger
+               append and the database deposit *)
+            let r = result_of_json j in
+            let caps = P.caps_of ~ctx p.target in
+            let sched = fst (Tuning.Warmstart.replay caps p.root r.moves) in
+            if r.recorded then
               Result.iter deposit
-                (Tuning.Warmstart.record_of ~objective:(Machine.time t) ~caps
-                   ~kernel:e.label ~target:tname ~root ~moves
-                   ~evals:evaluations);
-            finish ~status ~strategy ~moves ~time_s ~evaluations ~failures
-              ~recorded ~error sched
-        | Optimize _ -> (
-            let i = !next_fresh in
-            incr next_fresh;
-            match results.(i) with
-            | Ok ((o : P.outcome), _, _) when not (Float.is_finite o.time_s)
-              ->
-                (* the search survived but found nothing finite — the
-                   same taxonomy a guarded evaluation would use *)
-                degrade
-                  ~failure:(Robust.Guard.Non_finite o.time_s)
-                  ~evaluations:o.evaluations ~failures:o.failures None
-            | Ok (o, record, sink) ->
-                let recorded = record <> None in
-                if traced then begin
-                  Obs.Trace.emit obs "libgen.entry" (fun () ->
-                      Obs.Trace.
-                        [
-                          str "kernel" e.label;
-                          str "target" tname;
-                          num "time_s" o.time_s;
-                          int "evals" o.evaluations;
-                          int "failures" o.failures;
-                          bool "recorded" recorded;
-                        ]);
-                  Obs.Trace.append ~into:obs sink
-                end;
-                finish ~status:Fresh ~strategy:strat_label ~moves:o.moves
-                  ~time_s:o.time_s ~evaluations:o.evaluations
-                  ~failures:o.failures ~recorded ~error:None o.schedule
-            | Error exn ->
-                (* the pair's whole optimization crashed; its partial
-                   trace buffer is lost with the task *)
-                degrade
-                  ~failure:(Robust.Guard.rejected_of_exn exn)
-                  ~evaluations:0 ~failures:0 None))
+                (Tuning.Warmstart.record_of ~objective:(Machine.time p.target)
+                   ~caps ~kernel:p.kernel.label ~target:p.tname ~root:p.root
+                   ~moves:r.moves ~evals:r.evaluations);
+            entry_of ~out p r sched
+        | Optimize _ ->
+            let s = Queue.pop settled in
+            let r = s.result in
+            (match s.cause with
+            | None ->
+                announce "libgen.entry"
+                  Obs.Trace.
+                    [ num "time_s" r.time_s; int "evals" r.evaluations;
+                      int "failures" r.failures; bool "recorded" r.recorded ]
+            | Some f ->
+                announce "libgen.degraded"
+                  Obs.Trace.
+                    [ str "class" (Robust.Guard.failure_class f);
+                      str "msg" (Robust.Guard.failure_message f) ]);
+            (* a degraded pair's buffer is folded in like a fresh one's *)
+            Obs.Trace.append ~into:obs s.sink;
+            entry_of ~out p r s.sched)
       plan
   in
-  let count st = List.length (List.filter (fun e -> e.status = st) entries) in
+  let count st =
+    List.length (List.filter (fun (e : entry) -> e.status = st) entries)
+  in
   let fresh = count Fresh
   and skipped = count Skipped
   and degraded = count Degraded in
@@ -573,7 +554,7 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
        (List.length entries)
        (String.concat ", " (List.map fst targets)));
   List.iter
-    (fun en ->
+    (fun (en : entry) ->
       Buffer.add_string hbuf
         (Printf.sprintf "/* %s (%s) on %s: %.3e s modelled, %s */\nvoid %s(void);\n"
            en.kernel en.shape en.target en.time_s (status_name en.status)

@@ -116,15 +116,21 @@ val generate :
     and fault injection; [ctx.warm_start] is ignored (warm starts are
     looked up per pair).  Traces fold per-pair buffers in pair order —
     like the portfolio race, the merged stream is independent of
-    scheduling modulo {!Obs.Trace.strip_timing}.
+    scheduling modulo {!Obs.Trace.strip_timing}.  A pair degraded for a
+    non-finite result keeps its search trace after its [libgen.degraded]
+    event, so the stream holds one [search.eval_error] per failure the
+    manifest counts; only a crashed pair's buffer is lost with its
+    task.
 
     {b Crash safety}: with [ctx.checkpoint] set, the suite keeps a
     per-pair progress ledger there (a fsynced {!Recover.Journal}): each
-    completed fresh pair appends its final entry {e before} its
-    database deposit.  A suite killed mid-run and rerun with
-    [ctx.resume] replays the ledger, re-optimizes only the unfinished
-    pairs, re-applies ledgered deposits idempotently, and emits a
-    manifest byte-identical to the uninterrupted run's.  The ledger is
-    truncated once the manifest is written.  A pending SIGINT/SIGTERM
-    stops at the next chunk boundary with
-    {!Recover.Interrupt.Interrupted}. *)
+    completed fresh pair appends its result — the status, strategy,
+    moves, time, counts, recorded flag and error of its manifest entry,
+    fresh or degraded alike — {e before} its database deposit.  A suite
+    killed mid-run and rerun with [ctx.resume] replays the ledger,
+    rebuilds each ledgered pair's entry from its result, re-optimizes
+    only the unfinished pairs, re-applies ledgered deposits
+    idempotently, and emits a manifest byte-identical to the
+    uninterrupted run's.  The ledger is truncated once the manifest is
+    written.  A pending SIGINT/SIGTERM stops at the next chunk boundary
+    with {!Recover.Interrupt.Interrupted}. *)

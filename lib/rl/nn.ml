@@ -113,8 +113,8 @@ let zero_grad (net : t) =
       Array.fill l.gb 0 (Array.length l.gb) 0.0)
     net.layers
 
-let adam_step ?(lr = 1e-3) ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8)
-    (net : t) =
+let adam_step ~lr (net : t) =
+  let beta1 = 0.9 and beta2 = 0.999 and eps = 1e-8 in
   net.adam_t <- net.adam_t + 1;
   let t = float_of_int net.adam_t in
   let corr1 = 1.0 -. (beta1 ** t) and corr2 = 1.0 -. (beta2 ** t) in

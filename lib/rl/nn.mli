@@ -32,9 +32,9 @@ val backward : t -> tape -> float array -> unit
 
 val zero_grad : t -> unit
 
-val adam_step :
-  ?lr:float -> ?beta1:float -> ?beta2:float -> ?eps:float -> t -> unit
-(** Apply accumulated gradients with Adam and advance its step count. *)
+val adam_step : lr:float -> t -> unit
+(** Apply accumulated gradients with Adam (moment decays 0.9 and 0.999,
+    epsilon 1e-8) at learning rate [lr] and advance its step count. *)
 
 val copy_weights : src:t -> dst:t -> unit
 (** Copy weights (not optimizer state); used to refresh the target

@@ -8,10 +8,9 @@
    like properly scoped dynamic binding.
 
    Determinism: nothing here reads a clock or an RNG.  Retries are
-   bounded, backoff durations are a pure function of the attempt index,
-   and fuel is a work counter — so whether and how a candidate fails is
-   a function of the candidate alone, which the search layer's
-   jobs-invariance relies on. *)
+   bounded and immediate, and fuel is a work counter — so whether and
+   how a candidate fails is a function of the candidate alone, which
+   the search layer's jobs-invariance relies on. *)
 
 exception Transient of string
 exception Out_of_fuel
@@ -25,22 +24,11 @@ type outcome = (float, failure) result
 
 type config = {
   max_retries : int;
-  backoff_s : float;
   fuel : int option;
-  is_transient : exn -> bool;
   on_retry : int -> exn -> unit;
-  sleep : float -> unit;
 }
 
-let default =
-  {
-    max_retries = 1;
-    backoff_s = 0.0;
-    fuel = None;
-    is_transient = (function Transient _ -> true | _ -> false);
-    on_retry = (fun _ _ -> ());
-    sleep = Unix.sleepf;
-  }
+let default = { max_retries = 1; fuel = None; on_retry = (fun _ _ -> ()) }
 
 let instrument ?metrics cfg =
   match metrics with
@@ -94,11 +82,9 @@ let run ?(cfg = default) ~(cost : 'b -> float) (f : 'a -> 'b) (x : 'a) :
     | exception Out_of_fuel ->
         restore ();
         Error (Exhausted { fuel = Option.value cfg.fuel ~default:0 })
-    | exception e when k < cfg.max_retries && cfg.is_transient e ->
+    | exception (Transient _ as e) when k < cfg.max_retries ->
         restore ();
         cfg.on_retry k e;
-        if cfg.backoff_s > 0.0 then
-          cfg.sleep (cfg.backoff_s *. (2.0 ** float_of_int k));
         go (k + 1)
     | exception e ->
         restore ();
@@ -119,12 +105,12 @@ let failure_message = function
   | Non_finite c -> Printf.sprintf "non-finite cost %h" c
   | Exhausted { fuel } -> Printf.sprintf "fuel budget %d exhausted" fuel
 
-let note ?obs ?metrics ?(ev = "search.eval_error") ?(fields = []) failure =
+let note ?obs ?metrics ?(fields = []) failure =
   (match obs with
   | None -> ()
   | Some sink ->
       if Obs.Trace.enabled sink then
-        Obs.Trace.emit sink ev (fun () ->
+        Obs.Trace.emit sink "search.eval_error" (fun () ->
             fields
             @ [
                 Obs.Trace.str "class" (failure_class failure);

@@ -14,9 +14,8 @@
       (see {!tick}) becomes {!Exhausted} — the guard against runaway
       interpreter/simulator evaluations, measured in work units rather
       than wall-clock so outcomes stay reproducible;
-    - failures classed transient ({!Transient} by default) are retried
-      up to [max_retries] times with deterministic exponential backoff
-      before they are given up as {!Rejected}.
+    - a {!Transient} failure is retried at once, up to [max_retries]
+      times, before it is given up as {!Rejected}.
 
     Everything here is deterministic given the objective: no clocks or
     ambient randomness enter the outcome, which is what lets the search
@@ -24,8 +23,8 @@
     candidates. *)
 
 exception Transient of string
-(** The default transient class: raise this from an objective (or a
-    fault harness) to request a bounded retry. *)
+(** The transient class: raise this from an objective (or a fault
+    harness) to request a bounded retry. *)
 
 exception Out_of_fuel
 (** Raised by {!tick} when the current evaluation's fuel budget is
@@ -42,21 +41,15 @@ type failure =
 type outcome = (float, failure) result
 
 type config = {
-  max_retries : int;  (** retries after the first attempt (default 1) *)
-  backoff_s : float;
-      (** base backoff; attempt [k] sleeps [backoff_s *. 2^k].  The
-          default 0.0 never sleeps — backoff is for real measurement
-          backends, not the analytic models. *)
+  max_retries : int;
+      (** immediate retries of a {!Transient} failure after the first
+          attempt (default 1) *)
   fuel : int option;
       (** per-attempt work budget enforced via {!tick}; [None] (the
           default) never exhausts *)
-  is_transient : exn -> bool;
-      (** which exceptions earn a retry (default: {!Transient} only) *)
   on_retry : int -> exn -> unit;
       (** called before attempt [k + 1] with the attempt index [k] that
           failed and its exception *)
-  sleep : float -> unit;  (** backoff implementation (default
-          [Unix.sleepf]); tests substitute a recorder *)
 }
 
 val default : config
@@ -100,11 +93,10 @@ val failure_message : failure -> string
 val note :
   ?obs:Obs.Trace.sink ->
   ?metrics:Obs.Metrics.t ->
-  ?ev:string ->
   ?fields:(string * Util.Json.t) list ->
   failure ->
   unit
-(** Record one failure: emit an event (default name [search.eval_error])
-    carrying [class] / [msg] plus the caller's [fields], and bump the
+(** Record one failure: emit a [search.eval_error] event carrying the
+    caller's [fields] plus [class] / [msg], and bump the
     [robust.eval_failures] and [robust.<class>] counters.  Free when
     both sinks are absent. *)

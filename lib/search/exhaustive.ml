@@ -11,8 +11,8 @@
    transformation graph has been enumerated: the best runtime found is
    then a global optimum over all schedules reachable from the root
    ([exhausted = true]), not merely over sequences of length <= depth.
-   Either way, a run that was not truncated by [max_states] certifies
-   the optimum over every schedule within [depth] moves
+   Either way, a run that was not truncated by [default_max_states]
+   certifies the optimum over every schedule within [depth] moves
    ([certified = true]) — the provable baseline the stochastic engines
    and the DQN are calibrated against.
 
@@ -62,12 +62,10 @@ let default_max_states = 20_000
    run starts it afresh and fingerprints more, with the same result. *)
 
 let run ?filter ?(obs = Obs.Trace.null) ?metrics
-    ?(guard = Robust.Guard.default) ?(max_states = default_max_states)
-    ?checkpoint ~(depth : int) caps (objective : Stochastic.objective)
-    (root : Ir.Prog.t) : result =
+    ?(guard = Robust.Guard.default) ?checkpoint ~(depth : int) caps
+    (objective : Stochastic.objective) (root : Ir.Prog.t) : result =
   if depth < 0 then invalid_arg "Exhaustive.run: depth must be >= 0";
-  if max_states < 1 then
-    invalid_arg "Exhaustive.run: max_states must be >= 1";
+  let max_states = default_max_states in
   let guard = Robust.Guard.instrument ?metrics guard in
   let ck, obs, resumed =
     Checkpoint.start ?metrics checkpoint obs

@@ -8,8 +8,8 @@
     was); the trace reports it per level ([search.exhaustive_level]) and
     at the end ([search.exhaustive]).
 
-    Certificates: a run that never hit [max_states] proves the optimum
-    over {e every} schedule reachable within [depth] moves
+    Certificates: a run that never hit {!default_max_states} proves the
+    optimum over {e every} schedule reachable within [depth] moves
     ([certified]).  If the frontier emptied before the depth bound the
     whole reachable graph was enumerated and the optimum is global
     ([exhausted]) — "run until exhaustion" for small kernels.  Small
@@ -40,21 +40,21 @@ type result = {
   reached_depth : int;  (** deepest level actually expanded *)
   certified : bool;
       (** the optimum is proved over all schedules within [depth] moves
-          (false only when [max_states] truncated the walk) *)
+          (false only when {!default_max_states} truncated the walk) *)
   exhausted : bool;
       (** the frontier emptied before the bound: the entire reachable
           transformation graph was enumerated, so the optimum is global *)
 }
 
 val default_max_states : int
-(** 20000 — a memory guard, far above any small-kernel state count. *)
+(** 20000 — the cap on unique states a run expands: a memory guard, far
+    above any small-kernel state count. *)
 
 val run :
   ?filter:(Transform.Xforms.instance -> bool) ->
   ?obs:Obs.Trace.sink ->
   ?metrics:Obs.Metrics.t ->
   ?guard:Robust.Guard.config ->
-  ?max_states:int ->
   ?checkpoint:Checkpoint.config ->
   depth:int ->
   Transform.Xforms.caps ->
@@ -65,8 +65,7 @@ val run :
     from [root] in at most [depth] moves (deduplicated canonically) and
     returns the measured optimum with its certificate.  Metrics:
     [canon.unique] / [canon.total] counters and [search.steps].
-    Raises [Invalid_argument] on negative [depth] or non-positive
-    [max_states].
+    Raises [Invalid_argument] on negative [depth].
 
     [checkpoint] saves the walk through {!Checkpoint} after every
     completed BFS level (levels are the unit of determinism here, so
@@ -76,8 +75,9 @@ val run :
     final level.  Resuming a killed
     run re-expands only the level it died in — strictly fewer
     evaluations than a cold restart — and certifies the {e same}
-    optimum with the same spliced trace.  A mismatched [depth] /
-    [max_states] raises {!Recover.Error} ([Mismatch]); a pending
+    optimum with the same spliced trace.  A mismatched [depth], or a
+    checkpoint written under another state cap, raises {!Recover.Error}
+    ([Mismatch]); a pending
     SIGINT/SIGTERM checkpoints at the level boundary and raises
     {!Recover.Interrupt.Interrupted}.  A run without [checkpoint]
     ignores the interrupt flag and finishes its walk. *)

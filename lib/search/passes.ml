@@ -287,12 +287,12 @@ let cpu_heuristic ?(fuse = true) caps prog =
 
 (* Map the outermost independent loop to the grid, split off a 4-wide
    vector loop per thread, make sure there is a thread-block dimension
-   (splitting an oversized loop when needed), and pad blocks to the
-   wavefront multiple.  [fuse] controls whether operators are fused
-   across nests first (our schedules fuse; library baselines launch one
-   kernel per operator). *)
-let gpu_heuristic ?(fuse = true) ?(block = 256) ?(warp = 32)
-    ?(vectorize = true) ?score caps prog =
+   (splitting an oversized loop into blocks of 256 when needed), and pad
+   blocks to the wavefront multiple.  [fuse] controls whether operators
+   are fused across nests first (our schedules fuse; library baselines
+   launch one kernel per operator). *)
+let gpu_heuristic ?(fuse = true) ?(warp = 32) ?(vectorize = true) ?score
+    caps prog =
   let grid = function Moveref.Gpu (p, "grid") -> Some p | _ -> None in
   let prog =
     if fuse then fixpoint ~pick:(first_of [ "join_scopes" ] caps) prog 1000
@@ -326,7 +326,7 @@ let gpu_heuristic ?(fuse = true) ?(block = 256) ?(warp = 32)
       else
         match
           first_move
-            (function Moveref.Split (_, f) -> f = block | _ -> false)
+            (function Moveref.Split (_, f) -> f = 256 | _ -> false)
             caps prog
         with
         | Some s -> map_blocks (s.apply prog)

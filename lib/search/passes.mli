@@ -69,7 +69,6 @@ val cpu_heuristic :
 
 val gpu_heuristic :
   ?fuse:bool ->
-  ?block:int ->
   ?warp:int ->
   ?vectorize:bool ->
   ?score:(Ir.Prog.t -> float) ->
@@ -78,7 +77,7 @@ val gpu_heuristic :
   Ir.Prog.t
 (** One-shot GPU pass: (optionally) fuse across operators, map grid,
     split off 4-wide per-thread vectors, ensure a block dimension
-    (splitting oversized loops to [block]), pad ragged blocks to the
-    [warp] multiple.  With [score] (modelled runtime), the grid
+    (splitting oversized loops into blocks of 256), pad ragged blocks to
+    the [warp] multiple.  With [score] (modelled runtime), the grid
     dimension is chosen by one-step lookahead over the offered
     mappings. *)

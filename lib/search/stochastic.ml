@@ -977,10 +977,11 @@ let random_sampling ?(seed = 1) ?filter ?(init = [])
 
 (* Simulated annealing: every proposal of a round branches off the
    round-start chain state; acceptance, cooling and best-so-far fold in
-   slot order. *)
+   slot order.  The chain starts at temperature 0.5, which every slot
+   multiplies by 0.995. *)
 let simulated_annealing ?(seed = 1) ?filter ?(init = [])
     ?(obs = Obs.Trace.null) ?metrics ?(guard = Robust.Guard.default)
-    ?(t0 = 0.5) ?(cooling = 0.995) ?(batch = 1) ?prerank ?(dedup = false)
+    ?(batch = 1) ?prerank ?(dedup = false)
     ?(visited_dedup = false) ?checkpoint ?pool ~(space : space)
     ~(budget : int) caps (objective : objective) (root : Ir.Prog.t) : result =
   search ~meth:"simulated-annealing" ~seed ?filter ~init ~obs ?metrics ~guard
@@ -994,7 +995,7 @@ let simulated_annealing ?(seed = 1) ?filter ?(init = [])
               | Some w when w.runtime <= root_cand.runtime -> w
               | Some _ | None -> root_cand
             in
-            (c, c, t0)
+            (c, c, 0.5)
         | Resumed json ->
             let current =
               match Util.Json.member "current" json with
@@ -1036,7 +1037,7 @@ let simulated_annealing ?(seed = 1) ?filter ?(init = [])
                   ~slot child);
             (* cooling always advances, so the temperature is a function
                of the step index alone *)
-            temp := !temp *. cooling);
+            temp := !temp *. 0.995);
         fields =
           (fun () ->
             (* an empty pool: both methods write one layout *)

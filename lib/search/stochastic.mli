@@ -222,8 +222,6 @@ val simulated_annealing :
   ?obs:Obs.Trace.sink ->
   ?metrics:Obs.Metrics.t ->
   ?guard:Robust.Guard.config ->
-  ?t0:float ->
-  ?cooling:float ->
   ?batch:int ->
   ?prerank:prerank ->
   ?dedup:bool ->
@@ -240,7 +238,8 @@ val simulated_annealing :
     sequence; with [budget = 0] the result is exactly the replayed
     schedule — replay fidelity the tuning tests rely on.  Every proposal
     of a round branches off the round-start chain state; acceptance,
-    cooling and best-so-far fold in slot order.
+    cooling and best-so-far fold in slot order.  The temperature starts
+    at 0.5 and every slot multiplies it by 0.995.
 
     The optional arguments behave as in {!random_sampling}
     ([search.start]'s [method] is [simulated-annealing], or

@@ -1,9 +1,4 @@
-type t = {
-  fd : Unix.file_descr;
-  ic : in_channel;
-  oc : out_channel;
-  max_frame : int;
-}
+type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
 type error =
   | Timeout of int
@@ -15,19 +10,14 @@ let error_message = function
   | Transport msg -> msg
   | Decode msg -> Printf.sprintf "unparseable response: %s" msg
 
-let connect ?(max_frame = Frame.max_payload_default) path =
+let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (match Unix.connect fd (Unix.ADDR_UNIX path) with
   | () -> ()
   | exception e ->
       Unix.close fd;
       raise e);
-  {
-    fd;
-    ic = Unix.in_channel_of_descr fd;
-    oc = Unix.out_channel_of_descr fd;
-    max_frame;
-  }
+  { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
 
 (* The deadline is select-based on the raw fd, which is sound here
    because the channel buffer is empty between exchanges: the server
@@ -54,7 +44,7 @@ let request ?deadline_ms t req =
   match deadline_ms with
   | Some ms when not ready -> Error (Timeout ms)
   | _ -> (
-      match Frame.read ~max:t.max_frame t.ic with
+      match Frame.read ~max:Frame.max_payload_default t.ic with
       | Error e -> Error (Transport (Frame.error_message e))
       | Ok payload -> (
           match Protocol.decode_response payload with
@@ -66,8 +56,8 @@ let close t =
   (try flush t.oc with Sys_error _ -> ());
   try Unix.close t.fd with Unix.Unix_error _ -> ()
 
-let with_connection ?max_frame path f =
-  let t = connect ?max_frame path in
+let with_connection path f =
+  let t = connect path in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
 (* Bounded exponential-backoff retry over fresh connections: attempt k
@@ -76,7 +66,7 @@ let with_connection ?max_frame path f =
    (the CLI gates shutdown out) must guarantee that, because a timed-out
    request may still execute on the server. *)
 let request_retry ?(attempts = 3) ?(base_delay_ms = 100) ?deadline_ms
-    ?max_frame ~socket req =
+    ~socket req =
   if attempts < 1 then invalid_arg "Client.request_retry: attempts < 1";
   if base_delay_ms < 0 then
     invalid_arg "Client.request_retry: negative base_delay_ms";
@@ -86,7 +76,7 @@ let request_retry ?(attempts = 3) ?(base_delay_ms = 100) ?deadline_ms
       if k > 0 then
         Unix.sleepf (float_of_int (base_delay_ms * (1 lsl (k - 1))) /. 1000.);
       let result =
-        match connect ?max_frame socket with
+        match connect socket with
         | exception Unix.Unix_error (e, _, _) ->
             Error (Transport (Unix.error_message e))
         | t ->

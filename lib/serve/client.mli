@@ -17,9 +17,11 @@ type error =
 
 val error_message : error -> string
 
-val connect : ?max_frame:int -> string -> t
-(** Connect to the socket at the given path.  Raises [Unix.Unix_error]
-    (e.g. [ENOENT], [ECONNREFUSED]) when no server is listening. *)
+val connect : string -> t
+(** Connect to the socket at the given path.  Responses are read with
+    the {!Frame.max_payload_default} frame limit.  Raises
+    [Unix.Unix_error] (e.g. [ENOENT], [ECONNREFUSED]) when no server is
+    listening. *)
 
 val request :
   ?deadline_ms:int -> t -> Protocol.request -> (Protocol.response, error) result
@@ -32,14 +34,13 @@ val request :
 
 val close : t -> unit
 
-val with_connection : ?max_frame:int -> string -> (t -> 'a) -> 'a
+val with_connection : string -> (t -> 'a) -> 'a
 (** [connect], run, [close] (also on exceptions). *)
 
 val request_retry :
   ?attempts:int ->
   ?base_delay_ms:int ->
   ?deadline_ms:int ->
-  ?max_frame:int ->
   socket:string ->
   Protocol.request ->
   (Protocol.response, error) result

@@ -219,12 +219,7 @@ let of_json (j : Util.Json.t) : (t, string) result =
       end
 
 let save t path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (Util.Json.to_string (to_json t));
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp path
+  Recover.Durable.write_string ~path (Util.Json.to_string (to_json t) ^ "\n")
 
 let load path : (t, string) result =
   match open_in path with

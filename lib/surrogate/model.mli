@@ -116,7 +116,9 @@ val of_json : Util.Json.t -> (t, string) result
     saved under a different feature layout must fail loudly). *)
 
 val save : t -> string -> unit
-(** One canonical JSON line, crash-safe (tmp + rename). *)
+(** One canonical JSON line, written through
+    {!Recover.Durable.write_string}: tmp, fsync, rename, then a fsync of
+    the directory. *)
 
 val load : string -> (t, string) result
 

@@ -104,6 +104,35 @@ let to_string (v : t) : string =
 
 exception Fail of string
 
+let rec digits_end s i stop =
+  if i < stop && s.[i] >= '0' && s.[i] <= '9' then digits_end s (i + 1) stop
+  else i
+
+(* The index after a non-empty run of digits at s[i..stop), or -1. *)
+let digit_run s i stop =
+  let j = digits_end s i stop in
+  if j > i then j else -1
+
+(* whether [i] lies in s[0..stop) and s.[i] is [c] *)
+let is_at s i stop c = i >= 0 && i < stop && s.[i] = c
+
+(* Whether s[first..stop) is a JSON number without its optional '-':
+   "0" or digits that do not start with '0', then an optional '.' with
+   at least one digit after it, then an optional exponent: 'e' or 'E',
+   an optional sign and at least one digit. *)
+let unsigned_number s first stop =
+  let i =
+    if is_at s first stop '0' then first + 1 else digit_run s first stop
+  in
+  let i = if is_at s i stop '.' then digit_run s (i + 1) stop else i in
+  let i =
+    if is_at s i stop 'e' || is_at s i stop 'E' then
+      let sign = is_at s (i + 1) stop '+' || is_at s (i + 1) stop '-' in
+      digit_run s (if sign then i + 2 else i + 1) stop
+    else i
+  in
+  i = stop
+
 let of_string (s : string) : (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
@@ -197,9 +226,12 @@ let of_string (s : string) : (t, string) result =
       loop start
     end
   in
-  (* A lexeme of an optional '-' and 1-15 decimal digits is below 2^53
-     in magnitude, so int arithmetic gives its float exactly; a negative
-     zero ("-0") and every other lexeme go through [float_of_string_opt]. *)
+  (* A lexeme of an optional '-' and 1-15 decimal digits, whose first
+     digit is not a '0' unless it is the only one, is below 2^53 in
+     magnitude, so int arithmetic gives its float exactly; a negative
+     zero ("-0") and every other lexeme go through [float_of_string_opt],
+     which accepts more than JSON does, so they must also match JSON's
+     number grammar. *)
   let parse_number () =
     let start = !pos in
     let numchar c =
@@ -225,13 +257,13 @@ let of_string (s : string) : (t, string) result =
     let v =
       if stop - first >= 1 && stop - first <= 15 then digits 0 first else -1
     in
-    if v > 0 || (v = 0 && not neg) then
-      Num (float_of_int (if neg then -v else v))
+    if (v > 0 && s.[first] <> '0') || (v = 0 && stop = first + 1 && not neg)
+    then Num (float_of_int (if neg then -v else v))
     else
       let text = String.sub s start (stop - start) in
       match float_of_string_opt text with
-      | Some f -> Num f
-      | None -> fail (Printf.sprintf "bad number %S" text)
+      | Some f when unsigned_number s first stop -> Num f
+      | _ -> fail (Printf.sprintf "bad number %S" text)
   in
   let rec parse_value () =
     skip_ws ();

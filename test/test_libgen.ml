@@ -416,6 +416,45 @@ let degradation_tests =
                   (e.error = None && Float.is_finite e.time_s)
             | Libgen.Skipped -> Alcotest.fail "nothing to skip without a db")
           lib.Libgen.entries);
+    Alcotest.test_case "a pair degraded for a non-finite result keeps its trace"
+      `Quick (fun () ->
+        (* the faulted snitch suite: half its pairs end non-finite, and
+           every quarantined evaluation is one search.eval_error *)
+        let kernels =
+          pick
+            [ "vecsum"; "dot"; "axpy"; "gemv"; "scale"; "relu_micro";
+              "softmax_micro"; "sum2d" ]
+        in
+        let buf = Obs.Trace.make_buffer () in
+        let ctx =
+          Ctx.(
+            default
+            |> with_faults (Robust.Faults.spread ~seed:1 0.9)
+            |> with_guard { Robust.Guard.default with max_retries = 0 }
+            |> with_obs buf)
+        in
+        let lib =
+          gen ~kernels
+            ~strategy:
+              (Annealing { budget = 40; space = Search.Stochastic.Heuristic })
+            ~ctx ~targets:[ "snitch" ] (fresh_dir "non_finite")
+        in
+        Alcotest.(check bool) "a pair degraded non-finite" true
+          (List.exists
+             (fun (e : Libgen.entry) ->
+               e.status = Libgen.Degraded
+               && Option.fold ~none:false
+                    ~some:(String.starts_with ~prefix:"non-finite")
+                    e.error)
+             lib.Libgen.entries);
+        Alcotest.(check int) "one search.eval_error per failure"
+          (List.fold_left
+             (fun a (e : Libgen.entry) -> a + e.failures)
+             0 lib.Libgen.entries)
+          (count_events buf "search.eval_error");
+        Alcotest.(check int) "one search.start per entry"
+          (List.length lib.Libgen.entries)
+          (count_events buf "search.start"));
   ]
 
 let interrupt_tests =
@@ -455,6 +494,48 @@ let interrupt_tests =
               entries
         | Error e -> Alcotest.failf "ledger: %s" (Recover.error_message e));
         let resumed = run ~resume:true (fresh_dir "interrupt_resumed") in
+        Alcotest.(check string) "resumed manifest = uninterrupted"
+          (Util.Json.to_string (Libgen.manifest_json uninterrupted))
+          (Util.Json.to_string (Libgen.manifest_json resumed)));
+    Alcotest.test_case "a ledgered degraded pair resumes byte-identically"
+      `Quick (fun () ->
+        (* budget -1 crashes every pair, so the ledger holds degraded
+           lines, each with its error *)
+        let crash =
+          Annealing { budget = -1; space = Search.Stochastic.Heuristic }
+        in
+        let kernels = pick [ "vecsum"; "relu_micro" ] in
+        let ctx = Ctx.(default |> with_jobs 1) in
+        let ledger = fresh_dir "degraded" ^ ".journal" in
+        let run ~resume out =
+          gen ~kernels ~strategy:crash
+            ~ctx:Ctx.(ctx |> with_checkpoint ledger |> with_resume resume)
+            out
+        in
+        let uninterrupted =
+          gen ~kernels ~strategy:crash ~ctx (fresh_dir "degraded_ref")
+        in
+        (match
+           Interrupt_flag.with_set (fun () ->
+               run ~resume:false (fresh_dir "degraded_interrupted"))
+         with
+        | _ -> Alcotest.fail "the suite ignored the interrupt"
+        | exception Recover.Interrupt.Interrupted _ -> ());
+        (match Recover.Journal.replay ledger with
+        | Ok (entries, _) ->
+            Alcotest.(check bool) "a pair was ledgered" true (entries <> []);
+            List.iter
+              (fun j ->
+                let pair = Recover.Field.str "pair" j in
+                Alcotest.(check string) pair "degraded"
+                  (Recover.Field.str "status" j);
+                Alcotest.(check bool) (pair ^ " carries its error") true
+                  (match Util.Json.member "error" j with
+                  | Some (Util.Json.Str m) -> m <> ""
+                  | _ -> false))
+              entries
+        | Error e -> Alcotest.failf "ledger: %s" (Recover.error_message e));
+        let resumed = run ~resume:true (fresh_dir "degraded_resumed") in
         Alcotest.(check string) "resumed manifest = uninterrupted"
           (Util.Json.to_string (Libgen.manifest_json uninterrupted))
           (Util.Json.to_string (Libgen.manifest_json resumed)));

@@ -1,5 +1,5 @@
 (* Tests for the fault-tolerant search runtime: Robust.Guard's typed
-   outcomes, retry/backoff/fuel semantics, the deterministic fault
+   outcomes, retry/fuel semantics, the deterministic fault
    harness, quarantine in the stochastic searches, portfolio
    degradation, and the jobs-invariance of all of it under injected
    faults. *)
@@ -82,40 +82,6 @@ let guard_tests =
         in
         ignore (Robust.Guard.eval ~cfg f ());
         Alcotest.(check int) "single call" 1 !calls);
-    Alcotest.test_case "backoff doubles deterministically" `Quick (fun () ->
-        let slept = ref [] in
-        let cfg =
-          {
-            Robust.Guard.default with
-            max_retries = 3;
-            backoff_s = 0.5;
-            sleep = (fun s -> slept := s :: !slept);
-          }
-        in
-        ignore
-          (Robust.Guard.eval ~cfg
-             (fun () -> raise (Robust.Guard.Transient "x"))
-             ());
-        Alcotest.(check (list (float 0.)))
-          "0.5, 1.0, 2.0" [ 0.5; 1.0; 2.0 ] (List.rev !slept));
-    Alcotest.test_case "default backoff never sleeps" `Quick (fun () ->
-        let slept = ref false in
-        let cfg =
-          {
-            Robust.Guard.default with
-            max_retries = 2;
-            sleep = (fun _ -> slept := true);
-          }
-        in
-        ignore
-          (Robust.Guard.eval ~cfg
-             (fun () -> raise (Robust.Guard.Transient "x"))
-             ());
-        (* backoff_s = 0.0: the recorded sleeps are all zero-length;
-           the guard still calls sleep with 0, which real Unix.sleepf
-           treats as a no-op.  What matters is no positive wait. *)
-        Alcotest.(check bool) "sleep invoked with 0 only" true
-          (!slept = false || Robust.Guard.default.backoff_s = 0.));
     Alcotest.test_case "fuel exhaustion is Exhausted" `Quick (fun () ->
         let cfg = { Robust.Guard.default with fuel = Some 5 } in
         let f () =

@@ -287,6 +287,13 @@ let wire_tests =
           {|{"req":"query","v":1,"id":4611686018427387904,"kernel":"k","target":"x86"}|};
         refused "budget"
           {|{"req":"optimize","v":1,"id":1,"kernel":"k","target":"x86","strategy":"annealing","budget":1e30,"deadline_ms":0,"force":false}|});
+    Alcotest.test_case "a number JSON forbids is unparseable" `Quick (fun () ->
+        let line =
+          {|{"req":"query","v":1,"id":007,"kernel":"k","target":"x86"}|}
+        in
+        Alcotest.(check (result reject string)) line
+          (Error "unparseable message: bad number \"007\" at offset 29")
+          (P.decode_request line));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -46,6 +46,16 @@ let json_tests =
         match J.of_string s with
         | Ok (J.Str s') -> Alcotest.(check string) "back" "a\001b" s'
         | _ -> Alcotest.fail "expected string");
+    Alcotest.test_case "number texts JSON forbids are refused" `Quick
+      (fun () ->
+        List.iter
+          (fun t ->
+            Alcotest.(check (result reject string)) t
+              (Error (Printf.sprintf "bad number %S at offset %d" t
+                        (String.length t)))
+              (J.of_string t))
+          [ "007"; "00"; "+5"; ".5"; "5."; "-.5"; "0."; "00.5"; "1.e5"; "-01";
+            "01e2" ]);
     Alcotest.test_case "trailing garbage is an error" `Quick (fun () ->
         match J.of_string "{} {}" with
         | Error _ -> ()
@@ -68,7 +78,7 @@ let json_tests =
 
 (* The codec against [Json_oracle], the printer it replaced: the same
    bytes for every float and every string, and the parser's number
-   lexemes against [float_of_string_opt]. *)
+   lexemes against [float_of_string_opt] and JSON's number grammar. *)
 let json_oracle_tests =
   let module J = Util.Json in
   let open QCheck in
@@ -107,7 +117,20 @@ let json_oracle_tests =
               map string_of_int
                 (int_range (-10_000_000_000_000_000) 10_000_000_000_000_000) );
             (3, map (fun f -> string_of_int (int_of_float f)) digits);
+            (* what the printer writes for a finite float *)
+            ( 2,
+              map
+                (fun f -> J.num_string (if Float.is_finite f then f else 0.))
+                float_arb.gen );
+            (* every byte a number lexeme may hold, in any order *)
+            ( 3,
+              string_size
+                ~gen:(oneofl (List.init 15 (String.get "0123456789-+.eE")))
+                (int_range 1 8) );
           ])
+  in
+  let json_number =
+    Str.regexp {|-?\(0\|[1-9][0-9]*\)\(\.[0-9]+\)?\([eE][-+]?[0-9]+\)?$|}
   in
   List.map QCheck_alcotest.to_alcotest
     [
@@ -121,13 +144,18 @@ let json_oracle_tests =
           let printed = J.to_string (J.Str s) in
           printed = Buffer.contents buf && J.of_string printed = Ok (J.Str s));
       Test.make ~count:2000
-        ~name:"number lexemes parse to float_of_string_opt's bits"
+        ~name:
+          "number lexemes parse to float_of_string_opt's bits when JSON's \
+           grammar allows them"
         number_text (fun t ->
           match (J.of_string t, float_of_string_opt t) with
-          | Ok (J.Num f), Some g -> Int64.bits_of_float f = Int64.bits_of_float g
-          | Error e, None ->
-              e = Printf.sprintf "bad number %S at offset %d" t
-                    (String.length t)
+          | Ok (J.Num f), Some g ->
+              Str.string_match json_number t 0
+              && Int64.bits_of_float f = Int64.bits_of_float g
+          | Error e, _ ->
+              (not (Str.string_match json_number t 0))
+              && e = Printf.sprintf "bad number %S at offset %d" t
+                       (String.length t)
           | _ -> false);
     ]
 
