@@ -182,12 +182,64 @@ let read_arrays n =
 (* Buffers                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The alias facts of one buffer list: each array's buffer (the first
+   buffer that lists it) and its alias class, a small integer shared by
+   the arrays of every buffer with one [bname].  Every dependence check
+   and cost model asks for them per access, so they are built once per
+   buffer list instead of scanning it per lookup.
+
+   Each domain keeps the facts of the last list it was asked about,
+   keyed on that list's physical identity: lists are immutable, so [==]
+   implies equal facts, and loop moves leave [buffers] physically
+   unchanged, so a whole replay of loop moves builds them once.  They
+   are per domain because pool tasks ask about different programs at
+   once; a published entry is never mutated, so systhreads sharing a
+   domain may replace it under each other.  They are not a field of the
+   program: every [{ p with body = ... }] would copy them, every parser
+   path, kernel builder and buffer move would have to reset them, and
+   [digest] marshals the whole record. *)
+type alias_facts = {
+  key : buffer list;
+  slots : (string, buffer * int) Hashtbl.t;
+}
+
+(* A buffer's alias class is the position of the first buffer with its
+   [bname]. *)
+let alias_facts_of key =
+  let slots = Hashtbl.create 16 in
+  let rec class_of name i = function
+    | b :: rest when not (String.equal b.bname name) -> class_of name (i + 1) rest
+    | _ -> i
+  in
+  List.iter
+    (fun b ->
+      let cls = class_of b.bname 0 key in
+      List.iter
+        (fun a -> if not (Hashtbl.mem slots a) then Hashtbl.add slots a (b, cls))
+        b.arrays)
+    key;
+  { key; slots }
+
+let last_alias_facts = Domain.DLS.new_key (fun () -> alias_facts_of [])
+
+let alias_slot (prog : t) arr =
+  let facts =
+    let f = Domain.DLS.get last_alias_facts in
+    if f.key == prog.buffers then f
+    else begin
+      let f = alias_facts_of prog.buffers in
+      Domain.DLS.set last_alias_facts f;
+      f
+    end
+  in
+  match Hashtbl.find facts.slots arr with
+  | slot -> slot
+  | exception Not_found -> invalid_arg (Printf.sprintf "unknown array %S" arr)
+
 let buffer_of_array (prog : t) (arr : string) : buffer =
-  match
-    List.find_opt (fun b -> List.mem arr b.arrays) prog.buffers
-  with
-  | Some b -> b
-  | None -> invalid_arg (Printf.sprintf "unknown array %S" arr)
+  fst (alias_slot prog arr)
+
+let alias_class (prog : t) (arr : string) : int = snd (alias_slot prog arr)
 
 let buffer_by_name (prog : t) name =
   match List.find_opt (fun b -> b.bname = name) prog.buffers with
@@ -200,10 +252,6 @@ let replace_buffer (prog : t) (b : buffer) : t =
     buffers =
       List.map (fun b' -> if b'.bname = b.bname then b else b') prog.buffers;
   }
-
-(* Two arrays alias iff they live in the same buffer. *)
-let arrays_alias (prog : t) a1 a2 =
-  a1 = a2 || (buffer_of_array prog a1).bname = (buffer_of_array prog a2).bname
 
 (* Storage shape of a buffer: reused dimensions collapse to extent 1. *)
 let storage_shape (b : buffer) : int list =

@@ -65,14 +65,25 @@ val read_arrays : node -> string list
 (** {1 Buffers} *)
 
 val buffer_of_array : t -> string -> buffer
-(** Buffer an array name belongs to; raises [Invalid_argument] for an
-    unknown array. *)
+(** Buffer an array name belongs to: the first buffer that lists it.
+    Raises [Invalid_argument] for an unknown array.
+
+    It and {!alias_class} read the alias facts of the program's buffer
+    list, built once per list rather than scanned per lookup.  Each
+    domain keeps the facts of the last list it was asked about, keyed on
+    that list's physical identity ([==]): lists are immutable, and loop
+    moves leave [buffers] physically unchanged, so a replay of loop
+    moves builds them once.  They live per domain because pool tasks
+    look up different programs at once, and outside {!t} so that no
+    program update, builder or buffer move has to keep them in step. *)
+
+val alias_class : t -> string -> int
+(** The array's alias class: two arrays share storage exactly when
+    their classes are equal, i.e. when their buffers share a [bname].
+    Raises [Invalid_argument] for an unknown array. *)
 
 val buffer_by_name : t -> string -> buffer
 val replace_buffer : t -> buffer -> t
-
-val arrays_alias : t -> string -> string -> bool
-(** Whether two array names share storage. *)
 
 val storage_shape : buffer -> int list
 (** Shape with reused ([:N]) dimensions collapsed to extent 1. *)

@@ -187,12 +187,12 @@ type pair_result = {
 
 (* What the plan phase decided for a pair: reproduce a recorded
    schedule, optimize (with a warm-start sequence when the database
-   offers a matching record), or replay a ledger entry left by a
-   crashed run. *)
+   offers a matching record), or replay the result a crashed run
+   ledgered. *)
 type plan_item =
   | Reproduce of Tuning.Record.t * Ir.Prog.t
   | Optimize of string list
-  | Ledgered of Util.Json.t
+  | Ledgered of pair_result
 
 (* A fresh pair once its task settled: its result, the schedule it
    emits, its trace buffer (a crashed task's is lost with it, so null)
@@ -305,14 +305,18 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
   let metrics = ctx.P.Ctx.metrics in
   let traced = Obs.Trace.enabled obs in
   (* the crash ledger: replay completed pairs first (resume), then open
-     the journal for appending this run's completions *)
-  let ledgered : (string, Util.Json.t) Hashtbl.t = Hashtbl.create 16 in
+     the journal for appending this run's completions.  Every line is
+     decoded here, so a line that does not decode is refused before any
+     pair runs, deposits or is ledgered. *)
+  let ledgered : (string, pair_result) Hashtbl.t = Hashtbl.create 16 in
   (match ctx.P.Ctx.checkpoint with
   | Some path when ctx.P.Ctx.resume -> (
       match Recover.Journal.replay path with
       | Ok (entries, _torn) ->
           List.iter
-            (fun j -> Hashtbl.replace ledgered (Recover.Field.str "pair" j) j)
+            (fun j ->
+              Hashtbl.replace ledgered (Recover.Field.str "pair" j)
+                (result_of_json j))
             entries;
           (match metrics with
           | Some m ->
@@ -369,7 +373,7 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
              must not flip later pairs to Skipped in the resumed
              manifest *)
           match Hashtbl.find_opt ledgered (pair_id p) with
-          | Some j -> Ledgered j
+          | Some r -> Ledgered r
           | None -> (
               match record with
               | Some r when force -> Optimize r.moves
@@ -503,13 +507,12 @@ let generate ?kernels ?strategy ?db ?db_file ?(force = false)
               { status = Skipped; strategy = "db"; moves = rc.moves; time_s;
                 evaluations = 0; failures = 0; recorded = true; error = None }
               sched
-        | Ledgered j ->
+        | Ledgered r ->
             (* a pair the crashed run completed: its entry is its
                ledgered result (the schedule regenerates by replaying
                the recorded moves), and a recorded deposit is re-applied
                idempotently in case the kill landed between the ledger
                append and the database deposit *)
-            let r = result_of_json j in
             let caps = P.caps_of ~ctx p.target in
             let sched = fst (Tuning.Warmstart.replay caps p.root r.moves) in
             if r.recorded then

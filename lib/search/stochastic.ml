@@ -11,7 +11,11 @@
        one mutation-draw table: the moves offered after each prefix it
        has mutated at, so a repeated prefix (most of them: annealing
        keeps mutating its current state) is neither replayed nor
-       re-enumerated.
+       re-enumerated.  Inside a run moves stay typed ([Moveref.t]):
+       drawing, growing and replaying a child never prints or parses a
+       describe string, and strings appear only at the run's
+       boundaries — the warm start it is handed, its checkpoints and
+       its result.
 
    Two methods:
      - weighted random sampling over all previously encountered
@@ -62,21 +66,34 @@ type result = {
   failures : int; (* evaluations quarantined by the guard *)
 }
 
-(* Replay a sequence of move names from [prog], skipping moves that are
-   not applicable at their point.  Returns the final program and the
-   names that actually applied.  Each step resolves its name with
-   Xforms.resolve, which parses it once and checks only the move's own
-   site: the instance lookup over Xforms.all would return, without
-   rediscovering every other move of the state. *)
-let replay_skipping ?(filter = fun (_ : Xforms.instance) -> true) caps prog
-    names =
+(* Replay a sequence of steps from [prog], skipping steps whose move
+   ([move step]) is not applicable at its point.  Returns the final
+   program and the steps that actually applied.  Each step checks only
+   its move's own site (Xforms.resolve_move): the instance lookup over
+   Xforms.all would return, without rediscovering every other move of
+   the state. *)
+let replay_steps ~move ?(filter = fun (_ : Xforms.instance) -> true) caps prog
+    steps =
   List.fold_left
-    (fun (p, applied) name ->
-      match Xforms.resolve ~filter caps p name with
-      | Some inst -> (inst.apply p, name :: applied)
+    (fun (p, applied) step ->
+      match Xforms.resolve_move ~filter caps p (move step) with
+      | Some inst -> (inst.apply p, step :: applied)
       | None -> (p, applied))
-    (prog, []) names
+    (prog, []) steps
   |> fun (p, applied) -> (p, List.rev applied)
+
+let replay_moves ?filter caps prog moves =
+  replay_steps ~move:Fun.id ?filter caps prog moves
+
+(* The same over describe strings: a string that is not a move's
+   canonical spelling names nothing, so it is skipped like an
+   inapplicable move. *)
+let replay_skipping ?filter caps prog names =
+  let named name = Option.map (fun m -> (m, name)) (Xforms.named name) in
+  let p, applied =
+    replay_steps ~move:fst ?filter caps prog (List.filter_map named names)
+  in
+  (p, List.map snd applied)
 
 (* Replay a recorded sequence exactly: every move must apply at its
    point.  A failure reports the step index, the path the failing
@@ -129,66 +146,54 @@ let replay_exact ?(filter = fun (_ : Xforms.instance) -> true) caps root
    the prefix of moves before it from the root.  A run's root, caps and
    filter are fixed and replay is deterministic, so equal prefixes reach
    the same program and offer the same moves: the table maps a prefix
-   to the describe strings of the offered moves that pass the filter,
-   in [Xforms.all] order, and a repeated prefix costs neither the replay
-   nor the enumeration.  It holds strings only — no program, closure or
-   instance — and each describe string once per run ([names] interns
-   them).  It is not checkpointed: a resumed run starts empty.  Pool
-   tasks share it under [lock]; a miss enumerates outside the lock, and
-   two tasks racing on one prefix store equal arrays. *)
+   to the offered moves that pass the filter, in [Xforms.all] order, and
+   a repeated prefix costs neither the replay nor the enumeration.  It
+   holds typed moves only — no program, closure or instance — and never
+   prints or parses a describe string.  It is not checkpointed: a
+   resumed run starts empty.  Pool tasks share it under [lock]; a miss
+   enumerates outside the lock, and two tasks racing on one prefix
+   store equal arrays. *)
 module Prefix = Hashtbl.Make (struct
-  type t = string list
+  type t = Moveref.t list
 
-  let equal = List.equal String.equal
-  let hash = List.fold_left (fun h name -> (h * 31) + Hashtbl.hash name) 0
+  let equal = List.equal ( = )
+  let hash = List.fold_left (fun h m -> (h * 31) + Hashtbl.hash m) 0
 end)
 
-type draws = {
-  offered : string array Prefix.t;
-  names : (string, string) Hashtbl.t;
-  lock : Mutex.t;
-}
+type draws = { offered : Moveref.t array Prefix.t; lock : Mutex.t }
 
-let new_draws () =
-  { offered = Prefix.create 64; names = Hashtbl.create 256;
-    lock = Mutex.create () }
+let new_draws () = { offered = Prefix.create 64; lock = Mutex.create () }
 
 let offered_after ~filter caps root draws prefix =
   let find () = Prefix.find_opt draws.offered prefix in
   match Mutex.protect draws.lock find with
   | Some offered -> offered
   | None ->
-      let p, _ = replay_skipping ~filter caps root prefix in
+      let p, _ = replay_moves ~filter caps root prefix in
       let fresh =
-        List.filter_map
-          (fun i -> if filter i then Some (Xforms.describe i) else None)
-          (Xforms.all caps p)
+        Array.of_list
+          (List.filter_map
+             (fun (i : Xforms.instance) ->
+               if filter i then Some i.move else None)
+             (Xforms.all caps p))
       in
       Mutex.protect draws.lock (fun () ->
           match find () with
           | Some offered -> offered
           | None ->
-              let intern name =
-                match Hashtbl.find_opt draws.names name with
-                | Some name -> name
-                | None ->
-                    Hashtbl.add draws.names name name;
-                    name
-              in
-              let offered = Array.of_list (List.map intern fresh) in
-              Prefix.add draws.offered prefix offered;
-              offered)
+              Prefix.add draws.offered prefix fresh;
+              fresh)
 
 (* One structural mutation of a move sequence: delete a move, or insert
    or replace one by a move offered at that point, drawn from [draws]. *)
-let mutate_with ~filter caps draws rng prog (names : string list) =
-  let n = List.length names in
-  let arr = Array.of_list names in
+let mutate_with ~filter caps draws rng prog (moves : Moveref.t list) =
+  let n = List.length moves in
+  let arr = Array.of_list moves in
   let sub pos len = Array.to_list (Array.sub arr pos len) in
   let draw_between prefix suffix =
     let offered = offered_after ~filter caps prog draws prefix in
     let k = Array.length offered in
-    if k = 0 then names
+    if k = 0 then moves
     else prefix @ [ offered.(Util.Rng.int rng k) ] @ suffix
   in
   let choice = Util.Rng.int rng 3 in
@@ -200,7 +205,7 @@ let mutate_with ~filter caps draws rng prog (names : string list) =
   else if choice = 0 then begin
     (* delete a random move *)
     let pos = Util.Rng.int rng n in
-    List.filteri (fun i _ -> i <> pos) names
+    List.filteri (fun i _ -> i <> pos) moves
   end
   else begin
     (* replace a random move by another applicable at the same point *)
@@ -208,17 +213,14 @@ let mutate_with ~filter caps draws rng prog (names : string list) =
     draw_between (sub 0 pos) (sub (pos + 1) (n - pos - 1))
   end
 
+(* A candidate keeps its moves typed: a run prints them only where it
+   hands them out (its result, a checkpoint). *)
 type candidate = {
-  moves : string list;
+  moves : Moveref.t list;
   prog : Ir.Prog.t;
   runtime : float;
   parent_runtime : float;
 }
-
-let eval_moves ?filter caps (objective : objective) prog names parent_runtime
-    =
-  let p, applied = replay_skipping ?filter caps prog names in
-  { moves = applied; prog = p; runtime = objective p; parent_runtime }
 
 (* ------------------------------------------------------------------ *)
 (* Guarded evaluation and quarantine                                   *)
@@ -317,7 +319,7 @@ let record_step ?metrics ?accepted ?temp obs best ~slot (child : candidate) =
    edges-structured space the child program is the parent program plus
    one move, so it is returned directly (no replay from the root). *)
 let expand ?(filter = fun (_ : Xforms.instance) -> true) space caps draws rng
-    root (parent : candidate) : string list * Ir.Prog.t option =
+    root (parent : candidate) : Moveref.t list * Ir.Prog.t option =
   match space with
   | Edges -> (
       (* append one applicable move *)
@@ -326,8 +328,7 @@ let expand ?(filter = fun (_ : Xforms.instance) -> true) space caps draws rng
       | [] -> (parent.moves, Some parent.prog)
       | _ ->
           let inst = List.nth insts (Util.Rng.int rng (List.length insts)) in
-          ( parent.moves @ [ Xforms.describe inst ],
-            Some (inst.apply parent.prog) ))
+          (parent.moves @ [ inst.move ], Some (inst.apply parent.prog)))
   | Heuristic -> (mutate_with ~filter caps draws rng root parent.moves, None)
 
 (* ------------------------------------------------------------------ *)
@@ -336,10 +337,11 @@ let expand ?(filter = fun (_ : Xforms.instance) -> true) space caps draws rng
 
 (* Warm-start: replay a recorded move sequence from the root and return
    it as a candidate to seed the search with — tuning resumes from the
-   database's best instead of restarting cold.  Guarded like every
-   other evaluation: a database sequence recorded by an older build may
-   no longer replay, and that must degrade to a cold start, not a
-   crash. *)
+   database's best instead of restarting cold.  Its strings name moves
+   by the canonical-spelling rule, once; only the moves that apply are
+   kept.  Guarded like every other evaluation: a database sequence
+   recorded by an older build may no longer replay, and that must
+   degrade to a cold start, not a crash. *)
 let warm_candidate ~guard ?filter caps objective root (init : string list) :
     (candidate option, Robust.Guard.failure) Stdlib.result =
   if init = [] then Ok None
@@ -347,7 +349,11 @@ let warm_candidate ~guard ?filter caps objective root (init : string list) :
     Result.map Option.some
       (Robust.Guard.run ~cfg:guard
          ~cost:(fun c -> c.runtime)
-         (fun () -> eval_moves ?filter caps objective root init infinity)
+         (fun () ->
+           let p, moves =
+             replay_moves ?filter caps root (List.filter_map Xforms.named init)
+           in
+           { moves; prog = p; runtime = objective p; parent_runtime = infinity })
          ())
 
 (* The candidate pool and its selection weights live in growable buffers
@@ -469,12 +475,12 @@ type slot_outcome =
    for dedup/ranking.  Exceptions from a transform or replay classify
    exactly like they would under the guard. *)
 let build_child ?filter space caps draws root (parent : candidate) task_rng :
-    (string list * Ir.Prog.t, Robust.Guard.failure) Stdlib.result =
+    (Moveref.t list * Ir.Prog.t, Robust.Guard.failure) Stdlib.result =
   match
     match expand ?filter space caps draws task_rng root parent with
     | moves, Some p -> (moves, p)
     | moves, None ->
-        let p, applied = replay_skipping ?filter caps root moves in
+        let p, applied = replay_moves ?filter caps root moves in
         (applied, p)
   with
   | v -> Ok v
@@ -752,19 +758,21 @@ let ck_hex64 = function
   | _ -> ck_corrupt "RNG state word is not a string"
 
 let cand_fields (c : candidate) =
-  [ ("moves", Checkpoint.moves c.moves);
+  [ ("moves", Checkpoint.moves (List.map Moveref.describe c.moves));
     ("rt", Recover.Bits.of_float c.runtime);
     ("prt", Recover.Bits.of_float c.parent_runtime) ]
 
 (* Rebuild a candidate from its saved (moves, runtime, parent_runtime):
    the program replays from the root through the same [filter] the
-   original run used — transform replays only, no objective call. *)
+   original run used — transform replays only, no objective call.
+   Every saved move applied, so each string is a move's canonical
+   spelling and names it. *)
 let cand_of_json ?filter caps root json =
-  let moves = Recover.Field.str_list "moves" json in
+  let names = Recover.Field.str_list "moves" json in
   let runtime = Recover.Field.float_bits "rt" json in
   let parent_runtime = Recover.Field.float_bits "prt" json in
-  let prog = Checkpoint.replayed (replay_exact ?filter caps root moves) in
-  { moves; prog; runtime; parent_runtime }
+  let prog = Checkpoint.replayed (replay_exact ?filter caps root names) in
+  { moves = List.filter_map Xforms.named names; prog; runtime; parent_runtime }
 
 (* The round-loop fields of a checkpoint: filled count, curve prefix,
    RNG state and (evals, skipped, deduped, visited) accounting. *)
@@ -915,7 +923,7 @@ let search ~meth ~seed ?filter ~init ~obs ?metrics ~guard ?pool ~batch
   {
     best = best.prog;
     best_time = best.runtime;
-    best_moves = best.moves;
+    best_moves = List.map Moveref.describe best.moves;
     curve;
     evals;
     skipped;

@@ -8,14 +8,18 @@
       insert) and replays the rest, skipping moves that became
       inapplicable — the structure the paper derives from expert
       hand-tuning.  Each run keeps a {e mutation-draw table}: for every
-      prefix it mutated after, the describe strings of the moves offered
-      there that pass [filter], in {!Transform.Xforms.all} order.  A
-      run's root, caps and filter are fixed and replay is deterministic,
-      so the table is exact and a repeated prefix is neither replayed
-      nor re-enumerated; the draws are the same as without it.  The
-      table holds strings only (interned per run), is shared by the
-      run's pool tasks under a lock, is not checkpointed and dies with
-      the run.  It assumes [filter] is a pure function of the instance.
+      prefix it mutated after, the moves offered there that pass
+      [filter], in {!Transform.Xforms.all} order.  A run's root, caps
+      and filter are fixed and replay is deterministic, so the table is
+      exact and a repeated prefix is neither replayed nor re-enumerated;
+      the draws are the same as without it.  The table holds typed
+      moves ({!Transform.Moveref.t}) only, is shared by the run's pool
+      tasks under a lock, is not checkpointed and dies with the run.  It
+      assumes [filter] is a pure function of the instance.  A run keeps
+      every move typed and replays a child through
+      {!Transform.Xforms.resolve_move}; it reads describe strings only
+      from [init] and a checkpoint and prints them only into a
+      checkpoint and [best_moves].
 
     Methods: weighted random sampling (selection probability from the
     {e parent}'s runtime) and simulated annealing (cost is the
@@ -107,9 +111,11 @@ val replay_skipping :
   Ir.Prog.t * string list
 (** Replay a sequence of {!Transform.Xforms.describe} strings from a
     root, skipping entries not applicable at their point; returns the
-    final program and the names that actually applied.  Each step is
-    {!Transform.Xforms.resolve}: only the named move's own site is
-    checked. *)
+    final program and the names that actually applied.  A string that
+    is not a move's canonical spelling ({!Transform.Xforms.named})
+    names nothing and is skipped; every other step checks only the
+    move's own site ({!Transform.Xforms.resolve_move}), through the
+    replay loop a search run uses for its typed moves. *)
 
 val replay_exact :
   ?filter:(Transform.Xforms.instance -> bool) ->

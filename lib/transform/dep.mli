@@ -6,36 +6,22 @@
     collapses every logical index to the same slot — which keeps them
     sound after [reuse_dims] has been applied.  The test suite validates
     the rules empirically by numerically comparing every transformed
-    program against its original, exactly as the paper does. *)
+    program against its original, exactly as the paper does.
+
+    Two accesses conflict when at least one is a write and their arrays
+    share storage, i.e. have one {!Ir.Prog.alias_class}.  A check reads
+    its subtree's accesses once, each with its alias class, and compares
+    pairs only within a class.  The array → (buffer, class) facts live
+    in {!Ir.Prog}, built once per buffer list and kept per domain for
+    the last list asked about (see {!Ir.Prog.buffer_of_array}), so no
+    check scans the buffer list per access. *)
 
 open Ir.Types
-
-val same_component : depth:int -> access -> access -> bool
-(** Both accesses move in lockstep along the iterator at [depth]: equal
-    coefficients everywhere, at least one dimension carrying the
-    iterator, fully identical index expressions in those dimensions —
-    hence zero dependence distance along that loop. *)
 
 val is_commutative_reduction : stmt -> bool
 (** [z[I] = z[I] (+|*|max|min) e] with [e] not referencing [z]:
     reordering its iterations only reassociates a commutative operator
     (accepted up to floating-point rounding, validated with tolerance). *)
-
-val effective : Ir.Prog.t -> access -> access
-(** The storage-effective index vector: reused dimensions become
-    constant 0. *)
-
-val ordered_accesses :
-  Ir.Prog.t ->
-  node list ->
-  (Ir.Prog.access_kind * access * stmt * int) list
-(** Every (kind, effective access, statement, document order) tuple in
-    execution order. *)
-
-val accesses_conflict :
-  Ir.Prog.t -> Ir.Prog.access_kind -> access -> Ir.Prog.access_kind ->
-  access -> bool
-(** At least one write, and the arrays share storage. *)
 
 val nodes_independent : Ir.Prog.t -> node -> node -> bool
 (** No array written by one node is accessed by the other — the

@@ -46,6 +46,13 @@ val describe : instance -> string
 (** [Moveref.describe i.move]: the wire format that records and replays
     move sequences. *)
 
+val named : string -> Moveref.t option
+(** The move a describe string names: {!Moveref.of_describe}, kept only
+    when the string is that move's canonical spelling.  {!lookup} and
+    {!resolve} name moves by this rule; a search run applies it once to
+    the strings it is handed (a warm start, a checkpoint) and keeps its
+    moves typed from then on. *)
+
 val lookup :
   ?filter:(instance -> bool) -> instance list -> string -> instance option
 (** [lookup ?filter insts name] is the first instance of [insts] that

@@ -539,6 +539,64 @@ let interrupt_tests =
         Alcotest.(check string) "resumed manifest = uninterrupted"
           (Util.Json.to_string (Libgen.manifest_json uninterrupted))
           (Util.Json.to_string (Libgen.manifest_json resumed)));
+    Alcotest.test_case "a resume over a bad ledger line is refused before any pair runs"
+      `Quick (fun () ->
+        let kernels = pick [ "vecsum"; "relu_micro"; "axpy" ] in
+        let ledger = fresh_dir "bad_ledger" ^ ".journal" in
+        let file = fresh_dir "bad_ledger_db" ^ ".jsonl" in
+        let run ~resume out =
+          gen ~kernels ~strategy:strat ~db:(Tuning.Db.create ()) ~db_file:file
+            ~ctx:
+              Ctx.(
+                default |> with_jobs 1 |> with_checkpoint ledger
+                |> with_resume resume)
+            out
+        in
+        (match
+           Interrupt_flag.with_set (fun () ->
+               run ~resume:false (fresh_dir "bad_ledger_interrupted"))
+         with
+        | _ -> Alcotest.fail "the suite ignored the interrupt"
+        | exception Recover.Interrupt.Interrupted _ -> ());
+        (* a well-formed journal line whose status does not decode, for
+           a pair the interrupted run did not reach *)
+        (match Recover.Journal.replay ledger with
+        | Ok ([ j ], _) ->
+            let bogus =
+              match j with
+              | Util.Json.Obj members ->
+                  Util.Json.Obj
+                    (List.map
+                       (function
+                         | "pair", _ -> ("pair", Util.Json.Str "axpy|x86")
+                         | "status", _ -> ("status", Util.Json.Str "bogus")
+                         | m -> m)
+                       members)
+              | _ -> Alcotest.fail "a ledger line is not an object"
+            in
+            let w = Recover.Journal.open_writer ledger in
+            Recover.Journal.append w bogus;
+            Recover.Journal.close w
+        | Ok (entries, _) ->
+            Alcotest.failf "expected one ledgered pair, found %d"
+              (List.length entries)
+        | Error e -> Alcotest.failf "ledger: %s" (Recover.error_message e));
+        let bytes path = if Sys.file_exists path then read_file path else "" in
+        let files = [ ledger; file; file ^ ".wal" ] in
+        let before = List.map bytes files in
+        let out = fresh_dir "bad_ledger_resumed" in
+        (match run ~resume:true out with
+        | _ -> Alcotest.fail "the resume accepted a bad ledger line"
+        | exception Recover.Error (Recover.Corrupt msg) ->
+            Alcotest.(check string) "the refusal" "unknown ledger status \"bogus\""
+              msg);
+        List.iter2
+          (fun path b ->
+            Alcotest.(check string) (Filename.basename path ^ " unchanged") b
+              (bytes path))
+          files before;
+        Alcotest.(check (array string)) "no library file written" [||]
+          (if Sys.file_exists out then Sys.readdir out else [||]));
   ]
 
 let () =

@@ -871,6 +871,184 @@ let cross_target_resolve () =
     [ "gpu_map"; "parallelize"; "vectorize"; "split_reduction"; "enable_ssr";
       "enable_frep" ]
 
+(* -------------------------------------------------------------------- *)
+(* Dependence checks against the earlier rules                           *)
+(* -------------------------------------------------------------------- *)
+
+(* The program with two non-interface buffers of one dtype and shape
+   merged into one buffer that lists both arrays, so that those arrays
+   alias; [None] when it has no such pair.  No kernel aliases arrays, so
+   only this variant reaches an alias class of two arrays. *)
+let aliased (p : Ir.Prog.t) : Ir.Prog.t option =
+  let io (b : Ir.Types.buffer) =
+    List.exists (fun a -> List.mem a p.inputs || List.mem a p.outputs) b.arrays
+  in
+  let rec pick = function
+    | [] -> None
+    | (b1 : Ir.Types.buffer) :: rest -> (
+        match
+          List.find_opt
+            (fun (b2 : Ir.Types.buffer) ->
+              b2.dtype = b1.dtype && b2.shape = b1.shape)
+            rest
+        with
+        | Some b2 -> Some (b1, b2)
+        | None -> pick rest)
+  in
+  Option.map
+    (fun ((b1 : Ir.Types.buffer), (b2 : Ir.Types.buffer)) ->
+      let merge (b : Ir.Types.buffer) =
+        if b == b1 then Some { b1 with arrays = b1.arrays @ b2.arrays }
+        else if b == b2 then None
+        else Some b
+      in
+      { p with buffers = List.filter_map merge p.buffers })
+    (pick (List.filter (fun b -> not (io b)) p.buffers))
+
+(* Every dependence check at every site of a program, as (site, live
+   check, oracle check): [parallel_safe] and [parallel_reduction_safe]
+   at every scope, [interchange_safe] at every single-child scope,
+   [fission_safe] at every split point, [nodes_independent] at every
+   adjacent sibling pair in both orders (a consumer before its producer
+   is an anti-dependence that no kernel's own order shows), [fusion_safe]
+   at every adjacent scope pair and
+   [reuse_safe] at every buffer dimension (and one past each end). *)
+let dep_checks (p : Ir.Prog.t) : (string * (unit -> bool) * (unit -> bool)) list
+    =
+  let open Ir.Types in
+  let checks = ref [] in
+  let add site live oracle = checks := (site, live, oracle) :: !checks in
+  let siblings parent depth body =
+    let arr = Array.of_list body in
+    for i = 0 to Array.length arr - 2 do
+      let site = Printf.sprintf "%s %d" (Target.path_str parent) i in
+      let n1 = arr.(i) and n2 = arr.(i + 1) in
+      add ("nodes_independent " ^ site)
+        (fun () -> Dep.nodes_independent p n1 n2)
+        (fun () -> Dep_oracle.nodes_independent p n1 n2);
+      add ("nodes_independent swapped " ^ site)
+        (fun () -> Dep.nodes_independent p n2 n1)
+        (fun () -> Dep_oracle.nodes_independent p n2 n1);
+      match (n1, n2) with
+      | Scope s1, Scope s2 ->
+          add ("fusion_safe " ^ site)
+            (fun () -> Dep.fusion_safe p ~depth s1.body s2.body)
+            (fun () -> Dep_oracle.fusion_safe p ~depth s1.body s2.body)
+      | _ -> ()
+    done
+  in
+  siblings [] 0 p.body;
+  Ir.Prog.iter_nodes
+    (fun path node ->
+      match node with
+      | Stmt _ -> ()
+      | Scope sc ->
+          let depth = List.length path - 1 and site = Target.path_str path in
+          siblings path (depth + 1) sc.body;
+          add ("parallel_safe " ^ site)
+            (fun () -> Dep.parallel_safe p ~depth sc.body)
+            (fun () -> Dep_oracle.parallel_safe p ~depth sc.body);
+          add ("parallel_reduction_safe " ^ site)
+            (fun () -> Dep.parallel_reduction_safe p ~depth sc.body)
+            (fun () -> Dep_oracle.parallel_reduction_safe p ~depth sc.body);
+          (match sc.body with
+          | [ Scope inner ] ->
+              add ("interchange_safe " ^ site)
+                (fun () -> Dep.interchange_safe p ~depth inner.body)
+                (fun () -> Dep_oracle.interchange_safe p ~depth inner.body)
+          | _ -> ());
+          List.iteri
+            (fun k _ ->
+              if k > 0 then begin
+                let part1 = List.filteri (fun j _ -> j < k) sc.body
+                and part2 = List.filteri (fun j _ -> j >= k) sc.body in
+                add (Printf.sprintf "fission_safe %s at %d" site k)
+                  (fun () -> Dep.fission_safe p ~depth part1 part2)
+                  (fun () -> Dep_oracle.fission_safe p ~depth part1 part2)
+              end)
+            sc.body)
+    p;
+  List.iter
+    (fun (b : buffer) ->
+      for dim = -1 to List.length b.shape do
+        add (Printf.sprintf "reuse_safe %s %d" b.bname dim)
+          (fun () -> Dep.reuse_safe p b ~dim)
+          (fun () -> Dep_oracle.reuse_safe p b ~dim)
+      done)
+    p.buffers;
+  List.rev !checks
+
+let outcome f =
+  match f () with b -> Ok b | exception e -> Error (Printexc.to_string e)
+
+(* The checks of [p] on which the live rules and the oracle disagree. *)
+let dep_disagreements p =
+  List.filter_map
+    (fun (site, live, oracle) ->
+      if outcome live = outcome oracle then None else Some site)
+    (dep_checks p)
+
+let dep_entries = Array.of_list (Kernels.table3 @ Kernels.snitch_micro)
+
+let qcheck_dep_oracle =
+  QCheck.Test.make ~count:100
+    ~name:"every dependence check decides what the earlier rules decide"
+    QCheck.(
+      triple
+        (int_bound (Array.length dep_entries - 1))
+        (int_bound (List.length walk_caps - 1))
+        small_int)
+    (fun (ki, ti, seed) ->
+      let e = dep_entries.(ki) and caps = List.nth walk_caps ti in
+      let rng = Util.Rng.create (seed + 1) in
+      let rec go k p =
+        let states = p :: Option.to_list (aliased p) in
+        List.iter
+          (fun q ->
+            match dep_disagreements q with
+            | [] -> ()
+            | sites ->
+                QCheck.Test.fail_reportf "%s: %s on\n%s" e.label
+                  (String.concat ", " sites) (Ir.Printer.program q))
+          states;
+        let insts = Xforms.all caps p in
+        if k > 0 && insts <> [] then
+          go (k - 1)
+            ((List.nth insts (Util.Rng.int rng (List.length insts))).apply p)
+      in
+      go (Util.Rng.int rng 9) (e.build ());
+      true)
+
+let dep_tests =
+  [
+    QCheck_alcotest.to_alcotest qcheck_dep_oracle;
+    Alcotest.test_case "the aliased variant changes some decisions" `Quick
+      (fun () ->
+        (* without this the oracle property could pass on variants whose
+           merged arrays never meet in one check *)
+        let decisions p =
+          List.map (fun (site, live, _) -> (site, outcome live)) (dep_checks p)
+        in
+        let changed =
+          List.filter
+            (fun (e : Kernels.entry) ->
+              let p = e.build () in
+              match aliased p with
+              | None -> false
+              | Some q ->
+                  let before = decisions p in
+                  List.exists
+                    (fun (site, d) ->
+                      match List.assoc_opt site before with
+                      | Some d' -> d <> d'
+                      | None -> false)
+                    (decisions q))
+            (Array.to_list dep_entries)
+        in
+        Alcotest.(check bool) "some kernel's checks see the alias" true
+          (changed <> []));
+  ]
+
 let move_tests =
   [
     Alcotest.test_case "offered move lists are byte-identical" `Quick
@@ -924,6 +1102,7 @@ let () =
   Alcotest.run "transform"
     [
       ("moves", move_tests);
+      ("dep", dep_tests);
       ("one-step-exhaustive", one_step_suites);
       ("split", split_tests);
       ("fusion", fusion_tests);
